@@ -370,6 +370,49 @@ def write_graph_text(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+# A vertex or edge line is its tag and numbers, split by single spaces.
+_EDGE_DTYPE = np.dtype([("tag", "U2"), ("u", np.int64), ("v", np.int64),
+                        ("len", np.float64)])
+
+
+def _vertex_dtype(d: int) -> np.dtype:
+    return np.dtype([("tag", "U2"), ("id", np.int64),
+                     ("x", np.float64, (d,)), ("w", np.float64)])
+
+
+def _parse_lines(lines: list, dtype: np.dtype, tag: str):
+    """The lines parsed in bulk, or None when any of them is malformed."""
+    if not lines:
+        return np.zeros(0, dtype=dtype)
+    if "" in lines:                # loadtxt would skip a blank line
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=" ", comments=None,
+                          ndmin=1)
+    except ValueError:
+        return None
+    return rows if (rows["tag"] == tag).all() else None
+
+
+def _read_block(lines: list, first: int, what: str, dtype: np.dtype):
+    """Rows of a block of `what` lines, the first at 0-based line `first`.
+
+    A malformed block is bisected for its first bad line, whose number the
+    error names.
+    """
+    rows = _parse_lines(lines, dtype, what[0])
+    if rows is not None:
+        return rows
+    good, bad = 0, len(lines)      # lines[:good] parse, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _parse_lines(lines[:mid], dtype, what[0]) is None:
+            bad = mid
+        else:
+            good = mid
+    raise ValueError(f"line {first + bad}: malformed {what} line")
+
+
 def read_graph_text(text: str) -> Graph:
     lines = text.splitlines()
     if not lines or lines[0] != "#format pplab-graph 1":
@@ -396,35 +439,16 @@ def read_graph_text(text: str) -> Graph:
     window = Window(d, side,
                     boundary="torus" if model in _TORUS_MODELS else "hard")
 
-    positions = np.zeros((n, d))
-    weights = np.zeros(n)
-    for row in range(n):
-        lineno = i + row
-        if lineno >= len(lines):
-            raise ValueError(f"expected {n} vertex lines, found {row}")
-        parts = lines[lineno].split(" ")
-        if len(parts) != d + 3 or parts[0] != "v":
-            raise ValueError(f"line {lineno + 1}: malformed vertex line")
-        if int(parts[1]) != row:
-            raise ValueError(f"line {lineno + 1}: vertex ids must be "
-                             "consecutive from 0")
-        positions[row] = [float(p) for p in parts[2:2 + d]]
-        weights[row] = float(parts[-1])
-    i += n
-
-    eu, ev, ls = [], [], []
-    for lineno in range(i, len(lines)):
-        parts = lines[lineno].split(" ")
-        if len(parts) != 4 or parts[0] != "e":
-            raise ValueError(f"line {lineno + 1}: malformed edge line")
-        eu.append(int(parts[1]))
-        ev.append(int(parts[2]))
-        ls.append(float(parts[3]))
-
-    vs = VertexSet(window, positions, weights)
-    return Graph(vs, np.array(eu, dtype=np.int64),
-                 np.array(ev, dtype=np.int64),
-                 np.array(ls, dtype=np.float64), spec=model)
+    vrows = _read_block(lines[i:i + n], i, "vertex", _vertex_dtype(d))
+    if vrows.shape[0] < n:
+        raise ValueError(f"expected {n} vertex lines, found {vrows.shape[0]}")
+    jumps = np.flatnonzero(vrows["id"] != np.arange(n))
+    if jumps.size:
+        raise ValueError(f"line {i + jumps[0] + 1}: vertex ids must be "
+                         "consecutive from 0")
+    erows = _read_block(lines[i + n:], i + n, "edge", _EDGE_DTYPE)
+    vs = VertexSet(window, vrows["x"], vrows["w"])
+    return Graph(vs, erows["u"], erows["v"], erows["len"], spec=model)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +499,8 @@ def cmd_distance(args) -> int:
     for name, v in (("source", args.source), ("target", args.target)):
         if not 0 <= v < g.n:
             raise ConfigError(f"{name} {v} is not a vertex (n = {g.n})")
-    res = cost_search(g, f, args.source, direction=args.direction)
+    res = cost_search(g, f, args.source, direction=args.direction,
+                      target=args.target)
     d = float(res.dist[args.target])
     if not math.isfinite(d):
         print("distance inf")

@@ -40,6 +40,13 @@ def _directed_costs(g: Graph, f, direction: str):
     return c_uv, c_vu
 
 
+def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
+    """Directed cost of each CSR slot: stepping from its row vertex to nbr."""
+    c_uv, c_vu = _directed_costs(g, f, direction)
+    _, nbr, eid = g.csr
+    return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
+
+
 @dataclass
 class CostSearchResult:
     source: int
@@ -52,42 +59,47 @@ class CostSearchResult:
 
 def cost_search(g: Graph, f, source: int, direction: str = "outward",
                 budget: float | None = None,
-                max_settled: int | None = None) -> CostSearchResult:
-    """Dijkstra over directed costs, halting at budget or max_settled.
+                max_settled: int | None = None,
+                target: int | None = None) -> CostSearchResult:
+    """Dijkstra over directed costs, halting at budget, max_settled or target.
 
-    Ties in distance settle by lowest vertex id.  frontier_exhausted is
-    true only when the whole reachable set was settled (the search ended
-    by draining its frontier, not by hitting a limit).
+    Ties in distance settle by lowest vertex id.  With a target, the search
+    stops as soon as the target is settled, before relaxing its edges; the
+    vertices settled up to then, their distances and search-tree paths are
+    exactly those of the full search, and every other vertex reads inf.
+    frontier_exhausted is true only when the whole reachable set was
+    settled (the search ended by draining its frontier, not by hitting a
+    limit); after a stop at the target it is false.
     """
     if not 0 <= source < g.n:
         raise ValueError("source not in graph")
+    if target is not None and not 0 <= target < g.n:
+        raise ValueError("target not in graph")
     cap = math.inf if budget is None else float(budget)
     limit = g.n if max_settled is None else int(max_settled)
-    c_uv, c_vu = _directed_costs(g, f, direction)
+    indptr, nbr, _ = g.csr
+    cost = _slot_costs(g, f, direction)
+    rows = indptr.tolist()
 
-    dist = np.full(g.n, math.inf)
-    parent = np.full(g.n, -1, dtype=np.int64)
-    done = np.zeros(g.n, dtype=bool)
+    # costs are >= 0, so a popped entry above its vertex's distance is stale
+    # and an edge back to a settled vertex never improves it
+    dist = [math.inf] * g.n
+    parent = [-1] * g.n
     settled: list = []
     exhausted = False
     heap = [(0.0, source)]
     dist[source] = 0.0
     while heap:
         d, v = heapq.heappop(heap)
-        if done[v] or d > dist[v]:
+        if d > dist[v]:
             continue
-        if d > cap:
+        if d > cap or len(settled) >= limit:
             break
-        if len(settled) >= limit:
-            break
-        done[v] = True
         settled.append((v, d))
-        nbrs = g.neighbors(v)
-        eids = g.incident_edges(v)
-        for u, e in zip(nbrs.tolist(), eids.tolist()):
-            if done[u]:
-                continue
-            step = c_uv[e] if v == g.edges_u[e] else c_vu[e]
+        if v == target:
+            break
+        lo, hi = rows[v], rows[v + 1]
+        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
             nd = d + step
             if nd < dist[u]:
                 dist[u] = nd
@@ -95,10 +107,13 @@ def cost_search(g: Graph, f, source: int, direction: str = "outward",
                 heapq.heappush(heap, (nd, u))
     else:
         exhausted = True
-    dist[~done] = math.inf
+    out = np.full(g.n, math.inf)
+    if settled:
+        ids, ds = zip(*settled)
+        out[list(ids)] = ds
     return CostSearchResult(source=source, direction=direction,
                             settled=settled, frontier_exhausted=exhausted,
-                            dist=dist, parent=parent)
+                            dist=out, parent=np.array(parent, dtype=np.int64))
 
 
 def realized_path(res: CostSearchResult, target: int):
@@ -167,10 +182,10 @@ def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
     return count
 
 
-def _capped_search(g: Graph, f, v: int, budget: float, w_cap: float,
-                   direction: str):
-    """Dijkstra ignoring every vertex of weight above w_cap."""
-    c_uv, c_vu = _directed_costs(g, f, direction)
+def _capped_search(g: Graph, cost: np.ndarray, v: int, budget: float,
+                   w_cap: float):
+    """Dijkstra over CSR slot costs, ignoring vertices heavier than w_cap."""
+    indptr, nbr, _ = g.csr
     w = g.vertices.weights
     dist = {v: 0.0}
     done = set()
@@ -182,10 +197,10 @@ def _capped_search(g: Graph, f, v: int, budget: float, w_cap: float,
         if d > budget:
             break
         done.add(x)
-        for u, e in zip(g.neighbors(x).tolist(), g.incident_edges(x).tolist()):
+        lo, hi = indptr[x], indptr[x + 1]
+        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
             if u in done or w[u] > w_cap:
                 continue
-            step = c_uv[e] if x == g.edges_u[e] else c_vu[e]
             nd = d + step
             if nd <= budget and nd < dist.get(u, math.inf):
                 dist[u] = nd
@@ -204,7 +219,8 @@ def truncated_ball(g: Graph, f, v: int, budget: float, w_cap: float,
         raise ValueError("budget and w_cap must be >= 0")
     if g.vertices.weights[v] > w_cap:
         return set(), True
-    return set(_capped_search(g, f, v, budget, w_cap, direction)), False
+    cost = _slot_costs(g, f, direction)
+    return set(_capped_search(g, cost, v, budget, w_cap)), False
 
 
 @dataclass(frozen=True)
@@ -225,16 +241,15 @@ def exterior_set(g: Graph, f, v: int, budget: float, w_cap: float,
     """
     if g.vertices.weights[v] > w_cap:
         return ExteriorResult(math.inf, frozenset(), None)
-    ball = _capped_search(g, f, v, budget, w_cap, direction)
-    c_uv, c_vu = _directed_costs(g, f, direction)
+    cost = _slot_costs(g, f, direction)
+    ball = _capped_search(g, cost, v, budget, w_cap)
+    indptr, nbr, _ = g.csr
     w = g.vertices.weights
     candidates = {}
     for x, d in ball.items():
-        for u, e in zip(g.neighbors(x).tolist(), g.incident_edges(x).tolist()):
-            if w[u] <= w_cap:
-                continue
-            step = c_uv[e] if x == g.edges_u[e] else c_vu[e]
-            if d + step <= budget:
+        lo, hi = indptr[x], indptr[x + 1]
+        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
+            if w[u] > w_cap and d + step <= budget:
                 candidates[u] = w[u]
     if not candidates:
         return ExteriorResult(math.inf, frozenset(), None)
@@ -262,7 +277,9 @@ def components(g: Graph) -> list:
 
 
 def largest_component(g: Graph) -> set:
-    return set(components(g)[0])
+    """Vertex ids of components(g)[0], computed once per edge set."""
+    return set(g.edge_cached("largest_component",
+                             lambda h: np.asarray(components(h)[0])).tolist())
 
 
 def induced_subgraph(g: Graph, ids) -> tuple:

@@ -18,7 +18,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -96,11 +95,12 @@ class Graph:
                 raise ValueError("edges must satisfy u < v")
             if u.min() < 0 or v.max() >= vertices.n:
                 raise ValueError("edge endpoint out of range")
-            order = np.lexsort((v, u))
-            u, v, ell = u[order], v[order], ell[order]
-            key = u * vertices.n + v
-            if (np.diff(key) == 0).any():
-                raise ValueError("duplicate edge")
+            # files and subgraphs arrive sorted; only the rest pay for a sort
+            if not (np.diff(u * vertices.n + v) > 0).all():
+                order = np.lexsort((v, u))
+                u, v, ell = u[order], v[order], ell[order]
+                if (np.diff(u * vertices.n + v) == 0).any():
+                    raise ValueError("duplicate edge")
             if (ell < 0).any():
                 raise ValueError("edge lengths must be non-negative")
         self.edges_u = u
@@ -108,6 +108,7 @@ class Graph:
         self.lengths = ell
         self.spec = spec
         self.seed = seed
+        self._edge_derived = {}
 
     @property
     def n(self) -> int:
@@ -117,45 +118,29 @@ class Graph:
     def m(self) -> int:
         return self.edges_u.shape[0]
 
-    @cached_property
-    def _adjacency(self):
-        nbr = [[] for _ in range(self.n)]
-        eid = [[] for _ in range(self.n)]
-        for i in range(self.m):
-            a, b = int(self.edges_u[i]), int(self.edges_v[i])
-            nbr[a].append(b)
-            eid[a].append(i)
-            nbr[b].append(a)
-            eid[b].append(i)
-        out = []
-        for v in range(self.n):
-            order = np.argsort(nbr[v], kind="stable")
-            out.append((
-                np.asarray(nbr[v], dtype=np.int64)[order],
-                np.asarray(eid[v], dtype=np.int64)[order],
-            ))
-        return out
+    def edge_cached(self, key: str, build):
+        """build(self), once per edge set: with_lengths copies share it."""
+        if key not in self._edge_derived:
+            self._edge_derived[key] = build(self)
+        return self._edge_derived[key]
+
+    @property
+    def csr(self) -> tuple:
+        """Read-only CSR adjacency (indptr, nbr, eid): slots indptr[v]:
+        indptr[v+1] hold v's neighbours, ascending, and those edges' ids."""
+        return self.edge_cached("csr", _build_csr)
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self._adjacency[v][0]
+        indptr, nbr, _ = self.csr
+        return nbr[indptr[v]:indptr[v + 1]]
 
     def incident_edges(self, v: int) -> np.ndarray:
-        return self._adjacency[v][1]
+        indptr, _, eid = self.csr
+        return eid[indptr[v]:indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edges_u, 1)
-        np.add.at(deg, self.edges_v, 1)
-        return deg
-
-    def edge_index(self, a: int, b: int):
-        if a > b:
-            a, b = b, a
-        nbrs, eids = self._adjacency[a]
-        pos = np.searchsorted(nbrs, b)
-        if pos < len(nbrs) and nbrs[pos] == b:
-            return int(eids[pos])
-        return None
+        return (np.bincount(self.edges_u, minlength=self.n)
+                + np.bincount(self.edges_v, minlength=self.n))
 
     def with_lengths(self, lengths) -> "Graph":
         """Same vertices and edges, new lengths in this graph's edge order.
@@ -171,7 +156,20 @@ class Graph:
         g = object.__new__(Graph)
         g.vertices, g.spec, g.seed = self.vertices, self.spec, self.seed
         g.edges_u, g.edges_v, g.lengths = self.edges_u, self.edges_v, ell
+        g._edge_derived = self._edge_derived
         return g
+
+
+def _build_csr(g: Graph) -> tuple:
+    # Half-edges to smaller neighbours (v -> u) precede those to larger ones,
+    # each block in (u, v) order, so a stable sort by source sorts each row.
+    src = np.concatenate([g.edges_v, g.edges_u])
+    order = np.argsort(src, kind="stable")
+    nbr = np.concatenate([g.edges_u, g.edges_v])[order]
+    eid = order % max(g.m, 1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
+    indptr.flags.writeable = nbr.flags.writeable = eid.flags.writeable = False
+    return indptr, nbr, eid
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,9 @@ from pplab.experiments import (SweepSpec, asymmetry_experiment,
                                phase_sweep, strictly_increasing,
                                tail_exponent_estimate, trend_slope)
 
+# `pytest -m "not acceptance"` runs the unit tests alone
+pytestmark = pytest.mark.acceptance
+
 
 # ---------------------------------------------------------------------------
 # criterion 1: search distances vs exhaustive enumeration on small graphs

@@ -1,6 +1,7 @@
 """Config parsing, graph file format, and the pplab subcommands."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,7 +27,9 @@ from pplab.cost import (
     _xi,
     idelta_interval,
 )
-from pplab.models import Girg, Hrg, IgirgWindow, SfpWindow, generate
+from pplab.geometry import Window
+from pplab.models import (Girg, Graph, Hrg, IgirgWindow, SfpWindow, VertexSet,
+                          generate)
 from pplab.rng import DoubleExpFlat, Exponential, PointMass, PolyAtZero
 
 
@@ -206,6 +209,57 @@ def test_graph_file_rejects_malformed():
                         "#side 1.0\nv 0 0.1 0.5\n")
 
 
+def test_graph_file_names_the_malformed_line():
+    head = "#format pplab-graph 1\n#model igirg\n#d 2\n#n 3\n#side 9.0\n"
+    verts = ["v 0 0.5 1.5 1.0", "v 1 -2.0 3.0 2.0", "v 2 1.0 1.0 1.5"]
+    edges = ["e 0 1 0.25", "e 0 2 1.5", "e 1 2 3.0"]
+
+    def text(vs, es):
+        return head + "".join(line + "\n" for line in vs + es)
+
+    assert read_graph_text(text(verts, edges)).m == 3
+    cases = [
+        (["v 0 0.5 1.5 1.0", "v 1 -2.0 2.0", "v 2 1.0 1.0 1.5"], edges,
+         "line 7: malformed vertex line"),        # a coordinate missing
+        (verts, ["e 0 1 0.25", "e 0 2 1.5", "e 1 2 long"],
+         "line 11: malformed edge line"),         # non-numeric length
+        (verts, ["e 0 1 0.25", "v 0 2 1.5", "e 1 2 3.0"],
+         "line 10: malformed edge line"),         # wrong prefix
+        (["v 0 0.5 1.5 1.0", "w 1 -2.0 3.0 2.0", "v 2 1.0 1.0 1.5"], edges,
+         "line 7: malformed vertex line"),
+        (verts, ["e 0 1 0.25", "", "e 1 2 3.0"],
+         "line 10: malformed edge line"),         # blank line
+        (verts, ["e 0 1 0.25", "e 0 2 1.5 ", "e 1 2 3.0"],
+         "line 10: malformed edge line"),         # trailing space
+        (verts, ["e 0 1 0.25", "e 0 2.0 1.5", "e 1 2 3.0"],
+         "line 10: malformed edge line"),         # non-integer endpoint
+        (["v 0 0.5 1.5 1.0", "v 2 -2.0 3.0 2.0", "v 1 1.0 1.0 1.5"], edges,
+         "line 7: vertex ids must be consecutive from 0"),
+        (verts[:2], [], "expected 3 vertex lines, found 2"),
+    ]
+    for vs, es, message in cases:
+        with pytest.raises(ValueError) as exc:
+            read_graph_text(text(vs, es))
+        assert str(exc.value) == message
+
+
+def test_graph_file_round_trips_extreme_reals():
+    extremes = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+    vs = VertexSet(Window(2, 4.0, boundary="hard"),
+                   np.array([extremes[:2], extremes[2:], [-0.1, -5e-324]]),
+                   np.array([1.7976931348623157e308, 1.0000000000000002, 1.0]))
+    g = Graph(vs, [0, 0, 1], [1, 2, 2], extremes[:3])
+    g2 = g.with_lengths([extremes[3], 0.0, 1.7976931348623157e308])
+    for graph in (g, g2):
+        text = write_graph_text(graph)
+        h = read_graph_text(text)
+        for a, b in ((h.vertices.positions, graph.vertices.positions),
+                     (h.vertices.weights, graph.vertices.weights),
+                     (h.lengths, graph.lengths)):
+            assert a.tobytes() == b.tobytes()
+        assert write_graph_text(h) == text
+
+
 # ---------------------------------------------------------------------------
 # subcommands, via main()
 
@@ -264,6 +318,39 @@ def test_cmd_distance_edge_cases(tmp_path, capsys):
                       "--penalty", "prod:1", "--source", "0",
                       "--target", "9")
     assert rc == 2 and "not a vertex" in err
+
+
+# sha256 of the concatenated `pplab distance` stdout of
+# test_cmd_distance_output_digest, recorded before the search stopped at
+# its target; any change to a distance, a path or a tie-break shows here.
+DISTANCE_DIGEST = "76b7e42cc0f9994812ad502e8bbc7f255e076bf35633b620ad98759ea7075205"
+
+
+def test_cmd_distance_output_digest(tmp_path, capsys):
+    pick = np.random.default_rng(31)
+    pairs = [(int(s), int(t)) for s, t in pick.integers(1024, size=(7, 2))]
+    pairs.append((5, 5))
+    digest = hashlib.sha256()
+    # point:1 ties every length, so distances tie often and the
+    # lowest-id rule decides the path
+    for law in ("point:1", "poly:1"):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text("model = girg\nn = 1024\nd = 2\ntau = 2.5\n"
+                       f"alpha = 2\nc = 0.5\nlaw = {law}\n")
+        gp = tmp_path / "q.graph"
+        rc, _, _ = _run(capsys, "generate", "--config", str(cfg), "--out",
+                        str(gp), "--seed", "3")
+        assert rc == 0
+        for pen in ("prod:1", "mono:2,0.5", "sum:1"):
+            for direction in ("outward", "inward"):
+                for s, t in pairs:
+                    rc, out, _ = _run(capsys, "distance", "--graph", str(gp),
+                                      "--penalty", pen, "--source", str(s),
+                                      "--target", str(t),
+                                      "--direction", direction)
+                    assert rc == 0
+                    digest.update(out.encode())
+    assert digest.hexdigest() == DISTANCE_DIGEST
 
 
 def test_cmd_generate_sfp_and_determinism(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pplab import metrics
 from pplab.cost import (
     monomial_penalty,
     power_sum_penalty,
@@ -187,6 +188,35 @@ def test_cost_search_rejects_bad_arguments():
         cost_search(g, ONE, 5)
     with pytest.raises(ValueError):
         cost_search(g, ONE, 0, direction="sideways")
+
+
+def test_cost_search_target_stops_with_the_full_answer():
+    rng = np.random.default_rng(4096)
+    stopped = 0
+    for trial in range(40):
+        g = _random_small_graph(rng, n_max=14, zero_lengths=trial % 2 == 1)
+        if trial % 4 == 0:                       # every length tied
+            g = g.with_lengths(np.ones(g.m))
+        f = _random_penalty(rng)
+        source = int(rng.integers(g.n))
+        for direction in ("outward", "inward"):
+            full = cost_search(g, f, source, direction)
+            for t in range(g.n):
+                res = cost_search(g, f, source, direction, target=t)
+                assert res.dist[t] == full.dist[t]
+                assert realized_path(res, t) == realized_path(full, t)
+                assert res.settled == full.settled[:len(res.settled)]
+                if np.isfinite(full.dist[t]):
+                    stopped += 1
+                    assert res.settled[-1][0] == t
+                    assert not res.frontier_exhausted
+                else:
+                    assert res.settled == full.settled
+                    assert res.frontier_exhausted
+    assert stopped > 500
+    g = _hand_graph(2, [(0, 1, 1.0)])
+    with pytest.raises(ValueError):
+        cost_search(g, ONE, 0, target=2)
 
 
 def test_search_matches_exhaustive_path_oracle():
@@ -371,6 +401,19 @@ def test_components_edgeless_and_complete():
     g = _hand_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     assert components(g) == [[0, 1, 2]]
     assert largest_component(g) == {0, 1, 2}
+
+
+def test_largest_component_computed_once_per_edge_set(monkeypatch):
+    calls = []
+    real = metrics.components
+    monkeypatch.setattr(metrics, "components",
+                        lambda g: calls.append(g) or real(g))
+    g = _hand_graph(6, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+    h = g.with_lengths([5.0, 6.0, 7.0])
+    assert largest_component(g) == largest_component(h) == {2, 3, 4}
+    assert calls == [g]
+    other = _hand_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    assert largest_component(other) == {0, 1, 2, 3} and len(calls) == 2
 
 
 def test_components_order_largest_then_lowest_id():

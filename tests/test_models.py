@@ -352,9 +352,10 @@ def test_graph_container():
     assert g.neighbors(0).tolist() == [1, 3]
     assert g.neighbors(1).tolist() == [0, 2]
     assert g.degrees().tolist() == [2, 2, 1, 1]
-    eid = g.edge_index(2, 1)
-    assert eid is not None and g.lengths[eid] == 0.5
-    assert g.edge_index(0, 2) is None
+    eid = int(g.incident_edges(2)[0])              # edge (1, 2), from 2's side
+    assert g.neighbors(2).tolist() == [1] and g.lengths[eid] == 0.5
+    assert g.incident_edges(1).tolist() == [0, eid]
+    assert 2 not in g.neighbors(0).tolist()
     h = g.with_lengths([3.0, 3.0, 3.0])
     assert np.all(h.lengths == 3.0) and h.m == 3
     assert h.edges_u is g.edges_u and g.lengths.tolist() == [1.0, 2.0, 0.5]
@@ -372,3 +373,49 @@ def test_graph_container():
         Graph(vs, [0], [1], [-1.0])                      # negative length
     with pytest.raises(ValueError):
         Graph(vs, [3], [1], [1.0])                       # u >= v
+
+
+def _line_graph(n, pairs, lengths=None):
+    vs = VertexSet(Window(1, 10.0, boundary="hard"),
+                   np.linspace(-4.0, 4.0, n)[:, None], np.ones(n))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    ell = np.arange(len(pairs), dtype=np.float64) if lengths is None else lengths
+    return Graph(vs, u, v, ell)
+
+
+def test_csr_matches_edge_scan():
+    rng = np.random.default_rng(99)
+    graphs = [_line_graph(1, []), _line_graph(5, [])]
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        iu, iv = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < rng.uniform(0.0, 0.5)
+        pairs = list(zip(iu[keep], iv[keep]))
+        rng.shuffle(pairs)                               # Graph sorts them
+        graphs.append(_line_graph(n, pairs))
+    for g in graphs:
+        indptr, nbr, eid = g.csr
+        assert indptr.shape == (g.n + 1,) and nbr.shape == eid.shape == (2 * g.m,)
+        for x in range(g.n):
+            brute = sorted((int(g.edges_v[e]) if g.edges_u[e] == x
+                            else int(g.edges_u[e]), e)
+                           for e in range(g.m) if x in (g.edges_u[e], g.edges_v[e]))
+            assert g.neighbors(x).tolist() == [y for y, _ in brute]
+            assert g.incident_edges(x).tolist() == [e for _, e in brute]
+        assert g.degrees().tolist() == np.diff(indptr).tolist()
+        with pytest.raises(ValueError):
+            nbr[:1] = 0                                  # shared, so read-only
+        h = g.with_lengths(np.ones(g.m))
+        assert h.csr is g.csr
+
+
+def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
+    g = _line_graph(4, [(1, 3), (0, 2), (1, 2), (0, 1)], [1.0, 2.0, 3.0, 4.0])
+    assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == \
+        [(0, 1), (0, 2), (1, 2), (1, 3)]
+    assert g.lengths.tolist() == [4.0, 2.0, 3.0, 1.0]
+    assert g.neighbors(1).tolist() == [0, 2, 3]
+    for pairs in ([(0, 1), (0, 1)], [(1, 2), (0, 1), (1, 2)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            _line_graph(4, pairs)
