@@ -206,7 +206,6 @@ _CONFIG_KEYS = {
     "seed": _parse_int,
     "pairs_per_graph": _parse_int,
     "graphs_per_cell": _parse_int,
-    "workers": _parse_int,
     "tau": _parse_float,
     "alpha": _parse_float,
     "c": _parse_float,
@@ -271,10 +270,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(items=tuple(sorted(entries.items())))
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    return cfg.text()
-
-
 def model_from_config(cfg: RunConfig):
     model = cfg.require("model")
     try:
@@ -301,8 +296,7 @@ def model_from_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
-def sweep_from_config(cfg: RunConfig, seed_override=None,
-                      workers_override=None) -> SweepSpec:
+def sweep_from_config(cfg: RunConfig, seed_override=None) -> SweepSpec:
     if cfg.require("model") != "girg":
         raise ConfigError("sweeps run on girg models; set model = girg")
     if "n" in cfg:
@@ -318,8 +312,6 @@ def sweep_from_config(cfg: RunConfig, seed_override=None,
     else:
         family = PolyAtZero
     seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    workers = (workers_override if workers_override is not None
-               else cfg.get("workers", 1))
     try:
         base = Girg(n=1, d=cfg.require("d"), tau=cfg.require("tau"),
                     alpha=cfg.require("alpha"), c=cfg.require("c"),
@@ -329,7 +321,7 @@ def sweep_from_config(cfg: RunConfig, seed_override=None,
                          size_grid=cfg.require("size_grid"),
                          pairs_per_graph=cfg.get("pairs_per_graph", 30),
                          graphs_per_cell=cfg.get("graphs_per_cell", 5),
-                         seed=seed, workers=workers)
+                         seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -533,8 +525,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(_load_text(args.config))
-    spec = sweep_from_config(cfg, seed_override=args.seed,
-                             workers_override=args.workers)
+    spec = sweep_from_config(cfg, seed_override=args.seed)
     cells = phase_sweep(spec)
     text = sweep_to_csv(cells)
     if args.out:
@@ -652,7 +643,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run-config file")
         p.add_argument("--out", default=None,
                        help="CSV path (default: stdout)")
-        p.add_argument("--workers", type=int, default=None)
         p.set_defaults(func=cmd_sweep)
 
     def conf_params(p):

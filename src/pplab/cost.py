@@ -116,17 +116,8 @@ class MaxPenalty:
         return out if out.ndim else float(out)
 
 
-def eval_penalty(f, w1, w2):
-    return f(w1, w2)
-
-
 def deg_f(f) -> float:
     return f.deg
-
-
-def directed_edge_cost(f, length, w_from, w_to):
-    """Cost of traversing an edge of length L from weight w_from to w_to."""
-    return length * f(w_from, w_to)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cost import classify, critical_beta, deg_f, fpp_explosion_functional
 from .metrics import distance_matrix, largest_component, n1t
-from .models import Girg, Graph, Hrg, IgirgWindow, generate, relength
+from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
+                     generate, relength)
 from .rng import EdgeLengthLaw, SeedSpec, derive_master, uniform
 
 _CSV_HEADER = "beta,n,median_d,q1,q3,giant_frac,verdict,seed"
@@ -69,15 +69,16 @@ class SweepSpec:
     pairs_per_graph: int = 30
     graphs_per_cell: int = 5
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if not self.beta_grid or not self.size_grid:
             raise ValueError("beta and size grids must be non-empty")
         if self.pairs_per_graph < 1 or self.graphs_per_cell < 1:
             raise ValueError("need at least one pair and one graph per cell")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for n in self.size_grid:
+            # sizes the model refuses fail here, before any graph is drawn
+            replace(self.base, n=n)
+            check_vertex_count(n)
         for beta in self.beta_grid:
             # raises on unclassifiable cells (bad tau/alpha/beta domain)
             cell_verdict(self.base.tau, self.base.alpha, self.f, beta,
@@ -140,59 +141,70 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
     return [float(dmat[index[a], b]) for a, b in chosen]
 
 
-def _run_cell(spec: SweepSpec, beta: float, n: int, base_graphs) -> CellResult:
-    law = spec.law_family(beta)
-    verdict = cell_verdict(spec.base.tau, spec.base.alpha, spec.f, beta, law)
-    near = _near_critical(spec.f, spec.base.tau, beta)
-    cell_seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
-    dists: list = []
-    fracs: list = []
-    reason = None
-    try:
-        for gi in range(spec.graphs_per_cell):
-            g = relength(base_graphs[(n, gi)], law)
-            fracs.append(len(largest_component(g)) / g.n)
-            dists.extend(two_point_distance(
-                g, spec.f, spec.pairs_per_graph,
-                derive_master(cell_seed, f"pairs:{gi}")))
-    except ValueError as exc:
-        reason = ("giant-too-small"
-                  if "largest component" in str(exc) else f"failed: {exc}")
-        dists = []
-    arr = np.asarray(dists, dtype=np.float64)
-    if arr.size:
-        q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-    else:
-        q1 = med = q3 = math.nan
-    frac = float(np.mean(fracs)) if fracs else math.nan
-    return CellResult(beta=beta, n=n, distances=arr, median_d=float(med),
-                      q1=float(q1), q3=float(q3), giant_frac=frac,
-                      verdict=verdict, seed=spec.seed, reason=reason,
-                      near_critical=near)
+class _Cell:
+    """Accumulates one (beta, n) cell over the graphs of its size."""
+
+    def __init__(self, spec: SweepSpec, beta: float, n: int):
+        self.spec, self.beta, self.n = spec, beta, n
+        self.law = spec.law_family(beta)
+        self.seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
+        self.dists: list = []
+        self.fracs: list = []
+        self.reason = None
+
+    def add(self, base: Graph, gi: int) -> None:
+        """Measure graph gi; a cell stops at its first failing graph."""
+        if self.reason is not None:
+            return
+        try:
+            g = relength(base, self.law)
+            self.fracs.append(len(largest_component(g)) / g.n)
+            self.dists.extend(two_point_distance(
+                g, self.spec.f, self.spec.pairs_per_graph,
+                derive_master(self.seed, f"pairs:{gi}")))
+        except ValueError as exc:
+            self.reason = ("giant-too-small" if "largest component" in str(exc)
+                           else f"failed: {exc}")
+            self.dists = []
+
+    def result(self) -> CellResult:
+        spec, beta = self.spec, self.beta
+        arr = np.asarray(self.dists, dtype=np.float64)
+        if arr.size:
+            q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+        else:
+            q1 = med = q3 = math.nan
+        return CellResult(
+            beta=beta, n=self.n, distances=arr, median_d=float(med),
+            q1=float(q1), q3=float(q3),
+            giant_frac=float(np.mean(self.fracs)) if self.fracs else math.nan,
+            verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f, beta,
+                                 self.law),
+            seed=spec.seed, reason=self.reason,
+            near_critical=_near_critical(spec.f, spec.base.tau, beta))
 
 
 def phase_sweep(spec: SweepSpec) -> list:
-    """Run every (beta, n) cell; cells are independent jobs.
+    """Run every (beta, n) cell serially, one base graph alive at a time.
 
     Graphs are shared across the beta grid of a given size: adjacency is
     drawn once per (size, graph index) and only edge lengths are redrawn
     per beta, which is exactly the coupling the length-law streams provide.
+    Each base graph is measured at every beta and then dropped, so one
+    graph and its CSR are held at a time.
     """
-    base_graphs = {}
     first_law = spec.law_family(spec.beta_grid[0])
+    cells = []
     for n in spec.size_grid:
+        row = [_Cell(spec, beta, n) for beta in spec.beta_grid]
         for gi in range(spec.graphs_per_cell):
-            g_seed = derive_master(spec.seed, f"graph:{n}:{gi}")
-            base_graphs[(n, gi)] = generate(replace(spec.base, n=n), g_seed,
-                                            length_law=first_law)
-    jobs = [(beta, n) for beta in spec.beta_grid for n in spec.size_grid]
-    if spec.workers == 1:
-        cells = [_run_cell(spec, beta, n, base_graphs) for beta, n in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            cells = list(pool.map(
-                lambda job: _run_cell(spec, job[0], job[1], base_graphs),
-                jobs))
+            base = generate(replace(spec.base, n=n),
+                            derive_master(spec.seed, f"graph:{n}:{gi}"),
+                            length_law=first_law)
+            for cell in row:
+                cell.add(base, gi)
+            del base               # freed before the next graph is drawn
+        cells.extend(cell.result() for cell in row)
     cells.sort(key=lambda c: (c.beta, c.n))
     return cells
 

@@ -25,8 +25,8 @@ from .geometry import BoxingSystem, locate_subbox, pair_distance
 from .models import Graph
 
 
-def _directed_costs(g: Graph, f, direction: str):
-    """Per-edge directed costs (cost stepping u->v, cost stepping v->u)."""
+def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
+    """Directed cost of each CSR slot: stepping from its row vertex to nbr."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     w = g.vertices.weights
@@ -37,12 +37,6 @@ def _directed_costs(g: Graph, f, direction: str):
     if direction == "inward":
         # paths are measured into the source: search the reversed digraph
         c_uv, c_vu = c_vu, c_uv
-    return c_uv, c_vu
-
-
-def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
-    """Directed cost of each CSR slot: stepping from its row vertex to nbr."""
-    c_uv, c_vu = _directed_costs(g, f, direction)
     _, nbr, eid = g.csr
     return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
 
@@ -75,14 +69,22 @@ def cost_search(g: Graph, f, source: int, direction: str = "outward",
         raise ValueError("source not in graph")
     if target is not None and not 0 <= target < g.n:
         raise ValueError("target not in graph")
+    return _search(g, _slot_costs(g, f, direction), source, direction,
+                   budget, max_settled, target)
+
+
+def _search(g: Graph, cost: np.ndarray, source: int, direction: str,
+            budget: float | None = None, max_settled: int | None = None,
+            target: int | None = None) -> CostSearchResult:
+    """cost_search over given per-slot costs; an inf slot is never taken."""
     cap = math.inf if budget is None else float(budget)
     limit = g.n if max_settled is None else int(max_settled)
     indptr, nbr, _ = g.csr
-    cost = _slot_costs(g, f, direction)
     rows = indptr.tolist()
 
     # costs are >= 0, so a popped entry above its vertex's distance is stale
-    # and an edge back to a settled vertex never improves it
+    # and an edge back to a settled vertex never improves it; an inf step
+    # never beats dist[u], so it never enters the heap
     dist = [math.inf] * g.n
     parent = [-1] * g.n
     settled: list = []
@@ -126,29 +128,19 @@ def realized_path(res: CostSearchResult, target: int):
     return path[::-1]
 
 
-def _cost_csr(g: Graph, f, direction: str) -> csr_matrix:
-    c_uv, c_vu = _directed_costs(g, f, direction)
-    rows = np.concatenate([g.edges_u, g.edges_v])
-    cols = np.concatenate([g.edges_v, g.edges_u])
-    data = np.concatenate([c_uv, c_vu])
-    # explicit zeros must stay: zero-length edges are real zero-cost hops
-    return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
-
-
 def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndarray:
     """Bulk exact distances from each source (rows) to every vertex.
 
-    Same semantics as cost_search without limits; the sparse-graph routine
-    is the fast path for experiment sweeps, and the two implementations
-    are held equal by the test suite.
+    Same semantics as cost_search without limits: scipy's dijkstra runs on
+    the graph's CSR with the same per-slot costs.  Explicit zero costs stay
+    in the matrix, since zero-length edges are real zero-cost hops.  The
+    test suite holds the two searches equal.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    if g.m == 0:
-        out = np.full((sources.size, g.n), math.inf)
-        out[np.arange(sources.size), sources] = 0.0
-        return out
-    mat = _cost_csr(g, f, direction)
-    return _csgraph_dijkstra(mat, directed=True, indices=sources)
+    indptr, nbr, _ = g.csr
+    mat = csr_matrix((_slot_costs(g, f, direction), nbr, indptr),
+                     shape=(g.n, g.n))
+    return _csgraph_dijkstra(mat, directed=True,
+                             indices=np.asarray(sources, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -173,39 +165,9 @@ def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    c_uv, c_vu = _directed_costs(g, f, direction)
-    count = 0
-    for e in g.incident_edges(v).tolist():
-        step = c_uv[e] if v == g.edges_u[e] else c_vu[e]
-        if step <= t:
-            count += 1
-    return count
-
-
-def _capped_search(g: Graph, cost: np.ndarray, v: int, budget: float,
-                   w_cap: float):
-    """Dijkstra over CSR slot costs, ignoring vertices heavier than w_cap."""
-    indptr, nbr, _ = g.csr
-    w = g.vertices.weights
-    dist = {v: 0.0}
-    done = set()
-    heap = [(0.0, v)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        if d > budget:
-            break
-        done.add(x)
-        lo, hi = indptr[x], indptr[x + 1]
-        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
-            if u in done or w[u] > w_cap:
-                continue
-            nd = d + step
-            if nd <= budget and nd < dist.get(u, math.inf):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return {x: dist[x] for x in done}
+    indptr = g.csr[0]
+    cost = _slot_costs(g, f, direction)
+    return int(np.count_nonzero(cost[indptr[v]:indptr[v + 1]] <= t))
 
 
 def truncated_ball(g: Graph, f, v: int, budget: float, w_cap: float,
@@ -217,10 +179,13 @@ def truncated_ball(g: Graph, f, v: int, budget: float, w_cap: float,
     """
     if budget < 0 or w_cap < 0:
         raise ValueError("budget and w_cap must be >= 0")
-    if g.vertices.weights[v] > w_cap:
+    w = g.vertices.weights
+    if w[v] > w_cap:
         return set(), True
-    cost = _slot_costs(g, f, direction)
-    return set(_capped_search(g, cost, v, budget, w_cap)), False
+    capped = np.where(w[g.csr[1]] > w_cap, math.inf,
+                      _slot_costs(g, f, direction))
+    res = _search(g, capped, v, direction, budget=budget)
+    return {x for x, _ in res.settled}, False
 
 
 @dataclass(frozen=True)
@@ -241,12 +206,13 @@ def exterior_set(g: Graph, f, v: int, budget: float, w_cap: float,
     """
     if g.vertices.weights[v] > w_cap:
         return ExteriorResult(math.inf, frozenset(), None)
-    cost = _slot_costs(g, f, direction)
-    ball = _capped_search(g, cost, v, budget, w_cap)
     indptr, nbr, _ = g.csr
     w = g.vertices.weights
+    cost = _slot_costs(g, f, direction)
+    ball = _search(g, np.where(w[nbr] > w_cap, math.inf, cost), v, direction,
+                   budget=budget)
     candidates = {}
-    for x, d in ball.items():
+    for x, d in ball.settled:
         lo, hi = indptr[x], indptr[x + 1]
         for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
             if w[u] > w_cap and d + step <= budget:

@@ -572,12 +572,17 @@ def _pareto_weights(master_seed, n, tau, cap=None):
     return weight_from_uniform(u, WeightLaw(tau, cap=cap))
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a graph above the vertex cap before any of it is sampled."""
+    if n > _VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds cap {_VERTEX_CAP}")
+
+
 def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
              weight_cap: float | None = None) -> Graph:
     """Sample a graph; identical (spec, seed, law) gives identical bytes."""
     if isinstance(spec, Girg):
-        if spec.n > _VERTEX_CAP:
-            raise ValueError(f"vertex count {spec.n} exceeds cap {_VERTEX_CAP}")
+        check_vertex_count(spec.n)
         pos = _uniform_positions(master_seed, spec.n, spec.d, 1.0)
         w = _pareto_weights(master_seed, spec.n, spec.tau, weight_cap)
         vs = VertexSet(spec.window, pos, w)
@@ -585,8 +590,7 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         mean = spec.lam * spec.side**spec.d
         n_pois = sample_poisson(SeedSpec(master_seed, "count", 0), mean)
         n_total = n_pois + (1 if spec.pin_origin else 0)
-        if n_total > _VERTEX_CAP:
-            raise ValueError(f"vertex count {n_total} exceeds cap {_VERTEX_CAP}")
+        check_vertex_count(n_total)
         if n_total == 0:
             raise ValueError("empty Poisson sample; enlarge lam or side")
         pos = _uniform_positions(master_seed, n_pois, spec.d, spec.side)
@@ -600,14 +604,12 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pos = grid.reshape(-1, spec.d).astype(np.float64)
         n = pos.shape[0]
-        if n > _VERTEX_CAP:
-            raise ValueError(f"vertex count {n} exceeds cap {_VERTEX_CAP}")
+        check_vertex_count(n)
         w = _pareto_weights(master_seed, n, spec.tau, weight_cap)
         origin = int(np.flatnonzero((pos == 0.0).all(axis=1))[0])
         vs = VertexSet(spec.window, pos, w, origin_index=origin)
     elif isinstance(spec, Hrg):
-        if spec.n > _VERTEX_CAP:
-            raise ValueError(f"vertex count {spec.n} exceeds cap {_VERTEX_CAP}")
+        check_vertex_count(spec.n)
         counters = np.arange(spec.n, dtype=np.int64)
         phi = 2.0 * math.pi * uniform_array(master_seed, "angle", counters)
         r = hrg_radius_from_uniform(

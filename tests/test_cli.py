@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from pplab import experiments
 from pplab.cli import (
     ConfigError,
     RunConfig,
@@ -16,7 +17,6 @@ from pplab.cli import (
     parse_length_law,
     parse_penalty,
     read_graph_text,
-    serialize_config,
     sweep_from_config,
     write_graph_text,
 )
@@ -92,11 +92,11 @@ def test_config_round_trip():
     assert cfg.get("beta_grid") == (0.1, 1.0)
     assert cfg.get("missing") is None
     assert "tau" in cfg and "side" not in cfg
-    text = serialize_config(cfg)
+    text = cfg.text()
     again = parse_config(text)
     assert again == cfg
     # serialization is canonical: a second pass is byte-identical
-    assert serialize_config(again) == text
+    assert again.text() == text
     assert "beta_grid = 0.1,1.0\n" in text
 
 
@@ -463,6 +463,24 @@ def test_cmd_sweep_single_cell(tmp_path, capsys):
     rc, out3, _ = _run(capsys, "sweep", "--config", str(cfg), "--seed", "9")
     assert out3.splitlines()[1].endswith(",9")
     assert out3 != out
+
+
+def test_cmd_sweep_refuses_bad_configs_before_generating(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_generate(*args, **kwargs):
+        raise AssertionError("a graph was generated")
+
+    monkeypatch.setattr(experiments, "generate", no_generate)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("size_grid = 512",
+                                     "size_grid = 64, 200000"))
+    rc, out, err = _run(capsys, "sweep", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err == "config error: vertex count 200000 exceeds cap 100000\n"
+    # the thread-pool knob is gone: a config that still sets it is refused
+    cfg.write_text(SWEEP_CFG + "workers = 2\n")
+    rc, _, err = _run(capsys, "sweep", "--config", str(cfg))
+    assert rc == 2 and "unknown config key 'workers'" in err
 
 
 def test_cmd_params_passes_independent_recheck(capsys):

@@ -134,8 +134,10 @@ def test_sweep_spec_validation():
         SweepSpec(**{**ok, "size_grid": ()})
     with pytest.raises(ValueError):
         SweepSpec(**{**ok, "pairs_per_graph": 0})
-    with pytest.raises(ValueError):
-        SweepSpec(**{**ok, "workers": 0})
+    with pytest.raises(ValueError, match="cap"):
+        SweepSpec(**{**ok, "size_grid": (64, 200_000)})
+    with pytest.raises(ValueError):  # a size the model itself refuses
+        SweepSpec(**{**ok, "size_grid": (64, 0)})
     with pytest.raises(ValueError):  # beta outside the classifier's domain
         SweepSpec(**{**ok, "beta_grid": (-0.5,)})
 
@@ -178,11 +180,29 @@ def test_sweep_csv_shape_and_determinism(small_sweep):
     assert sweep_to_csv(phase_sweep(spec)) == text
 
 
-def test_sweep_workers_match_serial(small_sweep):
-    spec, cells = small_sweep
-    from dataclasses import replace
-    parallel = phase_sweep(replace(spec, workers=3))
-    assert sweep_to_csv(parallel) == sweep_to_csv(cells)
+# Recorded before the sweep ran one base graph at a time.  At size 8 the
+# first graph has a 4-vertex giant and the second has no edge, so both
+# cells at n = 8 fail on their second graph: no distances, and giant_frac
+# is the mean of 4/8 and 1/8 over the two graphs reached (not the third).
+PINNED_SWEEP_CSV = """\
+beta,n,median_d,q1,q3,giant_frac,verdict,seed
+0.1,8,nan,nan,nan,0.3125,ExplosiveLengthwise,37
+0.1,48,0.1104532765561056,2.7948990300635226e-06,3.4394791228894452,0.2986111111111111,ExplosiveLengthwise,37
+1.0,8,nan,nan,nan,0.3125,Conservative,37
+1.0,48,8.94740697707488,6.533380064325728,13.886825033251895,0.2986111111111111,Conservative,37
+"""
+
+
+def test_sweep_csv_pinned_with_a_cell_failing_after_its_first_graph():
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.003),
+                     f=PROD, law_family=PolyAtZero, beta_grid=(1.0, 0.1),
+                     size_grid=(48, 8), pairs_per_graph=4, graphs_per_cell=3,
+                     seed=37)
+    cells = phase_sweep(spec)
+    assert sweep_to_csv(cells) == PINNED_SWEEP_CSV
+    for c in cells:
+        assert c.reason == ("giant-too-small" if c.n == 8 else None)
+        assert c.distances.size == (0 if c.n == 8 else 12)
 
 
 def test_sweep_empty_cell_reason():

@@ -1,6 +1,7 @@
 """Cost-distance searches, explosion diagnostics, and boxing events."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ from pplab.metrics import (
     truncated_ball,
 )
 from pplab.models import Girg, Graph, VertexSet, generate
-from pplab.rng import PolyAtZero
+from pplab.rng import PointMass, PolyAtZero
 
 ONE = product_penalty(0.0)  # f == 1: cost reduces to raw length
 
@@ -217,6 +218,43 @@ def test_cost_search_target_stops_with_the_full_answer():
     g = _hand_graph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):
         cost_search(g, ONE, 0, target=2)
+
+
+# sha256 over cost_search's settled list, parent array and exhaustion flag,
+# and over truncated_ball / exterior_set, on two 1024-vertex GIRGs (point:1
+# ties every length); recorded before the searches shared one heap loop.
+SEARCH_DIGEST = "c28be78f03e0d8f9e60c0d66bf4dd4176958de932cf8225391e0ae13e61c9bee"
+
+
+def test_search_output_digest():
+    digest = hashlib.sha256()
+    spec = Girg(n=1024, d=2, tau=2.5, alpha=2.0, c=0.5)
+    for law in (PointMass(1.0), PolyAtZero(1.0)):
+        g = generate(spec, 3, length_law=law)
+        for f in (product_penalty(1.0), monomial_penalty(2.0, 0.5),
+                  power_sum_penalty(1.0)):
+            for direction in ("outward", "inward"):
+                for source in (0, 517, 1000):
+                    full = cost_search(g, f, source, direction)
+                    # a budget equal to a settled distance (bound inclusive)
+                    budget = full.settled[g.n // 4][1]
+                    for res in (full,
+                                cost_search(g, f, source, direction,
+                                            budget=budget),
+                                cost_search(g, f, source, direction,
+                                            max_settled=100)):
+                        ids, ds = zip(*res.settled)
+                        digest.update(np.array(ids, dtype=np.int64).tobytes())
+                        digest.update(np.array(ds, dtype=np.float64).tobytes())
+                        digest.update(res.parent.tobytes())
+                        digest.update(bytes([res.frontier_exhausted]))
+                    ball, flag = truncated_ball(g, f, source, budget, 3.0,
+                                                direction)
+                    ext = exterior_set(g, f, source, budget, 3.0, direction)
+                    digest.update(repr((sorted(ball), flag, float(ext.w_min),
+                                        sorted(ext.vertices),
+                                        ext.representative)).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
 
 
 def test_search_matches_exhaustive_path_oracle():

@@ -13,7 +13,6 @@ from pplab.rng import (
     SeedSpec,
     WeightLaw,
     sample_poisson,
-    sample_weight,
     sample_weights,
     uniform,
     uniform_array,
@@ -53,7 +52,8 @@ def test_weight_ks_statistic():
 
 def test_sample_weight_matches_array_path():
     law = WeightLaw(tau=2.5)
-    w_scalar = [sample_weight(SeedSpec(42, "w", k), law) for k in range(64)]
+    w_scalar = [weight_from_uniform(uniform(SeedSpec(42, "w", k)), law)
+                for k in range(64)]
     w_vec = sample_weights(42, "w", 64, law)
     assert np.array_equal(np.array(w_scalar), w_vec)
 
