@@ -3,7 +3,7 @@
 Formats
 -------
 * Run config: flat ``key = value`` text, one entry per line, ``#`` comments.
-  Unknown keys are rejected; parse -> serialize -> parse is the identity.
+  Unknown keys are rejected.
 * Graph file: ``#format pplab-graph 1`` header block followed by ``v`` and
   ``e`` lines; reals are written as their shortest round-trippable decimal,
   so write -> read -> write is byte-identical.
@@ -185,19 +185,7 @@ def _checked_str(checker):
     return parse
 
 
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt(value)
-    if isinstance(value, tuple):
-        return ",".join(_render(v) for v in value)
-    return str(value)
-
-
-# key -> value parser; values render back via _render
+# key -> value parser
 _CONFIG_KEYS = {
     "model": _enum("girg", "igirg", "sfp", "hrg"),
     "n": _parse_int,
@@ -246,9 +234,6 @@ class RunConfig:
             if k == key:
                 return v
         raise ConfigError(f"missing required config key {key!r}")
-
-    def text(self) -> str:
-        return "".join(f"{k} = {_render(v)}\n" for k, v in self.items)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -610,15 +595,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, configure):
-        p = sub.add_parser(name, help=help_text)
+        configure(sub.add_parser(name, help=help_text))
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (fully determines the run)")
-        configure(p)
-        return p
 
     def conf_generate(p):
         p.add_argument("--config", required=True, help="run-config file")
         p.add_argument("--out", required=True, help="output graph file")
+        add_seed(p)
         p.set_defaults(func=cmd_generate)
 
     def conf_distance(p):
@@ -643,6 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run-config file")
         p.add_argument("--out", default=None,
                        help="CSV path (default: stdout)")
+        add_seed(p)
         p.set_defaults(func=cmd_sweep)
 
     def conf_params(p):

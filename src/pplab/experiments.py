@@ -215,19 +215,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def sweep_to_csv(cells, path=None) -> str:
-    """Serialize cells as CSV (rows sorted by cell key); optionally write it."""
+def sweep_to_csv(cells) -> str:
+    """Serialize cells as CSV (rows sorted by cell key)."""
     buf = io.StringIO()
     buf.write(_CSV_HEADER + "\n")
     for c in sorted(cells, key=lambda c: (c.beta, c.n)):
         row = [c.beta, c.n, c.median_d, c.q1, c.q3, c.giant_frac,
                c.verdict, c.seed]
         buf.write(",".join(_fmt(x) for x in row) + "\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def trend_slope(sizes, values) -> float:
@@ -334,14 +330,6 @@ class AsymmetrySideResult:
     outward_counts: np.ndarray     # one entry per repetition
     inward_counts: np.ndarray
     origin_weights: np.ndarray     # the pinned origin's drawn weight per rep
-
-    @property
-    def mean_outward(self) -> float:
-        return float(self.outward_counts.mean())
-
-    @property
-    def mean_inward(self) -> float:
-        return float(self.inward_counts.mean())
 
 
 def asymmetry_experiment(f, sides, t: float, reps: int, *, d: int = 1,

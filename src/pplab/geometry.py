@@ -25,15 +25,6 @@ class Window:
         if self.boundary not in ("hard", "torus"):
             raise ValueError("boundary must be 'hard' or 'torus'")
 
-    @property
-    def volume(self) -> float:
-        return self.side**self.d
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64)
-        h = self.side / 2.0
-        return bool(np.all(np.abs(x) <= h))
-
 
 def min_image(dx: np.ndarray, side: float) -> np.ndarray:
     """Wrap coordinate differences into (-side/2, side/2] (torus metric)."""
@@ -91,16 +82,6 @@ class BoxingSystem:
     delta: float
     k_star: int
     annuli: tuple
-
-    def box_half(self, k: int) -> float:
-        return math.exp(self.M * self.D * self.C**k / self.window.d) / 2.0
-
-    def subbox_side(self, k: int) -> float:
-        return math.exp(self.M * self.C**k / self.window.d)
-
-    def volume_ratio(self, k: int) -> float:
-        """vol(Box_k) / vol(sub-box of Gamma_k) = e^{M (D-1) C^k}."""
-        return math.exp(self.M * (self.D - 1.0) * self.C**k)
 
     def counts(self) -> list:
         return [a.count for a in self.annuli]

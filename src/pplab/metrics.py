@@ -5,8 +5,8 @@ along paths; asymmetric penalties make the distance a quasimetric, so every
 search carries a direction: "outward" measures from the source, "inward"
 measures into it (the same search on the cost-reversed graph).
 
-The boxing half of the module (delta_good_scan, check_F2, greedy paths,
-successful) operationalises the annulus events behind the explosive-path
+The boxing half of the module (delta_good_scan, check_F2, greedy paths)
+operationalises the annulus events behind the explosive-path
 construction; the checks report what holds on a given sample rather than
 asserting the asymptotic bounds.
 """
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geometry import BoxingSystem, locate_subbox, pair_distance
+from .geometry import BoxingSystem, locate_subbox
 from .models import Graph
 
 
@@ -52,39 +52,26 @@ class CostSearchResult:
 
 
 def cost_search(g: Graph, f, source: int, direction: str = "outward",
-                budget: float | None = None,
-                max_settled: int | None = None,
                 target: int | None = None) -> CostSearchResult:
-    """Dijkstra over directed costs, halting at budget, max_settled or target.
+    """Dijkstra over directed costs, optionally stopping at a target.
 
     Ties in distance settle by lowest vertex id.  With a target, the search
     stops as soon as the target is settled, before relaxing its edges; the
     vertices settled up to then, their distances and search-tree paths are
     exactly those of the full search, and every other vertex reads inf.
-    frontier_exhausted is true only when the whole reachable set was
-    settled (the search ended by draining its frontier, not by hitting a
-    limit); after a stop at the target it is false.
+    frontier_exhausted is true when the search was not stopped at the
+    target, so the whole reachable set was settled.
     """
     if not 0 <= source < g.n:
         raise ValueError("source not in graph")
     if target is not None and not 0 <= target < g.n:
         raise ValueError("target not in graph")
-    return _search(g, _slot_costs(g, f, direction), source, direction,
-                   budget, max_settled, target)
-
-
-def _search(g: Graph, cost: np.ndarray, source: int, direction: str,
-            budget: float | None = None, max_settled: int | None = None,
-            target: int | None = None) -> CostSearchResult:
-    """cost_search over given per-slot costs; an inf slot is never taken."""
-    cap = math.inf if budget is None else float(budget)
-    limit = g.n if max_settled is None else int(max_settled)
+    cost = _slot_costs(g, f, direction)
     indptr, nbr, _ = g.csr
     rows = indptr.tolist()
 
     # costs are >= 0, so a popped entry above its vertex's distance is stale
-    # and an edge back to a settled vertex never improves it; an inf step
-    # never beats dist[u], so it never enters the heap
+    # and an edge back to a settled vertex never improves it
     dist = [math.inf] * g.n
     parent = [-1] * g.n
     settled: list = []
@@ -95,8 +82,6 @@ def _search(g: Graph, cost: np.ndarray, source: int, direction: str,
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        if d > cap or len(settled) >= limit:
-            break
         settled.append((v, d))
         if v == target:
             break
@@ -110,9 +95,8 @@ def _search(g: Graph, cost: np.ndarray, source: int, direction: str,
     else:
         exhausted = True
     out = np.full(g.n, math.inf)
-    if settled:
-        ids, ds = zip(*settled)
-        out[list(ids)] = ds
+    ids, ds = zip(*settled)
+    out[list(ids)] = ds
     return CostSearchResult(source=source, direction=direction,
                             settled=settled, frontier_exhausted=exhausted,
                             dist=out, parent=np.array(parent, dtype=np.int64))
@@ -131,7 +115,7 @@ def realized_path(res: CostSearchResult, target: int):
 def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndarray:
     """Bulk exact distances from each source (rows) to every vertex.
 
-    Same semantics as cost_search without limits: scipy's dijkstra runs on
+    Same semantics as cost_search without a target: scipy's dijkstra runs on
     the graph's CSR with the same per-slot costs.  Explicit zero costs stay
     in the matrix, since zero-length edges are real zero-cost hops.  The
     test suite holds the two searches equal.
@@ -147,84 +131,19 @@ def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndar
 # explosion diagnostics
 
 
-def sigma(g: Graph, f, v: int, k: int, direction: str = "outward") -> float:
-    """Smallest budget within which v reaches more than k vertices.
-
-    Equals the (k+1)-st smallest distance from v (sigma(v,0) = 0); inf when
-    fewer than k+1 vertices are reachable.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    res = cost_search(g, f, v, direction, max_settled=k + 1)
-    if len(res.settled) >= k + 1:
-        return res.settled[k][1]
-    return math.inf
-
-
 def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    indptr = g.csr[0]
-    cost = _slot_costs(g, f, direction)
-    return int(np.count_nonzero(cost[indptr[v]:indptr[v + 1]] <= t))
-
-
-def truncated_ball(g: Graph, f, v: int, budget: float, w_cap: float,
-                   direction: str = "outward"):
-    """(vertex set within cost budget using weights <= w_cap, source flag).
-
-    The flag is true when the source itself exceeds the cap, in which case
-    the ball is empty.
-    """
-    if budget < 0 or w_cap < 0:
-        raise ValueError("budget and w_cap must be >= 0")
+    if direction not in ("outward", "inward"):
+        raise ValueError("direction must be 'outward' or 'inward'")
+    at_v = (g.edges_u == v) | (g.edges_v == v)
     w = g.vertices.weights
-    if w[v] > w_cap:
-        return set(), True
-    capped = np.where(w[g.csr[1]] > w_cap, math.inf,
-                      _slot_costs(g, f, direction))
-    res = _search(g, capped, v, direction, budget=budget)
-    return {x for x, _ in res.settled}, False
-
-
-@dataclass(frozen=True)
-class ExteriorResult:
-    w_min: float                   # inf when the exterior is empty
-    vertices: frozenset            # the whole minimal-weight tie set
-    representative: int | None     # smallest window distance to v, then id
-
-
-def exterior_set(g: Graph, f, v: int, budget: float, w_cap: float,
-                 direction: str = "outward") -> ExteriorResult:
-    """Minimal-weight vertices above w_cap one edge beyond the capped ball.
-
-    A candidate u (weight > w_cap) qualifies when some ball vertex x has
-    dist(x) + cost(x -> u) <= budget.  The whole tie set at the minimal
-    weight is returned; the representative is the tie vertex closest to v
-    in window distance (lowest id on equal distance).
-    """
-    if g.vertices.weights[v] > w_cap:
-        return ExteriorResult(math.inf, frozenset(), None)
-    indptr, nbr, _ = g.csr
-    w = g.vertices.weights
-    cost = _slot_costs(g, f, direction)
-    ball = _search(g, np.where(w[nbr] > w_cap, math.inf, cost), v, direction,
-                   budget=budget)
-    candidates = {}
-    for x, d in ball.settled:
-        lo, hi = indptr[x], indptr[x + 1]
-        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
-            if w[u] > w_cap and d + step <= budget:
-                candidates[u] = w[u]
-    if not candidates:
-        return ExteriorResult(math.inf, frozenset(), None)
-    w_min = min(candidates.values())
-    ties = frozenset(u for u, wu in candidates.items() if wu == w_min)
-    window = g.vertices.window
-    pos = g.vertices.positions
-    rep = min(ties, key=lambda u: (pair_distance(window, pos[v], pos[u]), u))
-    return ExteriorResult(w_min, ties, rep)
+    w_x = w[(g.edges_u + g.edges_v)[at_v] - v]     # the other endpoints
+    w_v = np.full_like(w_x, w[v])
+    w_from, w_to = (w_v, w_x) if direction == "outward" else (w_x, w_v)
+    cost = g.lengths[at_v] * np.asarray(f(w_from, w_to), dtype=np.float64)
+    return int(np.count_nonzero(cost <= t))
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +165,6 @@ def largest_component(g: Graph) -> set:
     """Vertex ids of components(g)[0], computed once per edge set."""
     return set(g.edge_cached("largest_component",
                              lambda h: np.asarray(components(h)[0])).tolist())
-
-
-def induced_subgraph(g: Graph, ids) -> tuple:
-    """(subgraph on the given vertices, sorted original-id array)."""
-    ids = np.unique(np.asarray(ids, dtype=np.int64))
-    sel = np.zeros(g.n, dtype=bool)
-    sel[ids] = True
-    keep = sel[g.edges_u] & sel[g.edges_v]
-    remap = np.cumsum(sel) - 1
-    vs = g.vertices
-    from .models import VertexSet
-    origin = None
-    if vs.origin_index is not None and sel[vs.origin_index]:
-        origin = int(remap[vs.origin_index])
-    sub_vs = VertexSet(vs.window, vs.positions[ids], vs.weights[ids],
-                       origin_index=origin)
-    sub = Graph(sub_vs, remap[g.edges_u[keep]], remap[g.edges_v[keep]],
-                g.lengths[keep])
-    return sub, ids
 
 
 # ---------------------------------------------------------------------------
@@ -465,76 +365,6 @@ def greedy_bound_report(b: BoxingSystem, tau: float, f, law,
     return GreedyBoundReport(hop_quantiles=quantiles, hop_bounds=bounds,
                              applicable=applicable, total_bound=total_bound,
                              satisfied=satisfied)
-
-
-def successful(g: Graph, b: BoxingSystem, tau: float, f, u: int,
-               scan: DeltaGoodScan | None = None) -> bool:
-    """Box-increasing reachability of a good Gamma_{k_star} leader from u.
-
-    True when F1 holds at k_star and either u is itself a delta-good leader
-    whose greedy path completes (trivially so in Gamma_{k_star}), or some
-    edge of u lands on a delta-good leader whose greedy path completes.
-    """
-    if scan is None:
-        scan = delta_good_scan(g, b, tau)
-    if not scan.scan_for(b.k_star).f1:
-        return False
-
-    def completes(leader: int) -> bool:
-        out = build_greedy_path(g, b, tau, f, leader, scan=scan)
-        return isinstance(out, GreedyPath)
-
-    loc = locate_subbox(b, g.vertices.positions[u])
-    if loc is not None:
-        s = scan.scan_for(loc[0])
-        if s.leader[loc[1]] == u and s.good[loc[1]] and completes(u):
-            return True
-    all_good = set()
-    for a in scan.annuli:
-        all_good.update(a.good_leaders)
-    for v in g.neighbors(u).tolist():
-        if v in all_good and completes(v):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# core graphs
-
-
-@dataclass
-class CoreResult:
-    ids: np.ndarray                # original vertex ids in the core
-    graph: Graph                   # induced subgraph on those ids
-    weight_interval: tuple         # (lo, hi], the I_r window
-    q_r: float                     # analytic domination probability
-
-
-def core_graph(g: Graph, region_center, region_half: float, r_eff: float,
-               tau: float, delta: float, C: float, D: float,
-               c2: float = 1.0, gamma: float = 1.0) -> CoreResult:
-    """Induced subgraph on the region's vertices with weight in I_r.
-
-    I_r = ((r^d)^{(1-delta)/(D C (tau-1))}, (r^d)^{(1+delta)/(tau-1)}] with
-    d the window dimension; q_r = exp(-2 c2 (log r^d)^gamma
-    ((1+delta)/(tau-1))^gamma) is reported alongside for reference.
-    """
-    if r_eff <= 1.0:
-        raise ValueError("r_eff must exceed 1")
-    d = g.vertices.window.d
-    rd = r_eff**d
-    lo = rd ** ((1.0 - delta) / (D * C * (tau - 1.0)))
-    hi = rd ** ((1.0 + delta) / (tau - 1.0))
-    center = np.asarray(region_center, dtype=np.float64).reshape(d)
-    inside = np.all(np.abs(g.vertices.positions - center[None, :])
-                    <= region_half, axis=1)
-    w = g.vertices.weights
-    sel = inside & (w > lo) & (w <= hi)
-    ids = np.flatnonzero(sel)
-    sub, _ = induced_subgraph(g, ids)
-    q_r = math.exp(-2.0 * c2 * math.log(rd) ** gamma
-                   * ((1.0 + delta) / (tau - 1.0)) ** gamma)
-    return CoreResult(ids=ids, graph=sub, weight_interval=(lo, hi), q_r=q_r)
 
 
 # ---------------------------------------------------------------------------

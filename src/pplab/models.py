@@ -322,17 +322,6 @@ def hrg_to_girg_coords(phi, r, spec: Hrg):
     return float(x), float(w)
 
 
-def girg_to_hrg_coords(x, w, spec: Hrg):
-    """Exact inverse of :func:`hrg_to_girg_coords`."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    phi = 2.0 * math.pi * x + math.pi
-    r = spec.R_n - 2.0 * np.log(w)
-    if phi.ndim:
-        return phi, r
-    return float(phi), float(r)
-
-
 def hrg_radius_from_uniform(u, spec: Hrg):
     """Inverse cdf of the radial law (cosh(a r) - 1)/(cosh(a R) - 1)."""
     u = np.asarray(u, dtype=np.float64)

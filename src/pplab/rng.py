@@ -158,12 +158,6 @@ def weight_from_uniform(u, law: WeightLaw):
     return w if w.ndim else float(w)
 
 
-def sample_weights(master_seed: int, stream_label: str, n: int, law: WeightLaw) -> np.ndarray:
-    return weight_from_uniform(
-        uniform_array(master_seed, stream_label, np.arange(n, dtype=np.uint64)), law
-    )
-
-
 # ---------------------------------------------------------------------------
 # edge-length laws
 #

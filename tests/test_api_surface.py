@@ -1,0 +1,142 @@
+"""No public name in src/pplab exists only for the unit tests to call.
+
+Every public top-level function and class of the package, and every public
+method of a public class, must be reachable from somewhere a user can reach
+it: the package's module-level code, the benchmark harness
+(perfbench/*.py), the acceptance criteria (tests/test_acceptance.py) or an
+entry point in pyproject.toml's scripts.  A definition is reached when a
+reached piece of code refers to it, so a function that only an unreached
+function calls is unreached too.
+
+A reference is a name, an attribute or an imported name in the parsed code;
+docstrings and comments never count.  Names are matched bare: a top-level
+definition by any of the three, a method by an attribute only.  A method
+that shares its name with an attribute in use therefore counts as reached.
+"""
+from __future__ import annotations
+
+import ast
+from dataclasses import dataclass, field
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pplab"
+
+# Reference implementations kept for the tests that check fast paths; what
+# they call counts as reached.
+KEEP = {
+    "geometry.pair_distance":
+        "scalar window distance; test_models checks the pair sweep's "
+        "vectorised distances against it",
+    "rng.WeightLaw.cdf":
+        "closed-form weight cdf; test_rng's quantile inequality and KS "
+        "test check weight_from_uniform against it",
+    "rng.EdgeLengthLaw.cdf":
+        "closed-form length cdf; test_rng's quantile inequality and KS "
+        "tests check quantile and sample_from_uniform against it",
+}
+
+
+@dataclass
+class Refs:
+    names: set = field(default_factory=set)    # ast.Name ids, import names
+    attrs: set = field(default_factory=set)    # ast.Attribute attrs
+
+    def add(self, *nodes) -> "Refs":
+        for top in nodes:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    self.names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    self.attrs.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        self.names.update(alias.name.split("."))
+        return self
+
+    def update(self, other: "Refs") -> None:
+        self.names |= other.names
+        self.attrs |= other.attrs
+
+
+@dataclass
+class Definition:
+    name: str
+    method: bool
+    refs: Refs                     # what the definition's own code refers to
+
+    def reached_by(self, refs: Refs) -> bool:
+        if self.method:
+            return self.name in refs.attrs
+        return self.name in refs.names or self.name in refs.attrs
+
+
+def _package() -> tuple:
+    """(definitions by dotted name, references of module-level code)."""
+    defs, roots = {}, Refs()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = Definition(
+                    node.name, False, Refs().add(node))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body
+                           if isinstance(m, ast.FunctionDef)]
+                rest = [s for s in node.body if s not in methods]
+                defs[f"{module}.{node.name}"] = Definition(
+                    node.name, False,
+                    Refs().add(*rest, *node.bases, *node.decorator_list))
+                for m in methods:
+                    d = Definition(m.name, True, Refs().add(m))
+                    if m.name.startswith("__"):    # called implicitly
+                        roots.update(d.refs)
+                    else:
+                        defs[f"{module}.{node.name}.{m.name}"] = d
+            else:
+                roots.add(node)
+    return defs, roots
+
+
+def _script_names() -> set:
+    """Functions named by pyproject.toml's [project.scripts] entries.
+
+    Read line by line: tomllib only ships with Python 3.11 and later.
+    """
+    names, table = set(), None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]" and "=" in line:
+            target = line.partition("=")[2].strip().strip("\"'")
+            names.add(target.rpartition(":")[2])
+    return names
+
+
+def _unreached() -> list:
+    defs, reached = _package()
+    callers = [*(ROOT / "perfbench").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    reached.add(*(ast.parse(p.read_text()) for p in callers))
+    reached.names |= _script_names()
+    for dotted in KEEP:
+        reached.update(defs[dotted].refs)
+    pending = {k: d for k, d in defs.items() if k not in KEEP}
+    grew = True
+    while grew:
+        grew = False
+        for dotted, d in list(pending.items()):
+            if d.reached_by(reached):
+                reached.update(d.refs)
+                del pending[dotted]
+                grew = True
+    return sorted(dotted for dotted in pending
+                  if not any(part.startswith("_")
+                             for part in dotted.split(".")[1:]))
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    unused = _unreached()
+    assert not unused, ("public names that only the unit tests reach: "
+                        + ", ".join(unused))

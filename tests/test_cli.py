@@ -10,7 +10,6 @@ import pytest
 from pplab import experiments
 from pplab.cli import (
     ConfigError,
-    RunConfig,
     main,
     model_from_config,
     parse_config,
@@ -22,7 +21,6 @@ from pplab.cli import (
 )
 from pplab.cost import (
     MaxPenalty,
-    PenaltyPolynomial,
     _rho,
     _xi,
     idelta_interval,
@@ -92,12 +90,6 @@ def test_config_round_trip():
     assert cfg.get("beta_grid") == (0.1, 1.0)
     assert cfg.get("missing") is None
     assert "tau" in cfg and "side" not in cfg
-    text = cfg.text()
-    again = parse_config(text)
-    assert again == cfg
-    # serialization is canonical: a second pass is byte-identical
-    assert again.text() == text
-    assert "beta_grid = 0.1,1.0\n" in text
 
 
 def test_config_rejections():
@@ -318,6 +310,21 @@ def test_cmd_distance_edge_cases(tmp_path, capsys):
                       "--penalty", "prod:1", "--source", "0",
                       "--target", "9")
     assert rc == 2 and "not a vertex" in err
+
+
+def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys):
+    # only generate and sweep draw random numbers, so only they take --seed
+    p = tmp_path / "g.graph"
+    p.write_text(FIXTURE)
+    for argv in (["distance", "--graph", str(p), "--penalty", "prod:1",
+                  "--source", "0", "--target", "2"],
+                 ["params", "--tau", "2.5", "--mu", "1", "--nu", "1",
+                  "--beta", "0.1"]):
+        assert _run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 # sha256 of the concatenated `pplab distance` stdout of

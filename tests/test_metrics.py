@@ -13,30 +13,22 @@ from pplab.cost import (
     power_sum_penalty,
     product_penalty,
 )
-from pplab.geometry import Window, build_boxing, locate_subbox, pair_distance
+from pplab.geometry import Window, build_boxing
 from pplab.metrics import (
-    CoreResult,
-    ExteriorResult,
     GreedyFailure,
     GreedyPath,
     build_greedy_path,
     check_F2,
     components,
-    core_graph,
     cost_search,
     cost_subgraph,
     delta_good_scan,
     distance_matrix,
-    exterior_set,
     greedy_bound_report,
-    induced_subgraph,
     largest_component,
     n1t,
     realized_path,
     saw_path_count,
-    sigma,
-    successful,
-    truncated_ball,
 )
 from pplab.models import Girg, Graph, VertexSet, generate
 from pplab.rng import PointMass, PolyAtZero
@@ -134,29 +126,6 @@ def test_cost_search_on_a_path():
     assert realized_path(res, 0) == [0]
 
 
-def test_cost_search_budget_semantics():
-    g = _hand_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
-    res = cost_search(g, ONE, 0, budget=3.0)
-    assert [v for v, _ in res.settled] == [0, 1, 2]
-    assert math.isinf(res.dist[3])
-    assert not res.frontier_exhausted
-    # a budget reached exactly still settles the vertex
-    res = cost_search(g, ONE, 0, budget=7.0)
-    assert [v for v, _ in res.settled] == [0, 1, 2, 3]
-    assert res.frontier_exhausted
-    res = cost_search(g, ONE, 0, budget=6.999)
-    assert not res.frontier_exhausted
-    assert realized_path(res, 3) is None
-
-
-def test_cost_search_max_settled():
-    g = _hand_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
-    res = cost_search(g, ONE, 0, max_settled=2)
-    assert len(res.settled) == 2
-    assert not res.frontier_exhausted
-    assert math.isinf(res.dist[2]) and math.isinf(res.dist[3])
-
-
 def test_cost_search_disconnected_is_exhausted():
     g = _hand_graph(3, [(0, 1, 1.0)])
     res = cost_search(g, ONE, 0)
@@ -220,10 +189,11 @@ def test_cost_search_target_stops_with_the_full_answer():
         cost_search(g, ONE, 0, target=2)
 
 
-# sha256 over cost_search's settled list, parent array and exhaustion flag,
-# and over truncated_ball / exterior_set, on two 1024-vertex GIRGs (point:1
-# ties every length); recorded before the searches shared one heap loop.
-SEARCH_DIGEST = "c28be78f03e0d8f9e60c0d66bf4dd4176958de932cf8225391e0ae13e61c9bee"
+# sha256 over cost_search's settled list, parent array and exhaustion flag on
+# two 1024-vertex GIRGs (point:1 ties every length): the full search from
+# each source, and a search stopped at each of a fixed set of targets.
+SEARCH_DIGEST = "bbbdb019673951c7c49c404b9dd8e3c6d50aeea38fd702806823078153b524bc"
+SEARCH_TARGETS = (0, 1, 64, 517, 1023)
 
 
 def test_search_output_digest():
@@ -235,25 +205,15 @@ def test_search_output_digest():
                   power_sum_penalty(1.0)):
             for direction in ("outward", "inward"):
                 for source in (0, 517, 1000):
-                    full = cost_search(g, f, source, direction)
-                    # a budget equal to a settled distance (bound inclusive)
-                    budget = full.settled[g.n // 4][1]
-                    for res in (full,
-                                cost_search(g, f, source, direction,
-                                            budget=budget),
-                                cost_search(g, f, source, direction,
-                                            max_settled=100)):
+                    runs = [cost_search(g, f, source, direction)]
+                    runs += [cost_search(g, f, source, direction, target=t)
+                             for t in SEARCH_TARGETS]
+                    for res in runs:
                         ids, ds = zip(*res.settled)
                         digest.update(np.array(ids, dtype=np.int64).tobytes())
                         digest.update(np.array(ds, dtype=np.float64).tobytes())
                         digest.update(res.parent.tobytes())
                         digest.update(bytes([res.frontier_exhausted]))
-                    ball, flag = truncated_ball(g, f, source, budget, 3.0,
-                                                direction)
-                    ext = exterior_set(g, f, source, budget, 3.0, direction)
-                    digest.update(repr((sorted(ball), flag, float(ext.w_min),
-                                        sorted(ext.vertices),
-                                        ext.representative)).encode())
     assert digest.hexdigest() == SEARCH_DIGEST
 
 
@@ -301,26 +261,7 @@ def test_distance_matrix_edgeless():
 
 
 # ---------------------------------------------------------------------------
-# sigma, N1, truncated balls, exterior sets
-
-
-def test_sigma_on_a_star():
-    g = _hand_graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 3.0)])
-    assert sigma(g, ONE, 0, 0) == 0.0
-    assert sigma(g, ONE, 0, 1) == 1.0
-    assert sigma(g, ONE, 0, 2) == 2.0
-    assert sigma(g, ONE, 0, 3) == 3.0
-    assert math.isinf(sigma(g, ONE, 0, 4))
-    with pytest.raises(ValueError):
-        sigma(g, ONE, 0, -1)
-
-
-def test_sigma_is_nondecreasing_in_k():
-    rng = np.random.default_rng(5)
-    g = _random_small_graph(rng, n_max=8)
-    f = _random_penalty(rng)
-    vals = [sigma(g, f, 0, k) for k in range(g.n + 2)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
+# one-hop counts
 
 
 def test_n1t_counts_cheap_incident_edges():
@@ -336,101 +277,34 @@ def test_n1t_counts_cheap_incident_edges():
     assert n1t(g, f, 1, 1.0) == 1
     with pytest.raises(ValueError):
         n1t(g, f, 0, -1.0)
+    with pytest.raises(ValueError):
+        n1t(g, f, 0, 1.0, "sideways")
 
 
-def test_truncated_ball_blocks_heavy_vertices():
-    g = _hand_graph(3, [(0, 1, 1.0), (1, 2, 1.0)], weights=[1.0, 10.0, 1.0])
-    ball, flag = truncated_ball(g, ONE, 0, 10.0, 5.0)
-    assert ball == {0} and not flag
-    ball, flag = truncated_ball(g, ONE, 0, 10.0, 20.0)
-    assert ball == {0, 1, 2} and not flag
-    ball, flag = truncated_ball(g, ONE, 1, 10.0, 5.0)
-    assert ball == set() and flag
-    # budget is inclusive
-    ball, _ = truncated_ball(g, ONE, 0, 1.0, 20.0)
-    assert ball == {0, 1}
-
-
-def test_truncated_ball_against_restricted_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(25):
-        g = _random_small_graph(rng)
+def test_n1t_matches_a_count_over_the_search_costs():
+    # n1t prices only v's edges; the search prices every CSR slot
+    rng = np.random.default_rng(1212)
+    graphs = [_random_small_graph(rng, n_max=12) for _ in range(30)]
+    graphs.append(generate(Girg(n=400, d=1, tau=2.5, alpha=2.0, c=1.0), 8,
+                           length_law=PolyAtZero(1.0)))
+    ties = 0
+    for g in graphs:
+        indptr = g.csr[0]
         f = _random_penalty(rng)
-        v = int(rng.integers(g.n))
-        cap = float(np.quantile(g.vertices.weights, rng.random()))
-        budget = float(rng.random()) * 3.0
-        ball, flag = truncated_ball(g, f, v, budget, cap)
-        if g.vertices.weights[v] > cap:
-            assert flag and ball == set()
-            continue
-        keep = np.flatnonzero(g.vertices.weights <= cap)
-        sub, ids = induced_subgraph(g, keep)
-        src = int(np.searchsorted(ids, v))
-        d = _oracle_distances(sub, f, src, "outward")
-        expect = {int(ids[i]) for i in range(sub.n) if d[i] <= budget}
-        assert ball == expect
-
-
-def test_exterior_set_picks_minimal_weight_ties():
-    window = Window(d=1, side=100.0, boundary="hard")
-    pos = np.array([[0.0], [1.0], [-2.0], [3.0], [0.5]])
-    w = np.array([1.0, 1.0, 50.0, 50.0, 80.0])
-    vs = VertexSet(window, pos, w)
-    g = Graph(vs,
-              np.array([0, 0, 1, 0]), np.array([1, 2, 3, 4]),
-              np.array([1.0, 2.0, 0.5, 0.1]))
-    res = exterior_set(g, ONE, 0, 2.0, 10.0)
-    assert res.w_min == 50.0
-    assert res.vertices == frozenset({2, 3})
-    # vertex 2 sits 2.0 away from the source, vertex 3 sits 3.0 away
-    assert res.representative == 2
-    # nothing heavy within reach -> empty exterior
-    res = exterior_set(g, ONE, 0, 2.0, 100.0)
-    assert math.isinf(res.w_min)
-    assert res.vertices == frozenset() and res.representative is None
-    # source itself above the cap
-    res = exterior_set(g, ONE, 4, 2.0, 10.0)
-    assert res.representative is None
-
-
-def test_exterior_set_against_pair_scan_oracle():
-    rng = np.random.default_rng(99)
-    for _ in range(25):
-        g = _random_small_graph(rng)
-        f = _random_penalty(rng)
-        v = int(rng.integers(g.n))
-        w = g.vertices.weights
-        cap = float(np.quantile(w, 0.6))
-        budget = float(rng.random()) * 3.0
-        res = exterior_set(g, f, v, budget, cap)
-        if w[v] > cap:
-            assert res.vertices == frozenset()
-            continue
-        ball, _ = truncated_ball(g, f, v, budget, cap)
-        keep = np.flatnonzero(w <= cap)
-        sub, ids = induced_subgraph(g, keep)
-        dist_sub = _oracle_distances(sub, f, int(np.searchsorted(ids, v)),
-                                     "outward")
-        reach = {}
-        for e in range(g.m):
-            for x, y in ((int(g.edges_u[e]), int(g.edges_v[e])),
-                         (int(g.edges_v[e]), int(g.edges_u[e]))):
-                if x not in ball or w[y] <= cap:
-                    continue
-                dx = dist_sub[int(np.searchsorted(ids, x))]
-                step = float(g.lengths[e]) * float(f(w[x], w[y]))
-                if dx + step <= budget:
-                    reach[y] = w[y]
-        if not reach:
-            assert res.vertices == frozenset()
-        else:
-            assert res.w_min == min(reach.values())
-            assert res.vertices == frozenset(
-                y for y, wy in reach.items() if wy == res.w_min)
+        for direction in ("outward", "inward"):
+            cost = metrics._slot_costs(g, f, direction)
+            for v in rng.choice(g.n, size=min(g.n, 8), replace=False):
+                mine = cost[indptr[v]:indptr[v + 1]]
+                # thresholds at an edge's exact cost tie with it
+                for t in [0.0, 1.0, *mine[:3].tolist()]:
+                    ties += int(t in mine)
+                    assert n1t(g, f, v, t, direction) == \
+                        np.count_nonzero(mine <= t)
+    assert ties > 100
 
 
 # ---------------------------------------------------------------------------
-# components and induced subgraphs
+# components
 
 
 def test_components_edgeless_and_complete():
@@ -479,29 +353,6 @@ def test_components_match_bfs_oracle():
             expected.append(sorted(comp))
         expected.sort(key=lambda c: (-len(c), c[0]))
         assert components(g) == expected
-
-
-def test_induced_subgraph_remaps_and_keeps_internal_edges():
-    g = _hand_graph(5, [(0, 1, 1.5), (1, 2, 2.5), (3, 4, 0.5)],
-                    weights=[1.0, 2.0, 3.0, 4.0, 5.0])
-    sub, ids = induced_subgraph(g, [2, 0, 1])
-    assert list(ids) == [0, 1, 2]
-    assert sub.n == 3 and sub.m == 2
-    np.testing.assert_allclose(sub.vertices.weights, [1.0, 2.0, 3.0])
-    assert sorted(zip(sub.edges_u, sub.edges_v)) == [(0, 1), (1, 2)]
-    # boundary edges are dropped
-    sub, ids = induced_subgraph(g, [1, 3])
-    assert sub.m == 0 and list(ids) == [1, 3]
-
-
-def test_induced_subgraph_remaps_origin():
-    window = Window(d=1, side=10.0, boundary="hard")
-    vs = VertexSet(window, np.zeros((3, 1)), np.ones(3), origin_index=2)
-    g = Graph(vs, np.array([0]), np.array([2]), np.array([1.0]))
-    sub, _ = induced_subgraph(g, [1, 2])
-    assert sub.vertices.origin_index == 1
-    sub, _ = induced_subgraph(g, [0, 1])
-    assert sub.vertices.origin_index is None
 
 
 # ---------------------------------------------------------------------------
@@ -727,72 +578,6 @@ def test_greedy_bound_requires_monomial():
     with pytest.raises(ValueError):
         greedy_bound_report(b, TAU, power_sum_penalty(1.0), PolyAtZero(1.0),
                             path)
-
-
-def test_successful_routes():
-    window, b, vs, slot = _boxing_scene()
-    start = slot[(0, 0)]
-    chain = [(slot[(k, 0)], slot[(k + 1, 0)], 1.0) for k in range(b.k_star)]
-    # probe: a light vertex wired to the chain start; loner: no edges
-    pos = np.vstack([vs.positions,
-                     vs.positions[start][None, :] + 1e-4,
-                     vs.positions[start][None, :] + 2e-4])
-    w = np.append(vs.weights, [1.0, 1.0])
-    probe, loner = len(w) - 2, len(w) - 1
-    vs2 = VertexSet(window, pos, w)
-    g = _scene_graph(b, vs2, slot, chain + [(probe, start, 1.0)])
-    assert successful(g, b, TAU, ONE, start)
-    assert successful(g, b, TAU, ONE, probe)
-    assert not successful(g, b, TAU, ONE, loner)
-    # a top-annulus good leader succeeds with no edges at all
-    assert successful(g, b, TAU, ONE, slot[(b.k_star, 0)])
-    # chain leaders whose greedy run dead-ends do not qualify
-    assert not successful(g, b, TAU, ONE, slot[(0, 1)])
-
-
-def test_successful_requires_f1_at_top():
-    window, b, vs, slot = _boxing_scene()
-    w = vs.weights.copy()
-    for r in range(b.annuli[b.k_star].count):
-        w[slot[(b.k_star, r)]] = 1.0  # every top leader falls below good
-    g = _scene_graph(b, VertexSet(window, vs.positions, w), slot,
-                     [(slot[(k, 0)], slot[(k + 1, 0)], 1.0)
-                      for k in range(b.k_star)])
-    assert not successful(g, b, TAU, ONE, slot[(0, 0)])
-
-
-# ---------------------------------------------------------------------------
-# core graphs
-
-
-def test_core_graph_membership_and_q():
-    window = Window(d=1, side=100.0, boundary="hard")
-    pos = np.array([[0.0], [2.0], [-3.0], [20.0], [1.0]])
-    w = np.array([1.0, 2.0, 2.0, 2.0, 50.0])
-    vs = VertexSet(window, pos, w)
-    g = Graph(vs, np.array([1, 1]), np.array([2, 4]), np.array([1.0, 1.0]))
-    res = core_graph(g, [0.0], 10.0, 5.0, tau=TAU, delta=0.2, C=1.3, D=2.0)
-    lo = 5.0 ** (0.8 / (2.0 * 1.3 * 1.5))
-    hi = 5.0 ** (1.2 / 1.5)
-    assert res.weight_interval == pytest.approx((lo, hi))
-    # 0 too light, 3 outside the region, 4 too heavy: the core is {1, 2}
-    assert list(res.ids) == [1, 2]
-    assert res.graph.n == 2 and res.graph.m == 1
-    assert res.q_r == pytest.approx(math.exp(-2.0 * math.log(5.0) * 0.8))
-    res = core_graph(g, [0.0], 10.0, 5.0, tau=TAU, delta=0.2, C=1.3, D=2.0,
-                     c2=2.0, gamma=1.5)
-    assert res.q_r == pytest.approx(
-        math.exp(-4.0 * math.log(5.0) ** 1.5 * 0.8 ** 1.5))
-
-
-def test_core_graph_empty_and_validation():
-    window = Window(d=1, side=100.0, boundary="hard")
-    vs = VertexSet(window, np.array([[0.0], [1.0]]), np.array([5.0, 7.0]))
-    g = Graph(vs, np.array([0]), np.array([1]), np.array([1.0]))
-    res = core_graph(g, [0.0], 10.0, 1.0001, tau=TAU, delta=0.2, C=1.3, D=2.0)
-    assert res.ids.size == 0 and res.graph.n == 0
-    with pytest.raises(ValueError):
-        core_graph(g, [0.0], 10.0, 1.0, tau=TAU, delta=0.2, C=1.3, D=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from pplab.rng import (
     SeedSpec,
     WeightLaw,
     sample_poisson,
-    sample_weights,
     uniform,
     uniform_array,
     weight_from_uniform,
@@ -45,7 +44,8 @@ def test_weight_cap_clips():
 
 def test_weight_ks_statistic():
     law = WeightLaw(tau=2.5)
-    w = sample_weights(987654321, "ks-weights", 100_000, law)
+    u = uniform_array(987654321, "ks-weights", np.arange(100_000))
+    w = weight_from_uniform(u, law)
     stat = stats.kstest(w, lambda x: law.cdf(x)).statistic
     assert stat < 0.01
 
@@ -54,7 +54,7 @@ def test_sample_weight_matches_array_path():
     law = WeightLaw(tau=2.5)
     w_scalar = [weight_from_uniform(uniform(SeedSpec(42, "w", k)), law)
                 for k in range(64)]
-    w_vec = sample_weights(42, "w", 64, law)
+    w_vec = weight_from_uniform(uniform_array(42, "w", np.arange(64)), law)
     assert np.array_equal(np.array(w_scalar), w_vec)
 
 
