@@ -57,7 +57,7 @@ class Annulus:
     subbox_side: float
     cells_per_axis: int
     anchors: np.ndarray        # (b_k, d) lower corners
-    cell_index: dict = field(repr=False)  # axis-index tuple -> row in anchors
+    cell_ids: np.ndarray = field(repr=False)  # C-order grid id of each row
 
     @property
     def count(self) -> int:
@@ -100,8 +100,6 @@ def _enumerate_annulus(window: Window, center: np.ndarray, k: int,
                        outer_half: float, inner_half, subbox_side: float) -> Annulus:
     d = window.d
     cells = int(math.floor(2.0 * outer_half / subbox_side))
-    if cells < 1:
-        cells = 0
     if cells**d > _SUBBOX_GUARD:
         raise ValueError(
             f"annulus {k} would hold {cells}^{d} grid cells; "
@@ -111,36 +109,26 @@ def _enumerate_annulus(window: Window, center: np.ndarray, k: int,
     hw = window.side / 2.0
     tol = 1e-12 * max(window.side, 1.0)
 
-    kept_anchors = []
-    cell_index = {}
-    if cells > 0:
-        # grid of candidate cells (full cells only)
-        axes = [np.arange(cells, dtype=np.int64)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        idx = np.stack([m.ravel() for m in mesh], axis=1)  # (cells^d, d)
-        lo = corner[None, :] + idx * subbox_side
-        hi = lo + subbox_side
-        keep = np.all(lo >= -hw - tol, axis=1) & np.all(hi <= hw + tol, axis=1)
-        if inner_half is not None:
-            # drop cells whose interior meets the interior of Box_{k-1}
-            ilo = center - inner_half
-            ihi = center + inner_half
-            overlap = np.all((lo < ihi[None, :]) & (hi > ilo[None, :]), axis=1)
-            keep &= ~overlap
-        rows = np.nonzero(keep)[0]
-        kept_anchors = lo[rows]
-        for r, row in enumerate(rows):
-            cell_index[tuple(int(v) for v in idx[row])] = r
-    anchors = (np.asarray(kept_anchors, dtype=np.float64).reshape(-1, d)
-               if len(kept_anchors) else np.empty((0, d)))
+    # grid of candidate cells (full cells only), rows in C order of grid id
+    idx = np.indices((cells,) * d).reshape(d, -1).T
+    lo = corner[None, :] + idx * subbox_side
+    hi = lo + subbox_side
+    keep = np.all(lo >= -hw - tol, axis=1) & np.all(hi <= hw + tol, axis=1)
+    if inner_half is not None:
+        # drop cells whose interior meets the interior of Box_{k-1}
+        ilo = center - inner_half
+        ihi = center + inner_half
+        overlap = np.all((lo < ihi[None, :]) & (hi > ilo[None, :]), axis=1)
+        keep &= ~overlap
+    cell_ids = np.flatnonzero(keep)
     return Annulus(
         k=k,
         outer_half=outer_half,
         inner_half=inner_half,
         subbox_side=subbox_side,
         cells_per_axis=cells,
-        anchors=anchors,
-        cell_index=cell_index,
+        anchors=lo[cell_ids],
+        cell_ids=cell_ids,
     )
 
 
@@ -176,37 +164,31 @@ def build_boxing(window: Window, center, M: float, C: float, D: float,
     )
 
 
-def locate_subbox(b: BoxingSystem, x):
-    """Return (k, i) for the sub-box containing x, or None if x falls in
-    no kept sub-box (outside the boxing or in leftover space).
+def locate_subbox(b: BoxingSystem, x) -> tuple:
+    """Sub-box of each point of x, shape (n, d): int64 arrays (k, row).
 
-    Sub-boxes are half-open [lo, lo+side) per axis; a point exactly on
-    the closed boundary of Box_k may belong to the first cell of the next
-    annulus, so both candidate annuli are checked.
+    Point p lies in row `row` of annulus k's anchors; both read -1 where p
+    falls in no kept sub-box (outside the boxing or in leftover space).
+    Sub-boxes are half-open [lo, lo + side) per axis, and p belongs to the
+    one of lowest k that contains it.  Each annulus tests one candidate
+    cell, found from p's rounded grid index, so a point within an ulp of a
+    cell face can miss the sub-box that contains it.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(b.window.d)
-    m = float(np.max(np.abs(x - b.center)))
-    k_cand = None
-    for k in range(b.k_star + 1):
-        if m <= b.annuli[k].outer_half:
-            k_cand = k
-            break
-    if k_cand is None:
-        return None
-    for k in (k_cand, k_cand + 1):
-        if k > b.k_star:
-            continue
-        ann = b.annuli[k]
-        if ann.cells_per_axis == 0:
+    x = np.asarray(x, dtype=np.float64).reshape(-1, b.window.d)
+    k_of = np.full(len(x), -1, dtype=np.int64)
+    row_of = np.full(len(x), -1, dtype=np.int64)
+    for ann in b.annuli:
+        if ann.count == 0:
             continue
         corner = b.center - ann.outer_half
         idx = np.floor((x - corner) / ann.subbox_side).astype(np.int64)
-        if np.any(idx < 0) or np.any(idx >= ann.cells_per_axis):
-            continue
-        row = ann.cell_index.get(tuple(int(v) for v in idx))
-        if row is None:
-            continue
-        lo = ann.anchors[row]
-        if np.all(x >= lo) and np.all(x < lo + ann.subbox_side):
-            return (k, row)
-    return None
+        ids = np.ravel_multi_index(idx.T, (ann.cells_per_axis,) * b.window.d,
+                                   mode="clip")
+        # the kept cell at or after the point's grid cell; the containment
+        # test below rejects it when the point's own cell was dropped
+        rows = np.minimum(np.searchsorted(ann.cell_ids, ids), ann.count - 1)
+        lo = ann.anchors[rows]
+        hit = (k_of < 0) & np.all((x >= lo) & (x < lo + ann.subbox_side), axis=1)
+        k_of[hit] = ann.k
+        row_of[hit] = rows[hit]
+    return k_of, row_of

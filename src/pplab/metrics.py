@@ -175,7 +175,6 @@ def largest_component(g: Graph) -> set:
 class AnnulusScan:
     k: int
     leader: np.ndarray             # per sub-box vertex id, -1 when empty
-    leader_weight: np.ndarray      # weight of the leader, nan when empty
     good: np.ndarray               # per sub-box delta-goodness
     f1: bool                       # 2 * (# good) >= (# sub-boxes)
 
@@ -189,10 +188,9 @@ class DeltaGoodScan:
     annuli: list                   # AnnulusScan, aligned with b.annuli
 
     def scan_for(self, k: int) -> AnnulusScan:
-        for a in self.annuli:
-            if a.k == k:
-                return a
-        raise KeyError(f"no annulus {k}")
+        if not 0 <= k < len(self.annuli):
+            raise KeyError(f"no annulus {k}")
+        return self.annuli[k]      # annuli are ordered k = 0..k_star
 
     @property
     def f1_flags(self) -> list:
@@ -202,34 +200,31 @@ class DeltaGoodScan:
 def delta_good_scan(g: Graph, b: BoxingSystem, tau: float) -> DeltaGoodScan:
     """Per-sub-box leaders and delta-goodness; per-annulus F1.
 
-    Leader = maximal-weight vertex of the sub-box (ties to lowest id);
-    delta-good iff its weight lies in the half-open interval (lo, hi]
-    given by the annulus scale.  F1 holds when at least half the annulus's
-    sub-boxes are good (vacuously on an empty annulus).
+    One locate_subbox call places every vertex.  Leader = maximal-weight
+    vertex of the sub-box, ties to the lowest id (a later vertex displaces
+    the leader only with a strictly greater weight); delta-good iff its
+    weight lies in the half-open interval (lo, hi] given by the annulus
+    scale.  F1 holds when at least half the annulus's sub-boxes are good
+    (vacuously on an empty annulus).
     """
     if g.vertices.window != b.window:
         raise ValueError("graph and boxing system use different windows")
-    counts = [a.count for a in b.annuli]
-    leader = [np.full(c, -1, dtype=np.int64) for c in counts]
-    lw = [np.full(c, math.nan) for c in counts]
-    pos = g.vertices.positions
+    k_of, row_of = locate_subbox(b, g.vertices.positions)
     w = g.vertices.weights
-    for v in range(g.n):
-        loc = locate_subbox(b, pos[v])
-        if loc is None:
-            continue
-        k, row = loc
-        i = k  # annuli are ordered k = 0..k_star
-        if leader[i][row] == -1 or w[v] > lw[i][row]:
-            leader[i][row] = v
-            lw[i][row] = w[v]
+    # by annulus, then heaviest first; lexsort is stable, so ties keep id order
+    order = np.lexsort((-w, k_of))
     out = []
-    for i, ann in enumerate(b.annuli):
+    for ann in b.annuli:
+        here = order[k_of[order] == ann.k]
+        rows, first = np.unique(row_of[here], return_index=True)
+        leader = np.full(ann.count, -1, dtype=np.int64)
+        leader[rows] = here[first]
         lo, hi = b.leader_weight_interval(ann.k, tau)
-        good = (leader[i] >= 0) & (lw[i] > lo) & (lw[i] <= hi)
+        lw = w[here[first]]
+        good = np.zeros(ann.count, dtype=bool)
+        good[rows] = (lw > lo) & (lw <= hi)
         f1 = 2 * int(good.sum()) >= ann.count
-        out.append(AnnulusScan(k=ann.k, leader=leader[i], leader_weight=lw[i],
-                               good=good, f1=f1))
+        out.append(AnnulusScan(k=ann.k, leader=leader, good=good, f1=f1))
     return DeltaGoodScan(annuli=out)
 
 
@@ -245,12 +240,11 @@ def check_F2(g: Graph, b: BoxingSystem, tau: float, epsilon: float | None = None
     if scan is None:
         scan = delta_good_scan(g, b, tau)
     flags = []
-    for i in range(len(b.annuli) - 1):
-        k = b.annuli[i].k
+    for k in range(b.k_star):      # annuli are ordered k = 0..k_star
         threshold = b.leader_count_threshold(k + 1, eps)
-        next_good = set(scan.annuli[i + 1].good_leaders)
+        next_good = set(scan.annuli[k + 1].good_leaders)
         ok = True
-        for c in scan.annuli[i].good_leaders:
+        for c in scan.annuli[k].good_leaders:
             hits = sum(1 for u in g.neighbors(c).tolist() if u in next_good)
             if hits < threshold:
                 ok = False
@@ -287,13 +281,10 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
     """
     if scan is None:
         scan = delta_good_scan(g, b, tau)
-    loc = locate_subbox(b, g.vertices.positions[start_leader])
-    if loc is None:
-        raise ValueError("start_leader lies in no sub-box")
-    k0, row = loc
-    s = scan.scan_for(k0)
-    if s.leader[row] != start_leader or not s.good[row]:
-        raise ValueError("start_leader is not a delta-good leader of its sub-box")
+    k0 = next((s.k for s in scan.annuli if start_leader in s.good_leaders),
+              None)
+    if k0 is None:
+        raise ValueError("start_leader is not a delta-good leader of a sub-box")
     w = g.vertices.weights
     vertices = [start_leader]
     annuli = [k0]
@@ -302,13 +293,10 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
     cur = start_leader
     for k in range(k0, b.k_star):
         next_good = set(scan.scan_for(k + 1).good_leaders)
-        best = None
-        for u, e in zip(g.neighbors(cur).tolist(),
-                        g.incident_edges(cur).tolist()):
-            if u in next_good:
-                cand = (g.lengths[e], u, e)
-                if best is None or cand < best:
-                    best = cand
+        best = min(((g.lengths[e], u, e)
+                    for u, e in zip(g.neighbors(cur).tolist(),
+                                    g.incident_edges(cur).tolist())
+                    if u in next_good), default=None)
         if best is None:
             return GreedyFailure(failed_annulus=k + 1, vertices=vertices,
                                  annuli=annuli)
@@ -333,26 +321,24 @@ class GreedyBoundReport:
 
 
 def greedy_bound_report(b: BoxingSystem, tau: float, f, law,
-                        path: GreedyPath, epsilon: float | None = None,
-                        zeta=None) -> GreedyBoundReport:
+                        path: GreedyPath,
+                        epsilon: float | None = None) -> GreedyBoundReport:
     """Check a completed greedy path against its analytic cost bound.
 
     The bound is monomial: hop k (from Gamma_k to Gamma_{k+1}) costs at most
     a * (e^{MC^k(1+d)/(tau-1)})^mu (e^{MC^{k+1}(1+d)/(tau-1)})^nu * q_k with
-    q_k = F_L^{-1}(zeta_k e^{-(1-eps) M C^{k+1} (D-1)}) and zeta_k = k+1 by
-    default.  The comparison only binds ("applicable") when every observed
-    hop length is below its quantile.
+    q_k = F_L^{-1}((k+1) e^{-(1-eps) M C^{k+1} (D-1)}).  The comparison
+    only binds ("applicable") when every observed hop length is below its
+    quantile.
     """
     terms = getattr(f, "terms", None)
     if terms is None or len(terms) != 1:
         raise ValueError("the greedy cost bound is stated for monomial penalties")
     a, mu, nu = terms[0]
     eps = b.delta if epsilon is None else epsilon
-    if zeta is None:
-        zeta = lambda k: k + 1.0
     quantiles, bounds = [], []
     for k in path.annuli[:-1]:
-        y = zeta(k) * math.exp(-(1.0 - eps) * b.M * b.C ** (k + 1) * (b.D - 1.0))
+        y = (k + 1.0) * math.exp(-(1.0 - eps) * b.M * b.C ** (k + 1) * (b.D - 1.0))
         q = float(law.quantile(min(1.0, y)))
         up_from = b.leader_weight_interval(k, tau)[1]
         up_to = b.leader_weight_interval(k + 1, tau)[1]

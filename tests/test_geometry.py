@@ -77,23 +77,34 @@ def _in_window(window: Window, x) -> bool:
     return bool(np.all(np.abs(np.asarray(x)) <= window.side / 2.0))
 
 
-def _linear_scan(b: BoxingSystem, x):
-    """Independent oracle: scan every sub-box extent for containment."""
-    x = np.asarray(x, dtype=np.float64)
+def _linear_scan(b: BoxingSystem, xs):
+    """Independent oracle: test every sub-box extent for containment.
+
+    Returns (k, row) arrays like locate_subbox: the first containing sub-box
+    in annulus order, then anchor order, and -1 where none contains the point.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    k_of = np.full(len(xs), -1, dtype=np.int64)
+    row_of = np.full(len(xs), -1, dtype=np.int64)
     for ann in b.annuli:
-        s = ann.subbox_side
-        for i, lo in enumerate(ann.anchors):
-            if np.all(x >= lo) and np.all(x < lo + s):
-                return (ann.k, i)
-    return None
+        if ann.count == 0:
+            continue
+        lo = ann.anchors[None, :, :]
+        inside = np.all((xs[:, None, :] >= lo)
+                        & (xs[:, None, :] < lo + ann.subbox_side), axis=2)
+        first = (k_of < 0) & inside.any(axis=1)
+        k_of[first] = ann.k
+        row_of[first] = inside[first].argmax(axis=1)
+    return k_of, row_of
 
 
 def test_locate_center_point():
     b = build_boxing(Window(2, 4e3), [0.0, 0.0], M=2.0, C=1.3, D=1.5, delta=0.1)
-    got = locate_subbox(b, [0.0, 0.0])
-    assert got == _linear_scan(b, np.zeros(2))
-    if got is not None:
-        assert got[0] == 0
+    k, row = locate_subbox(b, np.zeros((1, 2)))
+    want_k, want_row = _linear_scan(b, np.zeros((1, 2)))
+    assert (k[0], row[0]) == (want_k[0], want_row[0])
+    if row[0] >= 0:
+        assert k[0] == 0
 
 
 def test_locate_outside_outer_box():
@@ -101,7 +112,8 @@ def test_locate_outside_outer_box():
     outer = b.annuli[-1].outer_half
     far = (outer + 5e3) / 2.0  # inside the window, beyond Box_{k_star}
     assert outer < far < 5e3
-    assert locate_subbox(b, [far]) is None
+    k, row = locate_subbox(b, [[far]])
+    assert (k[0], row[0]) == (-1, -1)
 
 
 def test_locate_matches_linear_scan():
@@ -117,11 +129,16 @@ def test_locate_matches_linear_scan():
             D=float(rng.uniform(1.3, 1.9)), delta=delta,
         )
         span = b.annuli[-1].outer_half * 1.2
+        xs = []
         for _ in range(170):
             x = center + rng.uniform(-span, span, size=d)
-            if not _in_window(b.window, x):
-                continue
-            assert locate_subbox(b, x) == _linear_scan(b, x), (trial, x)
+            if _in_window(b.window, x):
+                xs.append(x)
+        xs = np.array(xs)
+        k, row = locate_subbox(b, xs)
+        want_k, want_row = _linear_scan(b, xs)
+        for i, x in enumerate(xs):
+            assert (k[i], row[i]) == (want_k[i], want_row[i]), (trial, x)
 
 
 def _random_systems(n, seed=5150):

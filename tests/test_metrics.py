@@ -12,6 +12,7 @@ from pplab.cost import (
     monomial_penalty,
     power_sum_penalty,
     product_penalty,
+    solve_boxing_params,
 )
 from pplab.geometry import Window, build_boxing
 from pplab.metrics import (
@@ -30,7 +31,7 @@ from pplab.metrics import (
     realized_path,
     saw_path_count,
 )
-from pplab.models import Girg, Graph, VertexSet, generate
+from pplab.models import Girg, Graph, IgirgWindow, VertexSet, generate
 from pplab.rng import PointMass, PolyAtZero
 
 ONE = product_penalty(0.0)  # f == 1: cost reduces to raw length
@@ -428,6 +429,9 @@ def test_delta_good_scan_empty_subboxes_and_f1():
     assert scan.scan_for(0).f1
     assert all(scan.scan_for(k).f1 for k in range(2, b.k_star + 1))
     assert scan.f1_flags == [a.f1 for a in scan.annuli]
+    for k in (-1, b.k_star + 1):
+        with pytest.raises(KeyError):
+            scan.scan_for(k)
 
 
 def test_delta_good_scan_rejects_window_mismatch():
@@ -552,7 +556,7 @@ def test_greedy_bound_report_terms_and_applicability():
     path = build_greedy_path(g, b, TAU, f, start)
     law = PolyAtZero(1.0)  # quantile(y) = y
     rep = greedy_bound_report(b, TAU, f, law, path)
-    # recompute one term by hand (hop 0, zeta_0 = 1, eps defaults to delta)
+    # recompute one term by hand (hop 0, factor k + 1 = 1, eps defaults to delta)
     q0 = min(1.0, 1.0 * math.exp(-(1 - b.delta) * b.M * b.C * (b.D - 1)))
     up0 = b.leader_weight_interval(0, TAU)[1]
     up1 = b.leader_weight_interval(1, TAU)[1]
@@ -578,6 +582,126 @@ def test_greedy_bound_requires_monomial():
     with pytest.raises(ValueError):
         greedy_bound_report(b, TAU, power_sum_penalty(1.0), PolyAtZero(1.0),
                             path)
+
+
+def _boxing_windows():
+    """(graph, boxing) pairs: criterion 10's windows, capped weights, d = 2."""
+    p = solve_boxing_params(TAU, 1.0, 1.0, 0.1)
+    law = PolyAtZero(0.1)
+    # criterion 10: side 1000, the largest M that keeps Box_1 in the window
+    M = math.log(1000.0) / (p.D * p.C) * (1.0 - 1e-9)
+    spec = IgirgWindow(lam=1.0, d=1, side=1000.0, tau=TAU, alpha=2.0, c=1.0)
+    for seed in range(20):
+        g = generate(spec, seed, length_law=law)
+        yield g, build_boxing(g.vertices.window, [0.0], M, p.C, p.D, p.delta)
+    # weight_cap makes heavy vertices tie at the cap, which is delta-good at k = 2
+    spec = IgirgWindow(lam=1.0, d=1, side=400.0, tau=TAU, alpha=2.0, c=1.0)
+    for seed in range(10):
+        g = generate(spec, seed, length_law=law, weight_cap=3.0)
+        yield g, build_boxing(g.vertices.window, [0.0], 1.0, 1.3, 2.0, 0.2)
+    # d = 2 with D = 2.5: Gamma_5 and Gamma_6 hold sub-boxes (D = 1.5 fills
+    # only Gamma_0 at this side)
+    spec = IgirgWindow(lam=1.0, d=2, side=50.0, tau=TAU, alpha=2.0, c=1.0)
+    for seed in range(5):
+        g = generate(spec, seed, length_law=law)
+        yield g, build_boxing(g.vertices.window, [0.0, 0.0], 1.0, 1.2, 2.5,
+                              0.2)
+    _, b, vs, slot = _boxing_scene()
+    yield _scene_graph(b, vs, slot, _wire_f2(b, slot, [2] * b.k_star)), b
+
+
+# sha256 over every boxing output on _boxing_windows(): annulus counts and
+# anchors, each scanned annulus's leaders, good flags and F1, the F2 flags,
+# and the repr of the greedy path (or failure) from every good leader.
+BOXING_DIGEST = "16cb1dfb9256a8da3eef58cbd8154382a38b0c2fefab963b50ec87a717ea981f"
+
+
+def test_boxing_output_digest():
+    digest = hashlib.sha256()
+    f = monomial_penalty(1.0, 1.0)
+    completed = 0
+    for g, b in _boxing_windows():
+        digest.update(np.array(b.counts(), dtype=np.int64).tobytes())
+        for a in b.annuli:
+            digest.update(a.anchors.tobytes())
+        scan = delta_good_scan(g, b, TAU)
+        for s in scan.annuli:
+            digest.update(s.leader.tobytes())
+            digest.update(s.good.tobytes())
+            digest.update(bytes([s.f1]))
+        digest.update(bytes(check_F2(g, b, TAU, scan=scan)))
+        for s in scan.annuli:
+            for leader in s.good_leaders:
+                out = build_greedy_path(g, b, TAU, f, leader, scan=scan)
+                completed += isinstance(out, GreedyPath) and len(out.vertices) > 1
+                digest.update(repr(out).encode())
+    assert completed > 0
+    assert digest.hexdigest() == BOXING_DIGEST
+
+
+def _oracle_scan(g, b):
+    """Per-vertex leaders in id order; a sub-box is found by containment.
+
+    Also counts the vertices that tie with their sub-box's leader so far.
+    """
+    leader = [np.full(a.count, -1, dtype=np.int64) for a in b.annuli]
+    ties = 0
+    pos, w = g.vertices.positions, g.vertices.weights
+    for v in range(g.n):
+        for i, a in enumerate(b.annuli):
+            hit = np.flatnonzero(np.all((pos[v] >= a.anchors)
+                                        & (pos[v] < a.anchors + a.subbox_side),
+                                        axis=1))
+            if len(hit):
+                row = hit[0]
+                if leader[i][row] < 0 or w[v] > w[leader[i][row]]:
+                    leader[i][row] = v
+                elif w[v] == w[leader[i][row]]:
+                    ties += 1
+                break
+    return leader, ties
+
+
+def test_delta_good_scan_matches_per_vertex_oracle():
+    law = PolyAtZero(0.1)
+    cases = [(IgirgWindow(lam=1.0, d=1, side=400.0, tau=TAU, alpha=2.0, c=1.0),
+              [0.0], (1.0, 1.3, 2.0, 0.2)),
+             (IgirgWindow(lam=1.0, d=2, side=50.0, tau=TAU, alpha=2.0, c=1.0),
+              [0.0, 0.0], (1.0, 1.2, 2.5, 0.2))]
+    tied = 0
+    for spec, center, params in cases:
+        for seed, cap in ((11, 1.5), (12, 3.0)):
+            g = generate(spec, seed, length_law=law, weight_cap=cap)
+            b = build_boxing(g.vertices.window, center, *params)
+            scan = delta_good_scan(g, b, TAU)
+            w = g.vertices.weights
+            leaders, ties = _oracle_scan(g, b)
+            tied += ties
+            for i, (s, want) in enumerate(zip(scan.annuli, leaders)):
+                np.testing.assert_array_equal(s.leader, want)
+                lo, hi = b.leader_weight_interval(i, TAU)
+                lw = np.where(want >= 0, w[want], np.nan)
+                np.testing.assert_array_equal(s.good, (lw > lo) & (lw <= hi))
+                assert s.f1 == (2 * int(s.good.sum()) >= b.annuli[i].count)
+    assert tied > 100  # heavy vertices sit at the cap, tied with their leader
+
+
+def test_delta_good_scan_ties_go_to_the_lowest_id():
+    window, b, vs, slot = _boxing_scene()
+    v = slot[(0, 0)]
+    twin_pos = vs.positions[v] + 1e-3
+    twin_w = vs.weights[v]
+    # the twin appended after every scene vertex: the scene vertex keeps the lead
+    pos = np.vstack([vs.positions, twin_pos[None, :]])
+    w = np.append(vs.weights, twin_w)
+    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
+    assert delta_good_scan(g, b, TAU).scan_for(0).leader[0] == v
+    # the twin placed first, as vertex 0: it takes the lead
+    pos = np.vstack([twin_pos[None, :], vs.positions])
+    w = np.insert(vs.weights, 0, twin_w)
+    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
+    s0 = delta_good_scan(g, b, TAU).scan_for(0)
+    assert s0.leader[0] == 0 and s0.good[0]
 
 
 # ---------------------------------------------------------------------------
