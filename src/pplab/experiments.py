@@ -191,16 +191,15 @@ def phase_sweep(spec: SweepSpec) -> list:
     drawn once per (size, graph index) and only edge lengths are redrawn
     per beta, which is exactly the coupling the length-law streams provide.
     Each base graph is measured at every beta and then dropped, so one
-    graph and its CSR are held at a time.
+    graph and its CSR are held at a time.  The base graph is drawn with
+    unit lengths: every cell relengths it, the first beta's included.
     """
-    first_law = spec.law_family(spec.beta_grid[0])
     cells = []
     for n in spec.size_grid:
         row = [_Cell(spec, beta, n) for beta in spec.beta_grid]
         for gi in range(spec.graphs_per_cell):
             base = generate(replace(spec.base, n=n),
-                            derive_master(spec.seed, f"graph:{n}:{gi}"),
-                            length_law=first_law)
+                            derive_master(spec.seed, f"graph:{n}:{gi}"))
             for cell in row:
                 cell.add(base, gi)
             del base               # freed before the next graph is drawn

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -170,25 +171,31 @@ def locate_subbox(b: BoxingSystem, x) -> tuple:
     Point p lies in row `row` of annulus k's anchors; both read -1 where p
     falls in no kept sub-box (outside the boxing or in leftover space).
     Sub-boxes are half-open [lo, lo + side) per axis, and p belongs to the
-    one of lowest k that contains it.  Each annulus tests one candidate
-    cell, found from p's rounded grid index, so a point within an ulp of a
-    cell face can miss the sub-box that contains it.
+    one of lowest k, then lowest row, that contains it.  The rounded grid
+    index of p can be one cell off on a cell face, so each annulus tests
+    the cells within one index of it on every axis, in row order, with the
+    containment test itself.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1, b.window.d)
+    d = b.window.d
     k_of = np.full(len(x), -1, dtype=np.int64)
     row_of = np.full(len(x), -1, dtype=np.int64)
     for ann in b.annuli:
         if ann.count == 0:
             continue
         corner = b.center - ann.outer_half
-        idx = np.floor((x - corner) / ann.subbox_side).astype(np.int64)
-        ids = np.ravel_multi_index(idx.T, (ann.cells_per_axis,) * b.window.d,
-                                   mode="clip")
-        # the kept cell at or after the point's grid cell; the containment
-        # test below rejects it when the point's own cell was dropped
-        rows = np.minimum(np.searchsorted(ann.cell_ids, ids), ann.count - 1)
-        lo = ann.anchors[rows]
-        hit = (k_of < 0) & np.all((x >= lo) & (x < lo + ann.subbox_side), axis=1)
-        k_of[hit] = ann.k
-        row_of[hit] = rows[hit]
+        near = np.floor((x - corner) / ann.subbox_side).astype(np.int64)
+        shape = (ann.cells_per_axis,) * d
+        # offsets in lexicographic order visit the cells in row order
+        for off in product((-1, 0, 1), repeat=d):
+            idx = near + off
+            real = np.all((idx >= 0) & (idx < ann.cells_per_axis), axis=1)
+            ids = np.ravel_multi_index(idx.T, shape, mode="clip")
+            rows = np.minimum(np.searchsorted(ann.cell_ids, ids),
+                              ann.count - 1)
+            lo = ann.anchors[rows]
+            hit = ((k_of < 0) & real & (ann.cell_ids[rows] == ids)
+                   & np.all((x >= lo) & (x < lo + ann.subbox_side), axis=1))
+            k_of[hit] = ann.k
+            row_of[hit] = rows[hit]
     return k_of, row_of

@@ -1,11 +1,14 @@
 """Spatial random graph models: GIRG, IGIRG window, SFP window, HRG.
 
 Generation is counter-based: every random quantity (position coordinate,
-weight, edge coin, edge length) is addressed by (master seed, stream label,
-counter), so any single pair can be resampled bit-identically without
-replaying the rest of the graph, and the adjacency is independent of the
-edge-length law (re-lengthing a graph keeps its edges and couples lengths
-across laws through shared uniforms).
+weight, edge coin, edge length, skip draw) is addressed by (master seed,
+stream label, counter), so nothing depends on the order or the thread in
+which it is drawn.  A pair's coin and length can be recomputed on their
+own, and a pair is an edge exactly when its coin is at most p, except for
+the far GIRG pairs that the cell sampler reaches by geometric skipping
+(see "Girg edges by weight layers x hierarchical cells").  The adjacency
+is independent of the edge-length law (re-lengthing a graph keeps its
+edges and couples lengths across laws through shared uniforms).
 
 Vertex positions live in a d-dimensional box window; the unit-volume GIRG
 torus and the HRG circle (after mapping) use periodic distance, the finite
@@ -18,6 +21,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -449,8 +453,8 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sample_edges(spec, master_seed, vs: VertexSet, length_law):
-    """Blocked upper-triangle Bernoulli sweep over all vertex pairs.
+def _pairwise_pairs(spec, master_seed, vs: VertexSet):
+    """Edges (u, v), u < v, of a blocked upper-triangle sweep over all pairs.
 
     Every pair gets its coin compared against p (a coin is always > 0 and
     <= 1, so p = 0 never fires and p = 1 always does); the coin for pair
@@ -518,13 +522,366 @@ def _sample_edges(spec, master_seed, vs: VertexSet, length_law):
     us = [x for row_us, _ in parts for x in row_us]
     vls = [x for _, row_vs in parts for x in row_vs]
     if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vls)
+        return np.concatenate(us), np.concatenate(vls)
+    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Girg edges by weight layers x hierarchical cells
+#
+# After Bringmann, Keusch and Lengler, "Sampling geometric inhomogeneous
+# random graphs in linear time" (ESA 2017).  Vertex u sits in weight layer
+# floor(log2 w_u), so w_u w_v < 2^(i+j+2) for u in layer i and v in layer j.
+# Level l cuts the torus into 2^l cells per axis; two cells are neighbours
+# when they are at most one cell apart on every axis, cyclically.  A layer
+# pair (i, j) gets a base level: the finest level whose cell side is at
+# least the connection radius at weight product 2^(i+j+2).  Each of its
+# vertex pairs falls in exactly one class:
+#   type I   the two cells at the base level are neighbours.  The pair is
+#            decided by its own coin, exactly as in the all-pairs sweep.
+#   type II  the two cells at level l (2 <= l <= base) are not neighbours
+#            while their parents at l - 1 are.  The pair is then at least
+#            2^-l apart, so p <= pbar = kernel(2^(i+j+2), 2^-l).  The type
+#            II pairs of (i, j, l) form one flat index space; candidates are
+#            drawn from it by geometric skipping under pbar, and a
+#            candidate is an edge when its pair coin satisfies
+#            coin * pbar <= p.  Where pbar is 1 (at the base level, when
+#            the radius is exactly a cell side) every pair is a candidate,
+#            and the class is decided by the pairs' own coins.
+# So every pair is an edge with probability p, independently of the others.
+
+# Pairs or skip draws per array pass: a pass's arrays stay in a core's L2
+# cache (2^16 made a 2^14-vertex graph about 10% slower).
+_CHUNK = 1 << 14
+# A pair the cell sampler examines costs about this many pairs of the
+# all-pairs sweep (the sampler on one thread, the sweep on two; measured at
+# n = 2^10 to 2^14 on a 2-CPU machine), so the sampler runs when the
+# expected number of pairs it examines, times this, is below n(n-1)/2.
+# Threads do not pay in the sampler: its arrays are too short to keep two
+# threads out of each other's way.
+_CELL_PAIR_COST = 8.0
+
+
+@dataclass(frozen=True)
+class _CellPlan:
+    layer: np.ndarray          # each vertex's weight layer (top layers merged)
+    base: np.ndarray           # base level per layer sum s = i + j
+    finest: int                # finest level: 2^(finest d) <= n
+    examined: float            # expected pairs examined (type I + candidates)
+
+    def pays_off(self, n: int) -> bool:
+        return self.examined * _CELL_PAIR_COST < n * (n - 1) / 2
+
+
+def _type_two_bound(spec: Girg, n: int, s, level: int) -> np.ndarray:
+    """pbar = kernel(2^(s+2), 2^-level) for an array of layer sums s."""
+    with np.errstate(divide="ignore", over="ignore"):
+        wprod = np.ldexp(1.0, np.asarray(s, dtype=np.int64) + 2)
+        return _power_kernel(wprod, np.ldexp(1.0, -level * spec.d), float(n),
+                             spec.alpha, spec.c, spec.c1_threshold,
+                             out=np.empty(wprod.shape))
+
+
+def _cell_offsets(level: int, d: int, far: bool) -> np.ndarray:
+    """Per-axis cell offsets modulo 2^level, shape (parities, K, d).
+
+    near: the 3^d neighbours (fewer once offsets wrap).  far: the cells
+    whose parents neighbour the parent of a cell but which are not its
+    neighbours; they depend on the cell's parity on each axis (row p
+    holds parity bit k of axis k), and every row has the same length.
+    """
+    m = 1 << level
+    near = sorted({o % m for o in (-1, 0, 1)})
+    if not far:
+        return np.array([list(product(near, repeat=d))], dtype=np.int64)
+    rows = []
+    for parity in range(1 << d):
+        axes = [sorted({o % m for o in range(-2 - (parity >> k & 1),
+                                             4 - (parity >> k & 1))})
+                for k in range(d)]
+        rows.append([t for t in product(*axes)
+                     if any(x not in near for x in t)])
+    return np.array(rows, dtype=np.int64)
+
+
+def _cell_plan(spec: Girg, w) -> _CellPlan:
+    """Layers and base levels of the cell sampler for weights w, and the
+    expected number of pairs it examines (vertices are uniform on the
+    torus, so a class's share of cell pairs is its share of vertex pairs).
+    """
+    n, d = w.shape[0], spec.d
+    finest = (n.bit_length() - 1) // d
+    if spec.c == 0.0 and not math.isinf(spec.alpha):
+        # only coincident points connect: one layer, finest cells
+        layer = np.zeros(n, dtype=np.int64)
+        base = np.full(1, finest, dtype=np.int64)
     else:
-        u = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0, dtype=np.int64)
-    ls = _edge_lengths(master_seed, u, v, n, length_law)
-    return u, v, ls
+        log_c = (math.log2(spec.c1_threshold) if math.isinf(spec.alpha)
+                 else math.log2(spec.c) / spec.alpha)
+        # the radius at weight product 2^(s+2) is 2^-((x - s) / d)
+        x = math.log2(n) - 2.0 - log_c
+
+        def base_level(s):
+            return np.clip(np.floor((x - s) / d), 0, finest).astype(np.int64)
+
+        # levels 0 and 1 hold only type I pairs, so the layers from the
+        # first sum whose base level is at most 1 on can merge into one
+        top = max(0, math.floor(x - 2 * d))
+        while base_level(top) > 1:
+            top += 1
+        _, e = np.frexp(w)
+        layer = np.where(np.isfinite(w), e.astype(np.int64) - 1, top)
+        np.minimum(layer, top, out=layer)
+        base = base_level(np.arange(2 * int(layer.max()) + 1))
+    counts = np.bincount(layer).astype(np.float64)
+    pairs = np.multiply.outer(counts, counts)
+    pairs[np.diag_indices_from(pairs)] = counts * (counts - 1) / 2
+    si = np.add.outer(np.arange(counts.size), np.arange(counts.size))
+    iu = np.triu_indices(counts.size)
+    pairs, si = pairs[iu], si[iu]
+    b = base[si]
+    frac = np.zeros(si.shape)
+    for level in range(int(b.max()) + 1):
+        cells = float(1 << level * d)
+        # offsets per cell: near and, from level 2 on, far (see _cell_offsets)
+        near = min(3, 1 << level) ** d
+        frac[b == level] += near / cells
+        if level >= 2:
+            far = b >= level
+            pbar = np.minimum(_type_two_bound(spec, n, si[far], level), 1.0)
+            frac[far] += (min(6, 1 << level) ** d - near) / cells * pbar
+    return _CellPlan(layer, base, finest, float((pairs * frac).sum()))
+
+
+def _ragged_arange(counts) -> np.ndarray:
+    """Concatenated aranges 0..c-1 for each c in counts."""
+    ends = np.cumsum(counts)
+    return (np.arange(ends[-1] if ends.size else 0)
+            - np.repeat(ends - counts, counts))
+
+
+def _level_index(layer, cell, cells: int, layers) -> tuple:
+    """The vertices of `layers` sorted by (layer, cell) at one level.
+
+    Returns (rank, order, cnt, start): rank maps a layer to its place in
+    `layers`, order lists the vertices, and group g = rank * cells + cell
+    is order[start[g]:start[g] + cnt[g]].
+    """
+    rank = np.full(int(layer.max()) + 1, -1, dtype=np.int64)
+    rank[layers] = np.arange(layers.size)
+    sel = np.flatnonzero(rank[layer] >= 0)
+    key = rank[layer[sel]] * cells + cell[sel]
+    cnt = np.bincount(key, minlength=layers.size * cells)
+    return (rank, sel[np.argsort(key, kind="stable")], cnt,
+            np.cumsum(cnt) - cnt)
+
+
+def _cell_blocks(index, m: int, ci, cj, offsets):
+    """Vertex blocks of the classes (ci[c], cj[c]), ci <= cj, sorted by ci.
+
+    For each occupied (layer ci, cell) group and each class with that
+    first layer, the offsets name the partner cells; block k pairs
+    order[a0:a0 + na] with order[b0:b0 + nb] and belongs to class cls[k].
+    Within one layer only cell <= partner cell is kept, and `same` marks
+    the blocks of a cell with itself, whose pairs count once.
+    """
+    rank, _, cnt, start = index
+    d = offsets.shape[2]
+    cells = m**d
+    groups = np.flatnonzero(cnt)
+    g_rank = groups // cells
+    ri, rj = rank[ci], rank[cj]
+    lo = np.searchsorted(ri, g_rank, "left")
+    per = np.searchsorted(ri, g_rank, "right") - lo
+    g = np.repeat(groups, per)
+    cls = np.repeat(lo, per) + _ragged_arange(per)
+    own = g % cells
+    coords = [own // m**k % m for k in range(d)]
+    parity = (sum((a & 1) << k for k, a in enumerate(coords))
+              if offsets.shape[0] > 1 else 0)
+    off = offsets[parity]                        # (combos, K, d)
+    partner = sum(((a[:, None] + off[..., k]) & (m - 1)) * m**k
+                  for k, a in enumerate(coords))
+    tkey = rj[cls][:, None] * cells + partner
+    nb = cnt[tkey]
+    same_layer = (ri[cls] == rj[cls])[:, None]
+    keep = (nb > 0) & ~(same_layer & (partner < own[:, None]))
+    combo = np.nonzero(keep)[0]
+    return (start[g[combo]], cnt[g[combo]], start[tkey[keep]], nb[keep],
+            cls[combo], (same_layer & (partner == own[:, None]))[keep])
+
+
+def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar=None):
+    """Keys u * n + v of the pairs u < v that are edges: coin <= p, or
+    coin * pbar <= p for candidates drawn under the bound pbar.  p and the
+    coin uniform_array(master_seed, "edges", u * n + v) are computed as in
+    the all-pairs sweep, bit for bit."""
+    n = w.shape[0]
+    dist = tmp = None
+    for k, x in enumerate(axes):
+        dx = x[u]
+        dx -= x[v]
+        np.abs(dx, out=dx)
+        if tmp is None:
+            tmp = np.empty_like(dx)
+        np.minimum(dx, np.subtract(1.0, dx, out=tmp), out=dx)
+        if spec.d == 1:
+            dist = dx
+            break
+        np.multiply(dx, dx, out=dx)
+        dist = dx if k == 0 else np.add(dist, dx, out=dist)
+    if spec.d > 1:
+        np.sqrt(dist, out=dist)
+    wprod = w[u]
+    wprod *= w[v]
+    with np.errstate(divide="ignore", over="ignore"):
+        p = _power_kernel(wprod, _dist_pow(dist, spec.d, out=dist), float(n),
+                          spec.alpha, spec.c, spec.c1_threshold, out=dist)
+    keys = u * n
+    keys += v
+    words = keys.astype(np.uint64)
+    words *= _NP_GOLDEN
+    words += np.uint64(stream_key(master_seed, "edges"))
+    coins = _uniform_from_words(_mix64_np(words, tmp.view(np.uint64)),
+                                out=wprod)
+    if pbar is not None:
+        coins *= pbar
+    return keys[coins <= p]
+
+
+def _coin_edges(spec, master_seed, axes, w, order, a0, na, b0, nb, same):
+    """Yields the edge keys among all pairs of the blocks, in chunks of
+    whole rows."""
+    k = np.repeat(np.arange(na.size), na)
+    pa = a0[k] + _ragged_arange(na)
+    first = np.where(same[k], pa + 1, b0[k])
+    cols = b0[k] + nb[k] - first
+    ends = np.cumsum(cols)
+    cuts = np.searchsorted(ends, np.arange(
+        _CHUNK, ends[-1] if ends.size else 0, _CHUNK))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, cols.size]):
+        c = cols[lo:hi]
+        a = np.repeat(order[pa[lo:hi]], c)
+        b = order[np.repeat(first[lo:hi], c) + _ragged_arange(c)]
+        yield _edge_keys(spec, master_seed, axes, w, np.minimum(a, b),
+                         np.maximum(a, b))
+
+
+def _skip_candidates(master_seed, labels, begin, end, pbar):
+    """Geometric skipping: yields (c, t) arrays in chunks, where each index
+    t in [begin[c], end[c]) of space c is a candidate independently with
+    probability pbar[c] (0 < pbar < 1).  Draw number k of space c is the
+    uniform (master_seed, labels[c], k) and skips floor(log U / log(1 -
+    pbar)) indices, so the candidates do not depend on the chunking.
+    """
+    keys = np.array([stream_key(master_seed, lab) for lab in labels],
+                    dtype=np.uint64)
+    log_q = np.log1p(-pbar)
+    drawn = np.zeros(len(labels), dtype=np.int64)
+    last = begin - 1
+    live = np.flatnonzero(end > begin)
+    while live.size:
+        mu = (end[live] - 1 - last[live]) * pbar[live]
+        want = np.minimum(np.ceil(mu + 4.0 * np.sqrt(mu) + 4.0),
+                          _CHUNK).astype(np.int64)
+        take = max(1, int(np.searchsorted(np.cumsum(want), _CHUNK, "right")))
+        cls, want = live[:take], want[:take]
+        c = np.repeat(cls, want)
+        words = (_ragged_arange(want) + drawn[c]).astype(np.uint64)
+        words *= _NP_GOLDEN
+        words += keys[c]
+        gap = np.log(_uniform_from_words(_mix64_np(words)))
+        gap /= log_q[c]
+        np.floor(gap, out=gap)
+        np.minimum(gap, (end - begin)[c], out=gap)
+        pos = gap.astype(np.int64)
+        pos += 1
+        first = np.cumsum(want) - want
+        base = last[cls] + pos[first]
+        np.cumsum(pos, out=pos)
+        pos += np.repeat(base - pos[first], want)
+        keep = pos < end[c]
+        yield c[keep], pos[keep]
+        drawn[cls] += want
+        last[cls] = pos[first + want - 1]
+        live = np.concatenate([cls[last[cls] < end[cls] - 1], live[take:]])
+
+
+def _skip_edges(spec, master_seed, axes, w, order, a0, na, b0, nb, cls,
+                labels, pbar):
+    """Yields the edge keys among the type II pairs of the blocks: the
+    blocks of class c, in order, make its flat index space, drawn under
+    pbar[c]."""
+    by = np.argsort(cls, kind="stable")
+    a0, b0, nb, cls = a0[by], b0[by], nb[by], cls[by]
+    size = na[by] * nb
+    ends = np.cumsum(size)
+    space_end = np.cumsum(np.bincount(cls, weights=size,
+                                      minlength=len(labels))).astype(np.int64)
+    space_begin = np.r_[0, space_end[:-1]]
+    for c, t in _skip_candidates(master_seed, labels, space_begin, space_end,
+                                 pbar):
+        if not t.size:
+            continue
+        # t ascends, so only the blocks from t[0]'s to t[-1]'s are searched
+        lo, hi = np.searchsorted(ends, t[[0, -1]], "right")
+        k = lo + np.searchsorted(ends[lo:hi + 1], t, "right")
+        q, r = np.divmod(t - (ends[k] - size[k]), nb[k])
+        a, b = order[a0[k] + q], order[b0[k] + r]
+        yield _edge_keys(spec, master_seed, axes, w, np.minimum(a, b),
+                         np.maximum(a, b), pbar[c])
+
+
+def _cell_pairs(spec: Girg, master_seed, vs: VertexSet, plan: _CellPlan):
+    """Edges (u, v), u < v, by weight layers x cells; see above."""
+    n, d = vs.n, spec.d
+    axes = [np.ascontiguousarray(col) for col in vs.positions.T]
+    w = vs.weights
+    # finest-level cell coordinates; x + 1/2 and the power-of-two scaling
+    # are exact, and x = 1/2 wraps to cell 0 like -1/2
+    grid = ((vs.positions + 0.5) * float(1 << plan.finest)).astype(np.int64)
+    present = np.unique(plan.layer)
+    iu = np.triu_indices(present.size)
+    ci, cj = present[iu[0]], present[iu[1]]
+    s = ci + cj
+    base = plan.base[s]
+    keys = []
+    for level in range(int(base.max()) + 1):
+        m = 1 << level
+        near = base == level
+        pbar = np.zeros(s.size)
+        far = np.zeros(s.size, dtype=bool)
+        if level >= 2:
+            far = base >= level
+            pbar[far] = _type_two_bound(spec, n, s[far], level)
+            far &= pbar > 0.0
+        # a far class whose bound is 1 makes every pair a candidate, so its
+        # coins decide it; the others are drawn by skipping
+        far_coin = far & (pbar >= 1.0)
+        skip = far & ~far_coin
+        if not (near.any() or far.any()):
+            continue
+        coarse = (grid >> (plan.finest - level)) & (m - 1)
+        cell = sum(coarse[:, k] * m**k for k in range(d))
+        index = _level_index(plan.layer, cell, m**d, np.union1d(
+            ci[near | far], cj[near | far]))
+        order = index[1]
+        for by_coin, is_far in ((near, False), (far_coin, True)):
+            if by_coin.any():
+                a0, na, b0, nb, _, same = _cell_blocks(
+                    index, m, ci[by_coin], cj[by_coin],
+                    _cell_offsets(level, d, is_far))
+                keys.extend(_coin_edges(spec, master_seed, axes, w, order,
+                                        a0, na, b0, nb, same))
+        if skip.any():
+            a0, na, b0, nb, cls, _ = _cell_blocks(
+                index, m, ci[skip], cj[skip], _cell_offsets(level, d, True))
+            labels = [f"skip:{i}:{j}:{level}"
+                      for i, j in zip(ci[skip], cj[skip])]
+            keys.extend(_skip_edges(spec, master_seed, axes, w, order, a0,
+                                    na, b0, nb, cls, labels, pbar[skip]))
+    edges = np.sort(np.concatenate(keys)) if keys else np.zeros(0, np.int64)
+    return edges // n, edges % n
 
 
 def _edge_lengths(master_seed, u, v, n, length_law):
@@ -569,7 +926,12 @@ def check_vertex_count(n: int) -> None:
 
 def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
              weight_cap: float | None = None) -> Graph:
-    """Sample a graph; identical (spec, seed, law) gives identical bytes."""
+    """Sample a graph; identical (spec, seed, law) gives identical bytes.
+
+    Girg edges come from the cell sampler when it is expected to examine
+    fewer pairs' worth of work than the all-pairs sweep, which draws every
+    other graph.
+    """
     if isinstance(spec, Girg):
         check_vertex_count(spec.n)
         pos = _uniform_positions(master_seed, spec.n, spec.d, 1.0)
@@ -608,5 +970,10 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         vs = VertexSet(spec.window, x[:, None], np.maximum(w, 1.0))
     else:
         raise TypeError(f"unknown model spec {type(spec).__name__}")
-    u, v, ls = _sample_edges(spec, master_seed, vs, length_law)
+    plan = _cell_plan(spec, vs.weights) if isinstance(spec, Girg) else None
+    if plan is not None and plan.pays_off(vs.n):
+        u, v = _cell_pairs(spec, master_seed, vs, plan)
+    else:
+        u, v = _pairwise_pairs(spec, master_seed, vs)
+    ls = _edge_lengths(master_seed, u, v, vs.n, length_law)
     return Graph(vs, u, v, ls, spec=spec, seed=master_seed)

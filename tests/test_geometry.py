@@ -141,6 +141,45 @@ def test_locate_matches_linear_scan():
             assert (k[i], row[i]) == (want_k[i], want_row[i]), (trial, x)
 
 
+def test_locate_face_points_match_linear_scan():
+    # Integer-grid points (as in SFP graphs) on systems whose level-0
+    # anchors sit on integers up to rounding: the sub-box side is
+    # exp(ln s) for an integer s and the corner is shifted onto an
+    # integer.  Most points then lie on a cell face, where a rounded grid
+    # index alone can name the neighbouring cell.  Anchors, anchor + side
+    # and the float just below each anchor are added for every annulus.
+    checked = moved = 0
+    for d, s, C, D in ((1, 16, 1.1, 1.6), (1, 25, 1.2, 1.9), (1, 7, 1.05, 1.4),
+                       (2, 3, 1.1, 1.5), (2, 6, 1.2, 1.7), (2, 4, 1.05, 1.9)):
+        M = d * math.log(s)
+        half = math.exp(M * D / d) / 2.0
+        for shift in range(3):
+            center = np.full(d, half - math.floor(half) + shift)
+            b = build_boxing(Window(d, 8.0 * half * C**3 + 20.0), center, M,
+                             C, D, C - 1.0)
+            lo = int(math.floor(center[0] - b.annuli[-1].outer_half)) - 1
+            hi = int(math.ceil(center[0] + b.annuli[-1].outer_half)) + 1
+            grid = np.arange(lo, hi + 1, dtype=np.float64)
+            pts = [np.stack(np.meshgrid(*[grid] * d, indexing="ij"),
+                            axis=-1).reshape(-1, d)]
+            for ann in b.annuli:
+                pts += [ann.anchors, ann.anchors + ann.subbox_side,
+                        np.nextafter(ann.anchors, -np.inf)]
+            xs = np.concatenate(pts)
+            xs = xs[np.all(np.abs(xs) <= b.window.side / 2.0, axis=1)]
+            k, row = locate_subbox(b, xs)
+            want_k, want_row = _linear_scan(b, xs)
+            assert np.array_equal(k, want_k) and np.array_equal(row, want_row)
+            near = np.floor((xs - (b.center - b.annuli[0].outer_half))
+                            / b.annuli[0].subbox_side)
+            lo0 = b.center - b.annuli[0].outer_half \
+                + near * b.annuli[0].subbox_side
+            moved += int(np.any(xs < lo0, axis=1).sum())
+            checked += int((want_k >= 0).sum())
+    # the points do hit faces where the rounded index is a cell off
+    assert checked > 1000 and moved > 50
+
+
 def _random_systems(n, seed=5150):
     rng = np.random.default_rng(seed)
     out = []

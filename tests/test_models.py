@@ -205,10 +205,15 @@ def test_lengths_coupled_across_laws():
     assert np.all(bare.lengths == 1.0)
 
 
-# sha256 of write_graph_text(generate(spec, seed, law)), recorded with the
-# single-threaded blocked sweep; any change to a generated graph shows here.
+# sha256 of write_graph_text(generate(spec, seed, law)), recorded with one
+# thread; any change to a generated graph shows here.  generate draws
+# "girg-cells" with the cell sampler and "girg" with the all-pairs sweep
+# (at n = 2100 the sweep is the cheaper of the two); "girg-threshold" is the
+# same graph either way.
 GOLDEN_CASES = {
     "girg": (Girg(n=2100, d=2, tau=2.5, alpha=2.0, c=0.5), PolyAtZero(0.5)),
+    "girg-cells": (Girg(n=4096, d=2, tau=2.9, alpha=4.0, c=0.1),
+                   PolyAtZero(1.0)),
     "girg-threshold": (Girg(n=1100, d=1, tau=2.8, alpha=math.inf, c=1.0),
                        Exponential(2.0)),
     "igirg": (IgirgWindow(lam=1.0, d=1, side=1200.0, tau=2.3, alpha=3.0, c=1.0,
@@ -220,6 +225,8 @@ GOLDEN_CASES = {
 GOLDEN_DIGESTS = {
     ("girg", 1): "72559be6e708a8eb2530c890a23ccf309964d5122ff5b6b20d207a77c37523b8",
     ("girg", 2026): "52e60f0e186da455334921c07cb1dd295149ec68d61f43cb037186198b97e1ed",
+    ("girg-cells", 1): "aa60800684812681bf6ed90abdfef1d4f170491a1018f4b82bc12a82777934c2",
+    ("girg-cells", 2026): "6bcc3c346c96c56aae9bc74d4eac074f086db74087e867112bc0ad4c3761e088",
     ("girg-threshold", 1): "4502e656a8b61024eeadeb65d03aef60dc464bd25924be4f48a3a5c114db71c6",
     ("girg-threshold", 2026): "3c170329a5941d0ab77029418f5895012bfe0e5a1465b4e202e065bff9755e4c",
     ("igirg", 1): "60029fa73510e1d11654f9e12f15b333498ac160bbe11421dc5b5cc1561f28f8",
@@ -420,3 +427,183 @@ def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
     for pairs in ([(0, 1), (0, 1)], [(1, 2), (0, 1), (1, 2)]):
         with pytest.raises(ValueError, match="duplicate"):
             _line_graph(4, pairs)
+
+
+# ---------------------------------------------------------------------------
+# the Girg cell sampler against the private all-pairs sweep
+
+EQUIV_SPECS = {
+    "alpha2-d2": Girg(n=1024, d=2, tau=2.5, alpha=2.0, c=0.5),
+    "criterion5": Girg(n=1024, d=2, tau=2.9, alpha=4.0, c=0.1),
+    # the radius is a whole number of cell sides (x = 8), so pbar is 1 at
+    # every base level from 2 on
+    "pbar1-d1": Girg(n=1024, d=1, tau=2.5, alpha=2.0, c=1.0),
+}
+EQUIV_SEEDS = range(24)
+
+
+def _vertices(spec, seed):
+    pos = models._uniform_positions(seed, spec.n, spec.d, 1.0)
+    return VertexSet(spec.window, pos,
+                     models._pareto_weights(seed, spec.n, spec.tau))
+
+
+def _cell_and_pairwise(spec, seed):
+    vs = _vertices(spec, seed)
+    plan = models._cell_plan(spec, vs.weights)
+    return (vs, plan, models._cell_pairs(spec, seed, vs, plan),
+            models._pairwise_pairs(spec, seed, vs))
+
+
+def _edge_set(u, v, n):
+    """Sorted pair keys; fails on a self-loop or a duplicate pair."""
+    keys = np.sort(u.astype(np.int64) * n + v)
+    assert (u < v).all() and (np.diff(keys) > 0).all()
+    return keys
+
+
+def _same_graph(a, b, n):
+    return np.array_equal(_edge_set(*a, n), _edge_set(*b, n))
+
+
+def _pair_classes(spec, vs, plan):
+    """Independent classification of every pair u < v: (iu, iv, p, level),
+    level -1 for a type I pair, else the level of its type II class."""
+    n = spec.n
+    iu, iv = np.triu_indices(n, 1)
+    axes = [np.ascontiguousarray(x) for x in vs.positions.T]
+    sq = 0.0
+    for x in axes:
+        dx = np.abs(x[iu] - x[iv])
+        sq = sq + np.minimum(dx, 1.0 - dx) ** 2
+    p = np.asarray(connect_prob(spec, vs.weights[iu], vs.weights[iv],
+                                np.sqrt(sq)))
+    base = plan.base[plan.layer[iu] + plan.layer[iv]]
+    level = np.full(iu.size, -1)
+    for lev in range(int(base.max()), 0, -1):
+        m = 2**lev
+        apart = np.zeros(iu.size, dtype=bool)
+        for x in axes:
+            cell = np.floor((x + 0.5) * m).astype(np.int64) % m
+            gap = np.abs(cell[iu] - cell[iv])
+            apart |= np.minimum(gap, m - gap) > 1
+        # the coarsest level at or below base where the cells part
+        level[apart & (lev <= base)] = lev
+    return iu, iv, p, level
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
+def test_cell_sampler_decides_each_pair_by_its_class(name):
+    spec = EQUIV_SPECS[name]
+    far_edges = 0
+    for seed in range(3):
+        vs, plan, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
+        cell = np.zeros(spec.n * spec.n, dtype=bool)
+        cell[_edge_set(u, v, spec.n)] = True
+        pair = np.zeros(spec.n * spec.n, dtype=bool)
+        pair[_edge_set(pu, pv, spec.n)] = True
+        iu, iv, p, level = _pair_classes(spec, vs, plan)
+        keys = iu * spec.n + iv
+        coins = uniform_array(seed, "edges", keys)
+        near = level < 0
+        # type I: the pair's own coin, as in the sweep
+        assert np.array_equal(cell[keys[near]], coins[near] <= p[near])
+        assert np.array_equal(pair[keys[near]], cell[keys[near]])
+        # type II: an edge only when coin * pbar <= p, pbar the class bound
+        s = plan.layer[iu] + plan.layer[iv]
+        pbar = np.minimum(1.0, spec.c * (2.0 ** (s + 2) / (
+            spec.n * 2.0 ** (-level * spec.d))) ** spec.alpha)
+        hit = ~near & cell[keys]
+        assert (coins[hit] * pbar[hit] <= p[hit]).all()
+        assert (p[hit] <= pbar[hit]).all()
+        # a class with pbar = 1 makes every pair a candidate: its own coin
+        every = ~near & (pbar >= 1.0)
+        assert np.array_equal(cell[keys[every]], coins[every] <= p[every])
+        far_edges += int(hit.sum())
+        assert (~near).sum() > 0.5 * keys.size      # most pairs are far
+    assert far_edges >= 3
+
+
+@pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
+def test_cell_sampler_matches_pairwise_in_distribution(name):
+    spec = EQUIV_SPECS[name]
+    bins = np.logspace(-8.0, 0.0, 17)
+    diffs, deg_diffs = [], []
+    obs = np.zeros(bins.size + 1)
+    ref = np.zeros(bins.size + 1)
+    mean = np.zeros(bins.size + 1)
+    var = np.zeros(bins.size + 1)
+    for seed in EQUIV_SEEDS:
+        vs, plan, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
+        diffs.append(u.size - pu.size)
+        # degree by weight decade: cell minus pairwise, per decade
+        dec = np.floor(np.log10(vs.weights)).astype(np.int64)
+        deg = np.bincount(u, minlength=spec.n) + np.bincount(v, minlength=spec.n)
+        pdeg = (np.bincount(pu, minlength=spec.n)
+                + np.bincount(pv, minlength=spec.n))
+        deg_diffs.append([(deg - pdeg)[dec == k].sum() for k in range(3)])
+        # kernel-bin frequencies over the far (type II) pairs
+        iu, iv, p, level = _pair_classes(spec, vs, plan)
+        far = level >= 0
+        which = np.digitize(p[far], bins)
+        keys = (iu * spec.n + iv)[far]
+        cell = np.zeros(spec.n * spec.n, dtype=bool)
+        cell[_edge_set(u, v, spec.n)] = True
+        pair = np.zeros(spec.n * spec.n, dtype=bool)
+        pair[_edge_set(pu, pv, spec.n)] = True
+        cell, pair = cell[keys], pair[keys]
+        obs += np.bincount(which, weights=cell, minlength=bins.size + 1)
+        ref += np.bincount(which, weights=pair, minlength=bins.size + 1)
+        mean += np.bincount(which, weights=p[far], minlength=bins.size + 1)
+        var += np.bincount(which, weights=p[far] * (1 - p[far]),
+                           minlength=bins.size + 1)
+    diffs = np.asarray(diffs, dtype=np.float64)
+    # edge counts: a paired t statistic of cell minus pairwise
+    t = diffs.mean() / (diffs.std(ddof=1) / math.sqrt(diffs.size))
+    assert abs(t) < 4.0, (diffs.mean(), t)
+    assert diffs.std() > 0                         # far edges do differ
+    deg_diffs = np.asarray(deg_diffs, dtype=np.float64)
+    for k in range(3):
+        col = deg_diffs[:, k]
+        if col.std(ddof=1) > 0:
+            assert abs(col.mean()) < 4.0 * col.std(ddof=1) / math.sqrt(col.size)
+    # per kernel bin: both samplers land within 4 sd of the expected count
+    live = mean >= 5.0
+    assert live.sum() >= 4
+    for got in (obs, ref):
+        z = (got[live] - mean[live]) / np.sqrt(var[live])
+        assert (np.abs(z) < 4.0).all(), z
+
+
+def test_cell_sampler_threshold_kernel_equals_pairwise():
+    # pbar is 0 or 1 under the threshold kernel, so every far candidate is
+    # decided by its coin as well: same graph, type II levels included
+    spec = Girg(n=2048, d=1, tau=2.5, alpha=math.inf, c=1.0)
+    for seed in range(5):
+        vs, plan, cell, pair = _cell_and_pairwise(spec, seed)
+        assert plan.base.max() >= 2
+        assert _same_graph(cell, pair, spec.n)
+
+
+@pytest.mark.parametrize("spec", [
+    Girg(n=700, d=2, tau=2.5, alpha=2.0, c=1e6),    # every base level is 0
+    Girg(n=15, d=2, tau=2.5, alpha=2.0, c=0.5),     # no level beyond 1
+    Girg(n=900, d=1, tau=2.2, alpha=3.0, c=1e12),
+])
+def test_cell_sampler_all_type_one_is_the_pairwise_graph(spec):
+    for seed in range(3):
+        vs, plan, cell, pair = _cell_and_pairwise(spec, seed)
+        assert plan.base.max() <= 1
+        assert cell[0].size > 0
+        assert _same_graph(cell, pair, spec.n)
+
+
+def test_generate_picks_the_sampler_from_the_examined_pairs():
+    for spec in (Girg(n=4096, d=2, tau=2.5, alpha=2.0, c=0.5),
+                 Girg(n=1024, d=2, tau=2.5, alpha=2.0, c=0.5)):
+        g = generate(spec, 5)
+        vs, plan, cell, pair = _cell_and_pairwise(spec, 5)
+        assert plan.pays_off(spec.n) == (spec.n == 4096)
+        assert not _same_graph(cell, pair, spec.n)
+        assert _same_graph((g.edges_u, g.edges_v),
+                           cell if spec.n == 4096 else pair, spec.n)
