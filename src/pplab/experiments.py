@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import models
 from .cost import classify, critical_beta, deg_f, fpp_explosion_functional
 from .metrics import distance_matrix, largest_component, n1t
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
@@ -147,24 +150,19 @@ class _Cell:
     def __init__(self, spec: SweepSpec, beta: float, n: int):
         self.spec, self.beta, self.n = spec, beta, n
         self.law = spec.law_family(beta)
-        self.seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
         self.dists: list = []
         self.fracs: list = []
         self.reason = None
 
-    def add(self, base: Graph, gi: int) -> None:
-        """Measure graph gi; a cell stops at its first failing graph."""
+    def add(self, frac, dists: list, reason) -> None:
+        """Merge one graph's measurement; a cell stops at its first failure."""
         if self.reason is not None:
             return
-        try:
-            g = relength(base, self.law)
-            self.fracs.append(len(largest_component(g)) / g.n)
-            self.dists.extend(two_point_distance(
-                g, self.spec.f, self.spec.pairs_per_graph,
-                derive_master(self.seed, f"pairs:{gi}")))
-        except ValueError as exc:
-            self.reason = ("giant-too-small" if "largest component" in str(exc)
-                           else f"failed: {exc}")
+        if frac is not None:
+            self.fracs.append(frac)
+        self.dists.extend(dists)
+        if reason is not None:
+            self.reason = reason
             self.dists = []
 
     def result(self) -> CellResult:
@@ -184,25 +182,92 @@ class _Cell:
             near_critical=_near_critical(spec.f, spec.base.tau, beta))
 
 
+def _measure_graph(spec: SweepSpec, job) -> list:
+    """Draw base graph (n, gi) and measure it at every beta of the grid.
+
+    Returns one (giant fraction, distances, failure reason) per beta; the
+    fraction is None when relength itself failed.  Each beta's pairs come
+    from the cell's own seed, so the result does not depend on which
+    process runs the job or in what order.
+    """
+    n, gi = job
+    base = generate(replace(spec.base, n=n),
+                    derive_master(spec.seed, f"graph:{n}:{gi}"))
+    out = []
+    for beta in spec.beta_grid:
+        frac, dists, reason = None, [], None
+        try:
+            g = relength(base, spec.law_family(beta))
+            frac = len(largest_component(g)) / g.n
+            cell_seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
+            dists = two_point_distance(g, spec.f, spec.pairs_per_graph,
+                                       derive_master(cell_seed, f"pairs:{gi}"))
+        except ValueError as exc:
+            reason = ("giant-too-small" if "largest component" in str(exc)
+                      else f"failed: {exc}")
+        out.append((frac, dists, reason))
+    return out
+
+
+_worker_spec = None                # the sweep a pool worker serves
+
+
+def _init_worker(spec: SweepSpec) -> None:
+    global _worker_spec
+    _worker_spec = spec
+    models._SWEEP_THREADS = 1      # the workers already fill every CPU
+
+
+def _measure_graph_in_worker(job) -> list:
+    return _measure_graph(_worker_spec, job)
+
+
+def _pool_map(spec: SweepSpec, jobs: list, workers: int) -> list:
+    """Jobs over a fork pool; the spec is inherited, never pickled.
+
+    Only (n, gi) and the per-beta results cross the pipe, so a spec holding
+    a lambda works.  Every worker is joined before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(spec,))
+    try:
+        return list(pool.map(_measure_graph_in_worker, jobs))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def phase_sweep(spec: SweepSpec) -> list:
-    """Run every (beta, n) cell serially, one base graph alive at a time.
+    """Run every (beta, n) cell, one job per (size, graph index).
 
     Graphs are shared across the beta grid of a given size: adjacency is
     drawn once per (size, graph index) and only edge lengths are redrawn
     per beta, which is exactly the coupling the length-law streams provide.
-    Each base graph is measured at every beta and then dropped, so one
-    graph and its CSR are held at a time.  The base graph is drawn with
-    unit lengths: every cell relengths it, the first beta's included.
+    A job draws its base graph with unit lengths, measures it at every beta
+    and drops it, so each process holds one graph and its CSR at a time.
+    Jobs go largest size first to a fork process pool with one worker per
+    usable CPU; with one CPU, one job or no fork they run in this process.
+    Either way the per-graph results merge into the cells in (size, graph
+    index) order, and every seed comes from `derive_master`, so the cells
+    are the same bit for bit.
     """
+    jobs = [(n, gi) for n in sorted(set(spec.size_grid), reverse=True)
+            for gi in range(spec.graphs_per_cell)]
+    workers = min(models._available_cpus(), len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        results = _pool_map(spec, jobs, workers)
+    else:
+        results = list(map(partial(_measure_graph, spec), jobs))
+    by_job = dict(zip(jobs, results))
     cells = []
     for n in spec.size_grid:
         row = [_Cell(spec, beta, n) for beta in spec.beta_grid]
         for gi in range(spec.graphs_per_cell):
-            base = generate(replace(spec.base, n=n),
-                            derive_master(spec.seed, f"graph:{n}:{gi}"))
-            for cell in row:
-                cell.add(base, gi)
-            del base               # freed before the next graph is drawn
+            for cell, measured in zip(row, by_job[n, gi]):
+                cell.add(*measured)
         cells.extend(cell.result() for cell in row)
     cells.sort(key=lambda c: (c.beta, c.n))
     return cells

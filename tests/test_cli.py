@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from pplab import experiments
+from pplab import experiments, models
 from pplab.cli import (
     ConfigError,
     main,
@@ -488,6 +489,21 @@ def test_cmd_sweep_refuses_bad_configs_before_generating(tmp_path, capsys,
     cfg.write_text(SWEEP_CFG + "workers = 2\n")
     rc, _, err = _run(capsys, "sweep", "--config", str(cfg))
     assert rc == 2 and "unknown config key 'workers'" in err
+
+
+def test_cmd_sweep_exits_3_when_a_pool_worker_fails(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken_generate(*args, **kwargs):
+        raise ZeroDivisionError("no graph today")
+
+    monkeypatch.setattr(experiments, "generate", broken_generate)
+    monkeypatch.setattr(models, "_available_cpus", lambda: 2)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)            # one size x 2 graphs: two jobs
+    rc, out, err = _run(capsys, "sweep", "--config", str(cfg))
+    assert (rc, out) == (3, "")
+    assert err == "runtime failure: no graph today\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_cmd_params_passes_independent_recheck(capsys):

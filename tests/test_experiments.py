@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from pplab import calibration
+from pplab import calibration, experiments, models
 from pplab.cost import monomial_penalty, product_penalty
 from pplab.experiments import (
     AsymmetrySideResult,
@@ -203,6 +205,96 @@ def test_sweep_csv_pinned_with_a_cell_failing_after_its_first_graph():
     for c in cells:
         assert c.reason == ("giant-too-small" if c.n == 8 else None)
         assert c.distances.size == (0 if c.n == 8 else 12)
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """Counts the sweeps that go to the process pool."""
+    calls = []
+    real = experiments._pool_map
+
+    def spy(spec, jobs, workers):
+        calls.append(workers)
+        return real(spec, jobs, workers)
+
+    monkeypatch.setattr(experiments, "_pool_map", spy)
+    return calls
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(models, "_available_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_pinned_sweep_csv_on_the_pool_and_the_builtin_map(monkeypatch,
+                                                          pool_calls, cpus):
+    _with_cpus(monkeypatch, cpus)
+    test_sweep_csv_pinned_with_a_cell_failing_after_its_first_graph()
+    assert pool_calls == ([] if cpus == 1 else [3])
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_and_builtin_map_write_the_same_bytes(monkeypatch, pool_calls):
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),
+                     f=PROD, law_family=PolyAtZero, beta_grid=(1.0, 0.1),
+                     size_grid=(256, 512), pairs_per_graph=6,
+                     graphs_per_cell=3, seed=91)
+    real_generate = experiments.generate
+
+    def one_thread_generate(*args, **kwargs):
+        # every job in a pool worker runs the pair sweep on one thread
+        if pool_calls and models._SWEEP_THREADS != 1:
+            raise RuntimeError("a pool worker kept the parent's threads")
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate", one_thread_generate)
+    _with_cpus(monkeypatch, 1)
+    serial = sweep_to_csv(phase_sweep(spec))
+    assert pool_calls == []
+    _with_cpus(monkeypatch, 3)
+    assert sweep_to_csv(phase_sweep(spec)) == serial
+    assert pool_calls == [3]
+    assert models._SWEEP_THREADS is None      # the parent's is untouched
+    assert len(serial.splitlines()) == 5
+    assert "nan" not in serial
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_runs_a_spec_whose_law_family_is_a_lambda(monkeypatch,
+                                                       pool_calls):
+    # criterion 3's spec: a lambda cannot be pickled, so the spec must reach
+    # the workers through fork alone
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),
+                     f=product_penalty(0.0),
+                     law_family=lambda b: Exponential(b), beta_grid=(1.0,),
+                     size_grid=(128, 256), pairs_per_graph=4,
+                     graphs_per_cell=2, seed=5)
+    _with_cpus(monkeypatch, 1)
+    serial = sweep_to_csv(phase_sweep(spec))
+    _with_cpus(monkeypatch, 3)
+    assert sweep_to_csv(phase_sweep(spec)) == serial
+    assert pool_calls == [3]
+    assert ",FppExplosive," in serial
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_caller_and_no_worker_survives(
+        monkeypatch, pool_calls):
+    parent = os.getpid()
+
+    def broken_generate(*args, **kwargs):
+        raise ZeroDivisionError(f"drawn in {os.getpid() != parent}")
+
+    monkeypatch.setattr(experiments, "generate", broken_generate)
+    _with_cpus(monkeypatch, 3)
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),
+                     f=PROD, law_family=PolyAtZero, beta_grid=(0.1,),
+                     size_grid=(64, 128), pairs_per_graph=2,
+                     graphs_per_cell=3, seed=2)
+    with pytest.raises(ZeroDivisionError, match="drawn in True"):
+        phase_sweep(spec)
+    assert pool_calls == [3]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_empty_cell_reason():
