@@ -23,7 +23,7 @@ import numpy as np
 
 from . import models
 from .cost import classify, critical_beta, deg_f, fpp_explosion_functional
-from .metrics import distance_matrix, largest_component, n1t
+from .metrics import largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
                      generate, relength)
 from .rng import EdgeLengthLaw, SeedSpec, derive_master, uniform
@@ -108,7 +108,8 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
 
     Vertices are rejection-sampled uniformly over [n] until both land in
     the largest component (ties broken by lowest vertex id upstream) and
-    differ; distance is measured outward from the first of the pair.
+    differ.  pair_distances measures each outward from its first vertex,
+    bit for bit as the full search from that vertex does.
     """
     if pairs < 0:
         raise ValueError("pairs must be >= 0")
@@ -138,10 +139,7 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
         while b == a:
             b = draw()
         chosen.append((a, b))
-    sources = sorted({a for a, _ in chosen})
-    index = {s: i for i, s in enumerate(sources)}
-    dmat = distance_matrix(g, f, sources, "outward")
-    return [float(dmat[index[a], b]) for a, b in chosen]
+    return pair_distances(g, f, chosen, "outward").tolist()
 
 
 class _Cell:

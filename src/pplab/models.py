@@ -454,7 +454,8 @@ def _available_cpus() -> int:
 
 
 def _pairwise_pairs(spec, master_seed, vs: VertexSet):
-    """Edges (u, v), u < v, of a blocked upper-triangle sweep over all pairs.
+    """Edges (u, v), u < v, in (u, v) order, of a blocked upper-triangle
+    sweep over all pairs.
 
     Every pair gets its coin compared against p (a coin is always > 0 and
     <= 1, so p = 0 never fires and p = 1 always does); the coin for pair
@@ -484,7 +485,7 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
                           (np.float64, np.float64, np.float64,
                            np.uint64, np.uint64, bool)]
         i1 = min(i0 + _BLOCK, n)
-        us, vls = [], []
+        keys = []
         for j0 in range(i0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
             bi, bw = i1 - i0, j1 - j0
@@ -507,10 +508,8 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
             if i0 == j0:
                 accept &= tri[:bi, :bw]
             idx = np.flatnonzero(accept)
-            if idx.size:
-                us.append(i0 + idx // bw)
-                vls.append(j0 + idx % bw)
-        return us, vls
+            keys.append((i0 + idx // bw) * n + j0 + idx % bw)
+        return keys
 
     rows = range(0, n, _BLOCK)
     threads = min(_SWEEP_THREADS or _available_cpus(), len(rows))
@@ -519,11 +518,8 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
             parts = list(pool.map(sweep_row, rows))
     else:
         parts = [sweep_row(i0) for i0 in rows]
-    us = [x for row_us, _ in parts for x in row_us]
-    vls = [x for _, row_vs in parts for x in row_vs]
-    if us:
-        return np.concatenate(us), np.concatenate(vls)
-    return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    edges = np.sort(np.concatenate([k for row in parts for k in row]))
+    return edges // n, edges % n
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ from pplab.metrics import (
     greedy_bound_report,
     largest_component,
     n1t,
+    pair_distances,
     realized_path,
     saw_path_count,
 )
-from pplab.models import Girg, Graph, IgirgWindow, VertexSet, generate
+from pplab.models import Girg, Graph, IgirgWindow, VertexSet, generate, relength
 from pplab.rng import PointMass, PolyAtZero
 
 ONE = product_penalty(0.0)  # f == 1: cost reduces to raw length
@@ -259,6 +260,79 @@ def test_distance_matrix_edgeless():
     out = distance_matrix(g, ONE, [1])
     assert out[0, 1] == 0.0
     assert math.isinf(out[0, 0]) and math.isinf(out[0, 2])
+
+
+# ---------------------------------------------------------------------------
+# pair distances: hub-bounded, pruned searches against the full ones
+
+
+def _assert_pair_distances_exact(g, f, pairs, direction):
+    """pair_distances == the full scipy search == the heap search, bit for bit."""
+    got = pair_distances(g, f, pairs, direction)
+    full = [distance_matrix(g, f, [a], direction)[0][b] for a, b in pairs]
+    heap = [cost_search(g, f, a, direction).dist[b] for a, b in pairs]
+    assert np.array_equal(got, full), (direction, pairs, got, full)
+    assert np.array_equal(got, heap), (direction, pairs, got, heap)
+
+
+def _repeating_pairs(rng, n, count):
+    """(source, target) pairs drawn from a few sources, so sources repeat."""
+    sources = rng.integers(n, size=max(1, count // 3))
+    return [(int(rng.choice(sources)), int(rng.integers(n)))
+            for _ in range(count)]
+
+
+def test_pair_distances_equal_full_searches_on_random_graphs():
+    rng = np.random.default_rng(1101)
+    # strongly asymmetric penalties, heavier on either end of a hop
+    lopsided = [monomial_penalty(0.0, 3.0), monomial_penalty(3.0, 0.0),
+                monomial_penalty(0.5, 2.0)]
+    for trial in range(120):
+        g = _random_small_graph(rng, zero_lengths=trial % 2 == 1)
+        f = lopsided[trial % 3] if trial % 4 < 2 else _random_penalty(rng)
+        pairs = _repeating_pairs(rng, g.n, 8)
+        for direction in ("outward", "inward"):
+            _assert_pair_distances_exact(g, f, pairs, direction)
+
+
+def test_pair_distances_equal_full_searches_on_generated_graphs():
+    rng = np.random.default_rng(1102)
+    base = generate(Girg(n=400, d=2, tau=2.5, alpha=2.0, c=0.5), 1102)
+    for beta in (0.1, 1.0):
+        g = relength(base, PolyAtZero(beta))
+        for f in (product_penalty(1.0), monomial_penalty(0.2, 1.5)):
+            pairs = _repeating_pairs(rng, g.n, 24)
+            for direction in ("outward", "inward"):
+                got = pair_distances(g, f, pairs, direction)
+                full = distance_matrix(g, f, [a for a, _ in pairs], direction)
+                want = full[np.arange(len(pairs)), [b for _, b in pairs]]
+                assert np.array_equal(got, want)
+
+
+def test_pair_distances_on_zero_and_tied_lengths():
+    rng = np.random.default_rng(1103)
+    for ell in (0.0, 1.0):
+        for _ in range(20):
+            g = _random_small_graph(rng)
+            g = g.with_lengths(np.full(g.m, ell))
+            pairs = _repeating_pairs(rng, g.n, 6)
+            for f in (ONE, product_penalty(1.0), monomial_penalty(0.0, 2.0)):
+                for direction in ("outward", "inward"):
+                    _assert_pair_distances_exact(g, f, pairs, direction)
+
+
+def test_pair_distances_with_the_hub_outside_the_pairs_component():
+    # the heaviest vertex, 5, shares a component only with 4: sources 0-3
+    # get infinite bounds and run unbounded, source 4 a finite one
+    g = _hand_graph(6, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (0, 3, 4.0),
+                        (4, 5, 1.0)], weights=[1.0, 2.0, 1.0, 3.0, 1.0, 9.0])
+    f = monomial_penalty(1.0, 0.5)
+    pairs = [(0, 3), (3, 0), (1, 3), (0, 0), (0, 4), (4, 5), (4, 0)]
+    for direction in ("outward", "inward"):
+        _assert_pair_distances_exact(g, f, pairs, direction)
+    got = pair_distances(g, f, pairs)
+    assert got[3] == 0.0 and math.isinf(got[4]) and math.isinf(got[6])
+    assert pair_distances(g, f, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +811,16 @@ def test_saw_path_counts():
         saw_path_count(path, 0, 9)
     with pytest.raises(ValueError):
         saw_path_count(path, 0, -1)
+
+
+def test_saw_path_count_refuses_work_before_walking():
+    # K_10: 9*8*...*(10-k) paths of k edges; the walks from a vertex number
+    # sum_j 9^j, 6.0e5 up to k = 6 and 4.8e7 up to k = 8
+    iu, iv = np.triu_indices(10, 1)
+    k10 = _hand_graph(10, [(int(a), int(b), 1.0) for a, b in zip(iu, iv)])
+    assert saw_path_count(k10, 0, 6) == math.perm(9, 6)
+    with pytest.raises(ValueError, match="cap"):
+        saw_path_count(k10, 0, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,20 @@ def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
             _line_graph(4, pairs)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_pairwise_sweep_emits_edges_in_pair_order(monkeypatch, threads):
+    # several row blocks, finishing out of order on 3 threads; Graph then
+    # keeps the edges as they come instead of sorting them
+    monkeypatch.setattr(models, "_SWEEP_THREADS", threads)
+    for name in ("girg", "igirg", "sfp", "hrg"):
+        spec, _ = GOLDEN_CASES[name]
+        vs = generate(spec, 5).vertices
+        u, v = models._pairwise_pairs(spec, 5, vs)
+        keys = u * vs.n + v
+        assert vs.n > models._BLOCK and u.size and (u < v).all(), name
+        assert (np.diff(keys) > 0).all(), name
+
+
 # ---------------------------------------------------------------------------
 # the Girg cell sampler against the private all-pairs sweep
 
