@@ -1,14 +1,15 @@
 """Paired benchmark runs of two pplab checkouts, alternating between them.
 
     python3 tools/paired_bench.py --parent DIR --change DIR --out BENCH.json \
-        [--pairs 10] [--first-seed 301] [--seconds 30] \
-        [--workloads sweep,query,boxing]
+        --first-seed S0
 
-Pair i runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` in each checkout, with S = first seed + i on both sides.  The
-parent runs first in even pairs and the change first in odd ones, so a
-drift of the machine loads both sides alike.  Each checkout runs its own,
-unmodified perfbench.  For every end-to-end metric the output holds both
+The protocol is fixed: each of the benchmark's three workloads runs in 10
+pairs of 30 s runs (WORKLOADS, PAIRS, SECONDS).  Pair i runs
+``python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0``
+in each checkout, with S = S0 + i on both sides.  Pick an S0 that no run
+has used while building.  The parent runs first in even pairs and the
+change first in odd ones, so a drift of the machine loads both sides
+alike.  Each checkout runs its own, unmodified perfbench.  For every end-to-end metric the output holds both
 sides' medians and quartiles, change / parent, and the number of pairs in
 which the change came out lower.
 
@@ -35,6 +36,9 @@ import time
 from pathlib import Path
 
 METRICS = ("setup_s", "run_s", "op_p50_ms", "peak_rss_mb")
+WORKLOADS = ("sweep", "query", "boxing")
+PAIRS = 10
+SECONDS = 30
 SIDES = ("parent", "change")
 
 # One sweep in a fresh interpreter: argv = checkout, seed, scratch dir.
@@ -80,12 +84,11 @@ def machine() -> dict:
             "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
-def run_bench(checkout: Path, workload: str, seed: int,
-              seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run; its last stdout line is the result as JSON."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -140,10 +143,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=301)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", default="sweep,query,boxing")
+    ap.add_argument("--first-seed", type=int, required=True)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
@@ -154,9 +154,11 @@ def main(argv=None) -> int:
             return 2
 
     record = {
+        "tool": ("python3 tools/paired_bench.py --parent P --change C "
+                 f"--out {args.out.name} --first-seed {args.first_seed}"),
         "machine": machine(),
         "command": (f"python3 perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {SECONDS} --trace 0"),
         "pairing": (f"pair i uses seed {args.first_seed}+i on both sides; "
                     "the parent runs first in even pairs, the change first "
                     "in odd pairs"),
@@ -166,15 +168,15 @@ def main(argv=None) -> int:
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         runs = []
         record["workloads"][workload] = {"runs": runs}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for rank, side in enumerate(order):
                 t0 = time.perf_counter()
-                row = run_bench(checkouts[side], workload, seed, args.seconds)
+                row = run_bench(checkouts[side], workload, seed)
                 row.update(pair=i, seed=seed, side=side,
                            ran=("first", "second")[rank])
                 runs.append(row)
