@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -239,11 +240,30 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_generate_golden_digests():
+def _on_threads(threads, fn):
+    """The results of fn() called on `threads` threads released together."""
+    barrier = threading.Barrier(threads)
+
+    def call():
+        barrier.wait()
+        return fn()
+
+    with ThreadPoolExecutor(threads) as pool:
+        return [f.result() for f in [pool.submit(call)
+                                     for _ in range(threads)]]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_generate_golden_digests(threads):
+    # at 3, three callers generate the same graph at once; the sweep keeps
+    # its buffers per call, so they must not disturb each other
     for (name, seed), want in GOLDEN_DIGESTS.items():
         spec, law = GOLDEN_CASES[name]
-        text = write_graph_text(generate(spec, seed, law))
-        assert hashlib.sha256(text.encode()).hexdigest() == want, (name, seed)
+        texts = _on_threads(
+            threads, lambda: write_graph_text(generate(spec, seed, law)))
+        for text in texts:
+            assert hashlib.sha256(text.encode()).hexdigest() == want, (
+                name, seed)
 
 
 def test_generate_starts_no_thread(monkeypatch):
@@ -452,16 +472,22 @@ def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
             _line_graph(4, pairs)
 
 
-def test_pairwise_sweep_emits_edges_in_pair_order():
+@pytest.mark.parametrize("threads", [1, 3])
+def test_pairwise_sweep_emits_edges_in_pair_order(threads):
     # several blocks per row of blocks, so keys come out of (u, v) order
-    # until sorted; Graph then keeps the edges as they come
+    # until sorted; Graph then keeps the edges as they come.  At 3, three
+    # callers sweep the same vertices at once.
     for name in ("girg", "igirg", "sfp", "hrg"):
         spec, _ = GOLDEN_CASES[name]
         vs = generate(spec, 5).vertices
-        u, v = models._pairwise_pairs(spec, 5, vs)
-        keys = u * vs.n + v
-        assert vs.n > models._BLOCK and u.size and (u < v).all(), name
-        assert (np.diff(keys) > 0).all(), name
+        runs = _on_threads(threads,
+                           lambda: models._pairwise_pairs(spec, 5, vs))
+        for u, v in runs:
+            keys = u * vs.n + v
+            assert vs.n > models._BLOCK and u.size and (u < v).all(), name
+            assert (np.diff(keys) > 0).all(), name
+            assert np.array_equal(u, runs[0][0]), name
+            assert np.array_equal(v, runs[0][1]), name
 
 
 # ---------------------------------------------------------------------------
