@@ -476,8 +476,7 @@ def cmd_distance(args) -> int:
     for name, v in (("source", args.source), ("target", args.target)):
         if not 0 <= v < g.n:
             raise ConfigError(f"{name} {v} is not a vertex (n = {g.n})")
-    res = cost_search(g, f, args.source, direction=args.direction,
-                      target=args.target)
+    res = cost_search(g, f, args.source, direction=args.direction)
     d = float(res.dist[args.target])
     if not math.isfinite(d):
         print("distance inf")

@@ -3,7 +3,11 @@
 Distances minimise the sum of directed edge costs L_e * f(W_from, W_to)
 along paths; asymmetric penalties make the distance a quasimetric, so every
 search carries a direction: "outward" measures from the source, "inward"
-measures into it (the same search on the cost-reversed graph).
+measures into it (the same search on the cost-reversed graph).  Every
+search is scipy's compiled dijkstra on one view of the graph: its CSR with
+each slot's directed cost (_cost_matrix).  cost_search, distance_matrix
+and pair_distances differ only in which sources they run and where they
+may stop.
 
 The boxing half of the module (delta_good_scan, check_F2, greedy paths)
 operationalises the annulus events behind the explosive-path
@@ -12,7 +16,6 @@ asserting the asymptotic bounds.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -41,65 +44,43 @@ def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
     return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
 
 
+def _cost_matrix(g: Graph, f, direction: str) -> csr_matrix:
+    """The graph's CSR with each slot's directed cost, explicit zeros kept."""
+    indptr, nbr, _ = g.csr
+    return csr_matrix((_slot_costs(g, f, direction), nbr, indptr),
+                      shape=(g.n, g.n))
+
+
 @dataclass
 class CostSearchResult:
     source: int
     direction: str
-    settled: list                  # [(vertex, distance)] nondecreasing
-    frontier_exhausted: bool
-    dist: np.ndarray               # per-vertex distance, inf = not settled
+    settled: list                  # [(vertex, distance)] by (distance, id)
+    dist: np.ndarray               # per-vertex distance, inf = unreached
     parent: np.ndarray             # search-tree parent, -1 at source/unreached
 
 
-def cost_search(g: Graph, f, source: int, direction: str = "outward",
-                target: int | None = None) -> CostSearchResult:
-    """Dijkstra over directed costs, optionally stopping at a target.
+def cost_search(g: Graph, f, source: int,
+                direction: str = "outward") -> CostSearchResult:
+    """One full scipy Dijkstra from source over the directed costs.
 
-    Ties in distance settle by lowest vertex id.  With a target, the search
-    stops as soon as the target is settled, before relaxing its edges; the
-    vertices settled up to then, their distances and search-tree paths are
-    exactly those of the full search, and every other vertex reads inf.
-    frontier_exhausted is true when the search was not stopped at the
-    target, so the whole reachable set was settled.
+    The search runs on the same cost matrix as distance_matrix, so its
+    distances are those numbers.  settled lists every reached vertex in
+    (distance, id) order.  Under exactly tied path costs the parent is
+    scipy's choice, so realized_path gives a shortest path, not a
+    particular one.
     """
     if not 0 <= source < g.n:
         raise ValueError("source not in graph")
-    if target is not None and not 0 <= target < g.n:
-        raise ValueError("target not in graph")
-    cost = _slot_costs(g, f, direction)
-    indptr, nbr, _ = g.csr
-    rows = indptr.tolist()
-
-    # costs are >= 0, so a popped entry above its vertex's distance is stale
-    # and an edge back to a settled vertex never improves it
-    dist = [math.inf] * g.n
-    parent = [-1] * g.n
-    settled: list = []
-    exhausted = False
-    heap = [(0.0, source)]
-    dist[source] = 0.0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        settled.append((v, d))
-        if v == target:
-            break
-        lo, hi = rows[v], rows[v + 1]
-        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
-            nd = d + step
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = v
-                heapq.heappush(heap, (nd, u))
-    else:
-        exhausted = True
-    out = np.full(g.n, math.inf)
-    ids, ds = zip(*settled)
-    out[list(ids)] = ds
-    return CostSearchResult(source=source, direction=direction,
-                            settled=settled, frontier_exhausted=exhausted,
-                            dist=out, parent=np.array(parent, dtype=np.int64))
+    dist, pred = _csgraph_dijkstra(_cost_matrix(g, f, direction),
+                                   indices=source, return_predecessors=True)
+    reached = np.flatnonzero(np.isfinite(dist))
+    reached = reached[np.argsort(dist[reached], kind="stable")]
+    # scipy marks the source and unreached vertices with -9999
+    return CostSearchResult(
+        source=source, direction=direction,
+        settled=list(zip(reached.tolist(), dist[reached].tolist())),
+        dist=dist, parent=np.maximum(pred, -1).astype(np.int64))
 
 
 def realized_path(res: CostSearchResult, target: int):
@@ -112,21 +93,14 @@ def realized_path(res: CostSearchResult, target: int):
     return path[::-1]
 
 
-def _cost_matrix(g: Graph, f, direction: str) -> csr_matrix:
-    """The graph's CSR with each slot's directed cost, explicit zeros kept."""
-    indptr, nbr, _ = g.csr
-    return csr_matrix((_slot_costs(g, f, direction), nbr, indptr),
-                      shape=(g.n, g.n))
-
-
 def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndarray:
     """Bulk exact distances from each source (rows) to every vertex.
 
-    Same semantics as cost_search without a target: scipy's dijkstra runs on
-    the graph's CSR with the same per-slot costs.  Explicit zero costs stay
-    in the matrix, since zero-length edges are real zero-cost hops.  The
-    test suite holds the two searches equal.  A caller that needs only some
-    (source, target) pairs gets the same numbers faster from pair_distances.
+    Each row is cost_search's dist from that source, from the same scipy
+    dijkstra on the same cost matrix.  Explicit zero costs stay in the
+    matrix, since zero-length edges are real zero-cost hops.  A caller that
+    needs only some (source, target) pairs gets the same numbers faster
+    from pair_distances.
     """
     return _csgraph_dijkstra(_cost_matrix(g, f, direction),
                              indices=np.asarray(sources, dtype=np.int64))

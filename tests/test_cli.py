@@ -313,6 +313,47 @@ def test_cmd_distance_edge_cases(tmp_path, capsys):
     assert rc == 2 and "not a vertex" in err
 
 
+# a square of two two-hop routes from 0 to 3, 0-1-3 and 0-2-3, whose
+# lengths add up to 2.0 either way; under prod:0 a hop costs its length
+TIED_ROUTES = """\
+#format pplab-graph 1
+#model igirg
+#d 1
+#n 4
+#side 20.0
+v 0 -3.0 2.0
+v 1 0.0 3.0
+v 2 3.0 5.0
+v 3 8.0 1.0
+e 0 1 1.5
+e 0 2 0.5
+e 1 3 0.5
+e 2 3 1.5
+"""
+
+
+def test_cmd_distance_under_tied_routes(tmp_path, capsys):
+    p = tmp_path / "tied.graph"
+    p.write_text(TIED_ROUTES)
+    lengths = {frozenset((0, 1)): 1.5, frozenset((0, 2)): 0.5,
+               frozenset((1, 3)): 0.5, frozenset((2, 3)): 1.5}
+    for s, t, direction in ((0, 3, "outward"), (3, 0, "outward"),
+                            (0, 3, "inward")):
+        argv = ["distance", "--graph", str(p), "--penalty", "prod:0",
+                "--source", str(s), "--target", str(t),
+                "--direction", direction]
+        rc, out, _ = _run(capsys, *argv)
+        assert rc == 0
+        dist_line, path_line = out.splitlines()
+        assert dist_line == "distance 2.0"
+        path = [int(v) for v in path_line.split()[1:]]
+        assert path[0] == s and path[-1] == t and len(path) == 3
+        # any shortest route will do, but it must run along real edges
+        assert sum(lengths[frozenset(hop)]
+                   for hop in zip(path, path[1:])) == 2.0
+        assert _run(capsys, *argv) == (0, out, "")
+
+
 def test_seed_is_refused_where_nothing_is_random(tmp_path, capsys):
     # only generate and sweep draw random numbers, so only they take --seed
     p = tmp_path / "g.graph"
@@ -339,8 +380,9 @@ def test_cmd_distance_output_digest(tmp_path, capsys):
     pairs = [(int(s), int(t)) for s, t in pick.integers(1024, size=(7, 2))]
     pairs.append((5, 5))
     digest = hashlib.sha256()
-    # point:1 ties every length, so distances tie often and the
-    # lowest-id rule decides the path
+    # point:1 ties every length, but the Pareto weights still give every
+    # path its own cost, so no two routes tie here and no tie rule is
+    # pinned; test_cmd_distance_under_tied_routes covers ties
     for law in ("point:1", "poly:1"):
         cfg = tmp_path / "q.cfg"
         cfg.write_text("model = girg\nn = 1024\nd = 2\ntau = 2.5\n"
