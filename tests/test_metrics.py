@@ -197,14 +197,12 @@ def test_cost_search_rejects_bad_arguments():
         cost_search(g, ONE, 0, direction="sideways")
 
 
-def _step_cost(g, f, direction, x, y):
-    """Directed cost of the search's hop x -> y, read off the edge list."""
-    hit = np.flatnonzero(((g.edges_u == x) & (g.edges_v == y))
-                         | ((g.edges_u == y) & (g.edges_v == x)))
-    assert hit.size == 1, (x, y)
-    w = g.vertices.weights
-    tail, head = (x, y) if direction == "outward" else (y, x)
-    return float(g.lengths[hit[0]]) * float(f(w[tail], w[head]))
+def _step_cost(g, cost, x, y):
+    """The search's cost of hop x -> y: the one CSR slot of y in x's row."""
+    indptr, nbr, _ = g.csr
+    slot = indptr[x] + np.flatnonzero(nbr[indptr[x]:indptr[x + 1]] == y)
+    assert slot.size == 1, (x, y)
+    return float(cost[slot[0]])
 
 
 def test_cost_search_matches_the_heap_reference():
@@ -234,6 +232,7 @@ def test_cost_search_matches_the_heap_reference():
             assert np.array_equal(res.dist, ref.dist)
             assert res.settled == sorted(ref.settled,
                                          key=lambda s: (s[1], s[0]))
+            cost = metrics._slot_costs(g, f, direction)
             for t in range(g.n):
                 path = realized_path(res, t)
                 if path is None:
@@ -241,10 +240,10 @@ def test_cost_search_matches_the_heap_reference():
                     continue
                 acc = 0.0
                 for x, y in zip(path, path[1:]):
-                    acc += _step_cost(g, f, direction, x, y)
+                    acc += _step_cost(g, cost, x, y)
                 assert acc == res.dist[t], (path, acc, res.dist[t])
                 tight = [u for u in g.neighbors(t).tolist() if res.dist[u]
-                         + _step_cost(g, f, direction, u, t) == res.dist[t]]
+                         + _step_cost(g, cost, u, t) == res.dist[t]]
                 tied += len(tight) > 1
     assert tied > 100                    # the loop really met tied paths
 
@@ -252,8 +251,8 @@ def test_cost_search_matches_the_heap_reference():
 # sha256 over the full cost_search's settled list and parent array on two
 # 1024-vertex GIRGs, from three sources per (law, penalty, direction).
 # point:1 ties every length, but the Pareto weights keep the costs apart.
-# Recorded with the heap search that preceded scipy's, so it also pins that
-# the two engines agree on these graphs.
+# The digest was recorded with the heap search (the loop in _heap_search),
+# so it also holds scipy's search to the heap's on these graphs.
 SEARCH_DIGEST = "4f048a2a03c1f3a1ee04e2752eb5bfc9b5404ac1053365b31101d3ba85d60f0b"
 
 
