@@ -27,9 +27,8 @@ import numpy as np
 from .cost import (
     MaxPenalty,
     PenaltyPolynomial,
+    check_tau_alpha,
     classify,
-    deg_f,
-    fpp_explosion_functional,
     monomial_penalty,
     power_sum_penalty,
     product_penalty,
@@ -289,7 +288,7 @@ def sweep_from_config(cfg: RunConfig, seed_override=None) -> SweepSpec:
     f = parse_penalty(cfg.require("penalty"))
     family_name = cfg.require("law_family")
     if family_name == "exp":
-        if deg_f(f) != 0:
+        if f.deg != 0:
             raise ConfigError(
                 "law_family = exp sweeps the rate, which only classifies "
                 "flat penalties (mu = nu = 0); use law_family = poly")
@@ -490,14 +489,15 @@ def cmd_distance(args) -> int:
 def cmd_classify(args) -> int:
     f = parse_penalty(args.penalty)
     law = parse_length_law(args.law)
-    if deg_f(f) == 0:
-        _, converges = fpp_explosion_functional(law, 1)
-        outcome = "FppExplosive" if converges else "FppConservative"
-        detail = ("flat penalty; length-law explosion sum "
-                  + ("converges" if converges else "diverges"))
-        print(f"{outcome} [{detail}]")
-        return 0
     try:
+        check_tau_alpha(args.tau, args.alpha)
+        if f.deg == 0:
+            converges = law.explosion_sum_converges
+            outcome = "FppExplosive" if converges else "FppConservative"
+            detail = ("flat penalty; length-law explosion sum "
+                      + ("converges" if converges else "diverges"))
+            print(f"{outcome} [{detail}]")
+            return 0
         v = classify(f, args.tau, args.alpha, law.beta_minus, law.beta_plus,
                      args.direction)
     except ValueError as exc:
@@ -571,7 +571,7 @@ def cmd_boxes(args) -> int:
               f"reached={len(path.vertices)}")
         return 0
     line = f"greedy cost={_fmt(path.total_cost)} hops={len(path.hop_lengths)}"
-    if law is not None and getattr(f, "is_monomial", False):
+    if law is not None and len(getattr(f, "terms", ())) == 1:
         rep = greedy_bound_report(b, args.tau, f, law, path, epsilon=args.eps)
         line += (f" bound={_fmt(rep.total_bound)} "
                  f"applicable={_yn(rep.applicable)} "

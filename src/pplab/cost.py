@@ -48,14 +48,6 @@ class PenaltyPolynomial:
         """Swap the roles of the two weights (inward direction)."""
         return PenaltyPolynomial(tuple((a, nu, mu) for a, mu, nu in self.terms))
 
-    @property
-    def is_symmetric(self) -> bool:
-        return sorted(self.terms) == sorted(self.reversed().terms)
-
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __call__(self, w1, w2):
         w1 = np.asarray(w1, dtype=np.float64)
         w2 = np.asarray(w2, dtype=np.float64)
@@ -99,13 +91,6 @@ class MaxPenalty:
     def deg(self) -> float:
         return self.mu
 
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def reversed(self) -> "MaxPenalty":
-        return self
-
     def surrogate(self) -> PenaltyPolynomial:
         return power_sum_penalty(self.mu)
 
@@ -114,10 +99,6 @@ class MaxPenalty:
         w2 = np.asarray(w2, dtype=np.float64)
         out = np.maximum(w1, w2) ** self.mu
         return out if out.ndim else float(out)
-
-
-def deg_f(f) -> float:
-    return f.deg
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +137,28 @@ def _clause_bounds(f: PenaltyPolynomial, tau: float):
 
 
 def critical_beta(f, tau: float):
-    """Critical decay exponent of the edge-length law for penalty f.
+    """Outward threshold(s): the clause bounds that classify applies.
 
-    Monomial w1^mu w2^nu: max{(3-tau)/(mu+nu), (2-tau)/nu}, the second
-    entry dropped when nu = 0 or tau >= 2.  Symmetric polynomials (and the
-    max penalty): (3-tau)/deg(f).  General asymmetric polynomials have no
-    single threshold; the pair (explosive_below, conservative_above) of
-    one-sided bounds is returned instead.
+    Returns explosive_below when it equals conservative_above, else the
+    pair; +inf (explosive at every beta) when every term has nu = 0 and
+    tau <= 2.  The max penalty reads its power-sum surrogate's bounds.
     """
     if not 1.0 < tau < 3.0:
         raise ValueError("critical_beta requires tau in (1, 3)")
     if isinstance(f, MaxPenalty):
-        return (3.0 - tau) / f.mu
+        f = f.surrogate()
     if f.deg == 0:
         raise ValueError("deg(f) = 0 is the FPP reduction; no weight-driven threshold")
-    if f.is_monomial:
-        _, mu, nu = f.terms[0]
-        if nu == 0.0 or tau >= 2.0:
-            return (3.0 - tau) / (mu + nu)
-        return max((3.0 - tau) / (mu + nu), (2.0 - tau) / nu)
-    if f.is_symmetric:
-        return (3.0 - tau) / f.deg
-    return _clause_bounds(f, tau)
+    lo, hi = _clause_bounds(f, tau)
+    return lo if lo == hi else (lo, hi)
+
+
+def check_tau_alpha(tau: float, alpha: float) -> None:
+    """The model domain every verdict needs: tau > 1 and alpha > 0."""
+    if tau <= 1.0:
+        raise ValueError("tau must exceed 1")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
 
 
 def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
@@ -185,10 +166,7 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
     """Apply the phase clauses in order; inward = outward with f reversed."""
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
-    if tau <= 1.0:
-        raise ValueError("tau must exceed 1")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    check_tau_alpha(tau, alpha)
     if beta_minus < 0 or beta_plus < 0 or beta_minus > beta_plus:
         raise ValueError("need 0 <= beta- <= beta+")
     if isinstance(f, MaxPenalty):
@@ -343,25 +321,3 @@ def solve_boxing_params(tau: float, mu: float, nu: float,
     raise ValueError(
         f"no admissible delta found down to 2^-20; last violation: {last_violation}"
     )
-
-
-# ---------------------------------------------------------------------------
-# FPP explosion functional (mu = 0 reduction)
-
-
-def fpp_explosion_functional(law, k_max: int) -> tuple:
-    """Partial sum of quantile(exp(-e^k)), k = 1..min(k_max, 5).
-
-    Returns (partial_sum, converges).  k_max is clamped at 5: the next
-    term's argument exp(-e^6) is at the edge of double range and every
-    shipped law has already revealed its behaviour by then.  Convergence
-    of the full series is decided analytically by the law itself.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    kk = min(k_max, 5)
-    total = 0.0
-    for k in range(1, kk + 1):
-        y = math.exp(-math.exp(k))
-        total += float(law.quantile(y)) if y > 0.0 else 0.0
-    return total, bool(law.explosion_sum_converges)

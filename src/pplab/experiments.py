@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .cost import classify, critical_beta, deg_f, fpp_explosion_functional
+from .cost import classify, critical_beta
 from .metrics import largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
                      generate, relength)
@@ -39,23 +39,21 @@ def cell_verdict(tau: float, alpha: float, f, beta: float,
     other penalty goes through the full classifier with beta- = beta+ =
     beta.
     """
-    if deg_f(f) == 0.0:
-        _, converges = fpp_explosion_functional(law, 1)
-        return "FppExplosive" if converges else "FppConservative"
+    if f.deg == 0.0:
+        return ("FppExplosive" if law.explosion_sum_converges
+                else "FppConservative")
     return classify(f, tau, alpha, beta, beta).outcome
 
 
 def _near_critical(f, tau: float, beta: float, margin: float = 0.1) -> bool:
     """Within `margin` (relative) of a finite explosive/conservative threshold."""
-    if deg_f(f) == 0.0:
-        return False
     try:
         thresholds = critical_beta(f, tau)
     except ValueError:
         return False
     if not isinstance(thresholds, tuple):
         thresholds = (thresholds,)
-    return any(math.isfinite(t) and t > 0 and abs(beta - t) <= margin * t
+    return any(math.isfinite(t) and abs(beta - t) <= margin * t
                for t in thresholds)
 
 

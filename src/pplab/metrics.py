@@ -150,12 +150,12 @@ def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
         raise ValueError("t must be >= 0")
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
-    at_v = (g.edges_u == v) | (g.edges_v == v)
     w = g.vertices.weights
-    w_x = w[(g.edges_u + g.edges_v)[at_v] - v]     # the other endpoints
+    w_x = w[g.neighbors(v)]                       # the other endpoints
     w_v = np.full_like(w_x, w[v])
     w_from, w_to = (w_v, w_x) if direction == "outward" else (w_x, w_v)
-    cost = g.lengths[at_v] * np.asarray(f(w_from, w_to), dtype=np.float64)
+    cost = (g.lengths[g.incident_edges(v)]
+            * np.asarray(f(w_from, w_to), dtype=np.float64))
     return int(np.count_nonzero(cost <= t))
 
 

@@ -12,6 +12,12 @@ exceed ln(10^3)/(D*C) ~ 5.6, so the per-box success probability sits near
 0.2 and the all-annuli rate lands around 0.1-0.5, far from the 0.9 the
 check demands (that bar needs window sides beyond e^17).  The assert is
 kept faithful rather than loosened; see README for the full argument.
+
+Two clauses pass vacuously.  Criterion 2's flat arm compares an absolute
+slope against NONGROWING_SLOPE_BUDGET = 0.1, about 10^10 times its
+medians (order 1e-11 at beta = 0.1), so no growth at this scale fails it.
+Criterion 10's greedy-bound clause sees no completed greedy path in the
+nearly empty side-10^3 boxing (it prints completed=0 applicable=0).
 """
 from __future__ import annotations
 

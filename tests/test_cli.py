@@ -476,6 +476,12 @@ def test_cmd_classify_lines(capsys):
     rc, _, err = _run(capsys, "classify", "--tau", "0.5", "--alpha", "2",
                       "--penalty", "prod:1", "--law", "poly:1")
     assert rc == 2 and "tau" in err
+    rc, _, err = _run(capsys, "classify", "--tau", "0.5", "--alpha", "-1",
+                      "--penalty", "prod:0", "--law", "exp:1")
+    assert rc == 2 and "tau" in err
+    rc, _, err = _run(capsys, "classify", "--tau", "2.5", "--alpha", "-1",
+                      "--penalty", "prod:0", "--law", "exp:1")
+    assert rc == 2 and "alpha" in err
 
 
 SWEEP_CFG = """\

@@ -9,15 +9,12 @@ from pplab.cost import (
     PenaltyPolynomial,
     classify,
     critical_beta,
-    deg_f,
-    fpp_explosion_functional,
     idelta_interval,
     monomial_penalty,
     power_sum_penalty,
     product_penalty,
     solve_boxing_params,
 )
-from pplab.rng import DoubleExpFlat, Exponential, PointMass, PolyAtZero
 
 
 def test_eval_penalty_examples():
@@ -50,7 +47,6 @@ def test_max_penalty_eval():
     f = MaxPenalty(2.0)
     assert f(2.0, 3.0) == 9.0
     assert f(3.0, 2.0) == 9.0
-    assert f.reversed() is f
     assert f.surrogate().terms == ((1.0, 2.0, 0.0), (1.0, 0.0, 2.0))
 
 
@@ -65,11 +61,11 @@ def test_directed_edge_cost():
 
 
 def test_deg_f():
-    assert deg_f(product_penalty(1.0)) == 2.0
-    assert deg_f(monomial_penalty(3.0, 0.25)) == 3.25
+    assert product_penalty(1.0).deg == 2.0
+    assert monomial_penalty(3.0, 0.25).deg == 3.25
     f = PenaltyPolynomial(((3.0, 2.0, 1.0), (1.0, 1.0, 1.5)))
-    assert deg_f(f) == 3.0
-    assert deg_f(MaxPenalty(1.5)) == 1.5
+    assert f.deg == 3.0
+    assert MaxPenalty(1.5).deg == 1.5
 
 
 def test_critical_beta_examples():
@@ -108,6 +104,51 @@ def test_critical_beta_symmetric_consistency():
         assert critical_beta(MaxPenalty(mu), tau) == pytest.approx(
             critical_beta(power_sum_penalty(mu), tau)
         )
+
+
+def _random_phase_penalty(rng):
+    """A monomial or a 2-3 term polynomial; nu = 0 in about a third of terms."""
+    def term():
+        nu = 0.0 if rng.random() < 0.3 else rng.uniform(0.1, 2.0)
+        return (rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0), nu)
+    k = 1 if rng.random() < 0.5 else int(rng.integers(2, 4))
+    return PenaltyPolynomial(tuple(term() for _ in range(k)))
+
+
+def test_critical_beta_is_the_threshold_that_classify_applies():
+    # below a finite threshold classify explodes, above it it is
+    # conservative, at it critical; +inf means explosive at every beta
+    rng = np.random.default_rng(1616)
+    seen = {"finite": 0, "inf": 0, "pair": 0, "nu0_tau_lt_2": 0}
+    for _ in range(600):
+        f = _random_phase_penalty(rng)
+        tau = rng.uniform(1.05, 2.95)
+        for direction in ("outward", "inward"):
+            g = f if direction == "outward" else f.reversed()
+            r = critical_beta(g, tau)
+            lo, hi = r if isinstance(r, tuple) else (r, r)
+            assert 0.0 < lo <= hi
+            if tau < 2.0 and any(nu == 0.0 for _, _, nu in g.terms):
+                seen["nu0_tau_lt_2"] += 1
+
+            def outcome(beta):
+                return classify(f, tau, 2.0, beta, beta, direction).outcome
+
+            if lo == math.inf:
+                seen["inf"] += 1
+                for beta in (0.5, 5.0, 50.0):
+                    assert outcome(beta).startswith("Explosive"), (f, tau)
+                continue
+            assert outcome(0.99 * lo).startswith("Explosive"), (f, tau)
+            if lo == hi:
+                seen["finite"] += 1
+                assert outcome(lo) == "Critical", (f, tau)
+            else:
+                seen["pair"] += 1
+                assert outcome(lo) == "Inconclusive", (f, tau)
+            if hi < math.inf:
+                assert outcome(1.01 * hi) == "Conservative", (f, tau)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_classify_alpha_small():
@@ -278,21 +319,3 @@ def test_solve_boxing_params_rejects():
         solve_boxing_params(2.5, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         solve_boxing_params(3.0, 1.0, 1.0, 0.1)
-
-
-def test_fpp_explosion_functional():
-    val, conv = fpp_explosion_functional(PointMass(0.0), 3)
-    assert val == 0.0 and conv is True
-    val, conv = fpp_explosion_functional(Exponential(1.0), 3)
-    assert abs(val - 0.068884203157106902) < 1e-15
-    assert conv is True
-    val5, _ = fpp_explosion_functional(Exponential(1.0), 5)
-    val10, _ = fpp_explosion_functional(Exponential(1.0), 10)
-    assert val10 == val5   # clamped at 5
-    val, conv = fpp_explosion_functional(DoubleExpFlat(2.0, 1.0, 1.0), 5)
-    assert conv is False
-    assert val > 0.5      # terms decay like k^(-1/2), not summable
-    val, conv = fpp_explosion_functional(PointMass(2.0), 4)
-    assert val == 8.0 and conv is False
-    with pytest.raises(ValueError):
-        fpp_explosion_functional(Exponential(1.0), 0)

@@ -123,6 +123,7 @@ def test_near_critical_flags_ten_percent_window():
     assert not _near_critical(PROD, 2.5, 0.1)
     assert not _near_critical(PROD, 2.5, 1.0)
     assert not _near_critical(product_penalty(0.0), 2.5, 0.25)
+    assert not _near_critical(monomial_penalty(1, 0), 1.5, 1.5)
 
 
 def test_sweep_spec_validation():
