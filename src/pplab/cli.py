@@ -535,6 +535,11 @@ def cmd_hrgmap(args) -> int:
         spec = Hrg(n=args.n, alpha_H=args.alpha_h, C_H=args.c_h, T_H=args.t_h)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not 0.0 <= args.phi < 2.0 * math.pi:
+        raise ConfigError("phi must lie in [0, 2 pi)")
+    if not 0.0 <= args.r <= spec.R_n:
+        raise ConfigError("r must lie in [0, R_n] = "
+                          f"[0, {_compact(spec.R_n)}]")
     x, w = hrg_to_girg_coords(args.phi, args.r, spec)
     print(f"x={_compact(x)} w={_compact(w)}")
     return 0

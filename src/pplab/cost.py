@@ -155,9 +155,9 @@ def critical_beta(f, tau: float):
 
 def check_tau_alpha(tau: float, alpha: float) -> None:
     """The model domain every verdict needs: tau > 1 and alpha > 0."""
-    if tau <= 1.0:
+    if not tau > 1.0:
         raise ValueError("tau must exceed 1")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
 
 
@@ -167,7 +167,7 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     check_tau_alpha(tau, alpha)
-    if beta_minus < 0 or beta_plus < 0 or beta_minus > beta_plus:
+    if not 0 <= beta_minus <= beta_plus:
         raise ValueError("need 0 <= beta- <= beta+")
     if isinstance(f, MaxPenalty):
         f = f.surrogate()

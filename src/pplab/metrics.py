@@ -7,7 +7,8 @@ measures into it (the same search on the cost-reversed graph).  Every
 search is scipy's compiled dijkstra on one view of the graph: its CSR with
 each slot's directed cost (_cost_matrix).  cost_search, distance_matrix
 and pair_distances differ only in which sources they run and where they
-may stop.
+may stop.  _slot_costs is the only code here that applies the penalty:
+n1t, the greedy hop costs and cost_subgraph read its prices too.
 
 The boxing half of the module (delta_good_scan, check_F2, greedy paths)
 operationalises the annulus events behind the explosive-path
@@ -28,20 +29,35 @@ from .geometry import BoxingSystem, locate_subbox
 from .models import Graph
 
 
-def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
-    """Directed cost of each CSR slot: stepping from its row vertex to nbr."""
+def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
+    """ids as int64, refused unless each is a vertex id below n."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ((ids < 0) | (ids >= n)).any():
+        raise ValueError(f"{what} not in graph")
+    return ids
+
+
+def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
+    """Directed cost of each CSR slot (of v's row alone if v is given).
+
+    A slot of row x and neighbour y costs L * f(W_x, W_y) outward and
+    L * f(W_y, W_x) inward: paths into the source search the reversed graph.
+    """
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
+    indptr, nbr, eid = g.csr
     w = g.vertices.weights
-    wu = w[g.edges_u]
-    wv = w[g.edges_v]
-    c_uv = g.lengths * np.asarray(f(wu, wv), dtype=np.float64)
-    c_vu = g.lengths * np.asarray(f(wv, wu), dtype=np.float64)
-    if direction == "inward":
-        # paths are measured into the source: search the reversed digraph
-        c_uv, c_vu = c_vu, c_uv
-    _, nbr, eid = g.csr
-    return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
+    if v is None:
+        w_row = np.repeat(w, np.diff(indptr))
+    else:
+        _vertex_ids(g.n, v, "vertex")
+        row = slice(indptr[v], indptr[v + 1])
+        nbr, eid = nbr[row], eid[row]
+        w_row = np.full(nbr.size, w[v])
+    pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
+    cost = np.asarray(f(*pair), dtype=np.float64)
+    cost *= g.lengths[eid]         # in place: no second slot-sized array
+    return cost
 
 
 def _cost_matrix(g: Graph, f, direction: str) -> csr_matrix:
@@ -70,8 +86,7 @@ def cost_search(g: Graph, f, source: int,
     scipy's choice, so realized_path gives a shortest path, not a
     particular one.
     """
-    if not 0 <= source < g.n:
-        raise ValueError("source not in graph")
+    _vertex_ids(g.n, source, "source")
     dist, pred = _csgraph_dijkstra(_cost_matrix(g, f, direction),
                                    indices=source, return_predecessors=True)
     reached = np.flatnonzero(np.isfinite(dist))
@@ -85,6 +100,7 @@ def cost_search(g: Graph, f, source: int,
 
 def realized_path(res: CostSearchResult, target: int):
     """Vertex sequence source -> target in the search tree, or None."""
+    _vertex_ids(res.dist.size, target, "target")
     if not np.isfinite(res.dist[target]):
         return None
     path = [target]
@@ -103,7 +119,7 @@ def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndar
     from pair_distances.
     """
     return _csgraph_dijkstra(_cost_matrix(g, f, direction),
-                             indices=np.asarray(sources, dtype=np.int64))
+                             indices=_vertex_ids(g.n, sources, "source"))
 
 
 def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray:
@@ -120,7 +136,7 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
     order; every arc on a minimising path costs at most that distance,
     which is at most B_a, so the path survives the pruning and the limit.
     """
-    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    a, b = _vertex_ids(g.n, pairs, "pair vertex").reshape(-1, 2).T
     if a.size == 0:
         return np.zeros(0)
     mat = _cost_matrix(g, f, direction)
@@ -146,17 +162,9 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
 
 def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be >= 0")
-    if direction not in ("outward", "inward"):
-        raise ValueError("direction must be 'outward' or 'inward'")
-    w = g.vertices.weights
-    w_x = w[g.neighbors(v)]                       # the other endpoints
-    w_v = np.full_like(w_x, w[v])
-    w_from, w_to = (w_v, w_x) if direction == "outward" else (w_x, w_v)
-    cost = (g.lengths[g.incident_edges(v)]
-            * np.asarray(f(w_from, w_to), dtype=np.float64))
-    return int(np.count_nonzero(cost <= t))
+    return int(np.count_nonzero(_slot_costs(g, f, direction, v) <= t))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +306,6 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
               None)
     if k0 is None:
         raise ValueError("start_leader is not a delta-good leader of a sub-box")
-    w = g.vertices.weights
     vertices = [start_leader]
     annuli = [k0]
     hop_lengths: list = []
@@ -306,16 +313,17 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
     cur = start_leader
     for k in range(k0, b.k_star):
         next_good = set(scan.scan_for(k + 1).good_leaders)
-        best = min(((g.lengths[e], u, e)
-                    for u, e in zip(g.neighbors(cur).tolist(),
-                                    g.incident_edges(cur).tolist())
-                    if u in next_good), default=None)
+        hops = zip(g.lengths[g.incident_edges(cur)].tolist(),
+                   g.neighbors(cur).tolist(),
+                   _slot_costs(g, f, "outward", cur).tolist())
+        # neighbours are distinct, so the cost never breaks a tie
+        best = min((h for h in hops if h[1] in next_good), default=None)
         if best is None:
             return GreedyFailure(failed_annulus=k + 1, vertices=vertices,
                                  annuli=annuli)
-        ell, nxt, e = best
-        hop_lengths.append(float(ell))
-        hop_costs.append(float(ell * f(w[cur], w[nxt])))
+        ell, nxt, cost = best
+        hop_lengths.append(ell)
+        hop_costs.append(cost)
         vertices.append(nxt)
         annuli.append(k + 1)
         cur = nxt
@@ -376,10 +384,10 @@ def cost_subgraph(g: Graph, f, t0: float) -> Graph:
     Intended for symmetric penalties, where the orientation is immaterial;
     asymmetric penalties would make this orientation-dependent.
     """
-    w = g.vertices.weights
-    cost = g.lengths * np.asarray(f(w[g.edges_u], w[g.edges_v]),
-                                  dtype=np.float64)
-    keep = cost <= t0
+    indptr, nbr, eid = g.csr
+    up = nbr > np.repeat(np.arange(g.n), np.diff(indptr))  # u -> v slots
+    keep = np.zeros(g.m, dtype=bool)
+    keep[eid[up]] = _slot_costs(g, f, "outward")[up] <= t0
     return Graph(g.vertices, g.edges_u[keep], g.edges_v[keep],
                  g.lengths[keep], spec=g.spec, seed=g.seed)
 
@@ -398,6 +406,7 @@ def saw_path_count(g: Graph, v: int, k: int) -> int:
         raise ValueError("k is capped at 8 (combinatorial explosion guard)")
     if k < 0:
         raise ValueError("k must be >= 0")
+    _vertex_ids(g.n, v, "vertex")
     indptr, nbr, _ = g.csr
     adj = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
     walks, steps = np.where(np.arange(g.n) == v, 1.0, 0.0), 1.0

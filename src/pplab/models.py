@@ -187,9 +187,9 @@ class Girg:
 
     def __post_init__(self):
         _check_common(self.n, self.d, self.tau)
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:
             raise ValueError("alpha must exceed 1 (or be inf)")
-        if self.c < 0 or self.c1_threshold <= 0:
+        if not (self.c >= 0 and self.c1_threshold > 0):
             raise ValueError("kernel constants must be positive (c >= 0)")
 
     @property
@@ -211,12 +211,12 @@ class IgirgWindow:
     pin_origin: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0 or self.side <= 0:
+        if not (self.lam > 0 and self.side > 0):
             raise ValueError("lam and side must be positive")
         _check_common(1, self.d, self.tau)
-        if self.alpha <= 1.0:
+        if not self.alpha > 1.0:
             raise ValueError("alpha must exceed 1 (or be inf)")
-        if self.c < 0 or self.c1_threshold <= 0:
+        if not (self.c >= 0 and self.c1_threshold > 0):
             raise ValueError("kernel constants must be positive (c >= 0)")
 
     @property

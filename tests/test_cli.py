@@ -484,6 +484,34 @@ def test_cmd_classify_lines(capsys):
     assert rc == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("tau, alpha, penalty, field", [
+    ("nan", "2", "prod:1", "tau"),
+    ("2.5", "nan", "prod:1", "alpha"),
+    ("nan", "2", "prod:0", "tau"),
+    ("2.5", "nan", "prod:0", "alpha"),
+])
+def test_cmd_classify_refuses_nan(capsys, tau, alpha, penalty, field):
+    rc, out, err = _run(capsys, "classify", "--tau", tau, "--alpha", alpha,
+                        "--penalty", penalty, "--law", "poly:1")
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error: " + field)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("alpha = 2.0", "alpha"), ("c = 1.0", "kernel constants")])
+def test_cmd_generate_refuses_nan_model_constants(tmp_path, capsys, line,
+                                                  field):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(("model = girg\nn = 100\nd = 1\ntau = 2.5\nalpha = 2.0\n"
+                    "c = 1.0\nlaw = poly:1\nseed = 3\n").replace(
+                        line, line.split()[0] + " = nan"))
+    out_path = tmp_path / "nan.graph"
+    rc, _, err = _run(capsys, "generate", "--config", str(cfg),
+                      "--out", str(out_path))
+    assert rc == 2 and err.startswith("config error: " + field)
+    assert not out_path.exists()
+
+
 SWEEP_CFG = """\
 model = girg
 d = 2
@@ -585,6 +613,18 @@ def test_cmd_hrgmap_center_point(capsys):
     vals = dict(kv.split("=") for kv in out.split())
     assert float(vals["x"]) == pytest.approx(-0.5)
     assert float(vals["w"]) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("phi, r, field", [
+    ("7", "3", "phi"), ("-0.1", "3", "phi"), (repr(2.0 * math.pi), "3", "phi"),
+    ("nan", "3", "phi"), ("1", "30", "r"), ("1", "-1", "r"),
+    ("1", "nan", "r"),
+])
+def test_cmd_hrgmap_refuses_points_off_the_disk(capsys, phi, r, field):
+    rc, out, err = _run(capsys, "hrgmap", "--phi", phi, "--r", r,
+                        "--n", "100")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"config error: {field} must lie in [0, ")
 
 
 def test_cmd_boxes_report(tmp_path, capsys):

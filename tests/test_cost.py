@@ -210,6 +210,13 @@ def test_classify_rejects():
         classify(PenaltyPolynomial(((1.0, 0.0, 0.0),)), 2.5, 2.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         classify(f, 1.0, 2.0, 0.1, 0.1)
+    nan = math.nan
+    for args, match in [((nan, 2.0, 0.1, 0.1), "tau"),
+                        ((2.5, nan, 0.1, 0.1), "alpha"),
+                        ((2.5, 2.0, nan, 0.1), "beta"),
+                        ((2.5, 2.0, 0.1, nan), "beta")]:
+        with pytest.raises(ValueError, match=match):
+            classify(f, *args)
 
 
 def test_inward_outward_duality():

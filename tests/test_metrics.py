@@ -10,6 +10,7 @@ import pytest
 
 from pplab import metrics
 from pplab.cost import (
+    MaxPenalty,
     monomial_penalty,
     power_sum_penalty,
     product_penalty,
@@ -115,6 +116,24 @@ def _oracle_distances(g, f, source, direction):
     return np.array(best)
 
 
+def _reference_slot_costs(g, f, direction):
+    """Slot costs priced in edge order: each edge both ways, then per slot
+    the orientation whose tail is the slot's row vertex.
+
+    metrics._slot_costs prices slots in slot order instead; the tests hold
+    the two together, and the other references price with this one.
+    """
+    w = g.vertices.weights
+    wu = w[g.edges_u]
+    wv = w[g.edges_v]
+    c_uv = g.lengths * np.asarray(f(wu, wv), dtype=np.float64)
+    c_vu = g.lengths * np.asarray(f(wv, wu), dtype=np.float64)
+    if direction == "inward":
+        c_uv, c_vu = c_vu, c_uv
+    _, nbr, eid = g.csr
+    return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
+
+
 def _heap_search(g, f, source, direction="outward"):
     """Reference Dijkstra: a Python heap over the per-slot costs.
 
@@ -122,7 +141,7 @@ def _heap_search(g, f, source, direction="outward"):
     strict improvement, and settles the whole reachable set.  cost_search
     runs scipy's compiled search instead; the tests hold the two together.
     """
-    cost = metrics._slot_costs(g, f, direction)
+    cost = _reference_slot_costs(g, f, direction)
     indptr, nbr, _ = g.csr
     rows = indptr.tolist()
     # costs are >= 0, so a popped entry above its vertex's distance is stale
@@ -147,6 +166,56 @@ def _heap_search(g, f, source, direction="outward"):
     return CostSearchResult(source=source, direction=direction,
                             settled=settled, dist=np.array(dist),
                             parent=np.array(parent, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# slot costs and vertex ids
+
+
+def test_slot_costs_equal_the_edge_order_reference_bit_for_bit():
+    rng = np.random.default_rng(1701)
+    graphs = [_random_small_graph(rng, n_max=14, zero_lengths=k % 2 == 1)
+              for k in range(60)]
+    graphs.append(generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=0.5), 17,
+                           length_law=PolyAtZero(1.0)))
+    for k, g in enumerate(graphs):
+        f = (MaxPenalty(float(rng.uniform(0.1, 2.0))) if k % 4 == 3
+             else _random_penalty(rng))
+        indptr = g.csr[0]
+        for direction in ("outward", "inward"):
+            cost = metrics._slot_costs(g, f, direction)
+            ref = _reference_slot_costs(g, f, direction)
+            assert cost.tobytes() == ref.tobytes(), (k, direction)
+            for v in rng.choice(g.n, size=min(g.n, 5), replace=False):
+                row = metrics._slot_costs(g, f, direction, v)
+                assert row.tobytes() == \
+                    cost[indptr[v]:indptr[v + 1]].tobytes()
+    assert sum(int((g.lengths == 0).any()) for g in graphs) > 10
+
+
+def _girg200():
+    return generate(Girg(n=200, d=2, tau=2.5, alpha=2.0, c=0.5), 3,
+                    length_law=PolyAtZero(1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x: cost_search(g, ONE, x),
+    lambda g, x: distance_matrix(g, ONE, [0, x]),
+    lambda g, x: pair_distances(g, ONE, [(0, 1), (x, 5)]),
+    lambda g, x: pair_distances(g, ONE, [(5, x)]),
+    lambda g, x: n1t(g, ONE, x, 100.0),
+    lambda g, x: n1t(g, ONE, x, 100.0, "inward"),
+    lambda g, x: saw_path_count(g, x, 2),
+    lambda g, x: realized_path(cost_search(g, ONE, 0), x),
+], ids=["cost_search", "distance_matrix", "pair_distances_source",
+        "pair_distances_target", "n1t", "n1t_inward", "saw_path_count",
+        "realized_path"])
+def test_entry_points_refuse_vertex_ids_outside_the_graph(call):
+    g = _girg200()
+    call(g, g.n - 1)                     # the last vertex is accepted
+    for bad in (-1, g.n):
+        with pytest.raises(ValueError, match="not in graph"):
+            call(g, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +301,7 @@ def test_cost_search_matches_the_heap_reference():
             assert np.array_equal(res.dist, ref.dist)
             assert res.settled == sorted(ref.settled,
                                          key=lambda s: (s[1], s[0]))
-            cost = metrics._slot_costs(g, f, direction)
+            cost = _reference_slot_costs(g, f, direction)
             for t in range(g.n):
                 path = realized_path(res, t)
                 if path is None:
@@ -407,6 +476,8 @@ def test_n1t_counts_cheap_incident_edges():
     with pytest.raises(ValueError):
         n1t(g, f, 0, -1.0)
     with pytest.raises(ValueError):
+        n1t(g, f, 0, math.nan)
+    with pytest.raises(ValueError):
         n1t(g, f, 0, 1.0, "sideways")
 
 
@@ -421,7 +492,7 @@ def test_n1t_matches_a_count_over_the_search_costs():
         indptr = g.csr[0]
         f = _random_penalty(rng)
         for direction in ("outward", "inward"):
-            cost = metrics._slot_costs(g, f, direction)
+            cost = _reference_slot_costs(g, f, direction)
             for v in rng.choice(g.n, size=min(g.n, 8), replace=False):
                 mine = cost[indptr[v]:indptr[v + 1]]
                 # thresholds at an edge's exact cost tie with it
@@ -845,6 +916,9 @@ def test_cost_subgraph_filters_on_stored_orientation():
     assert (sub.edges_u[0], sub.edges_v[0]) == (2, 3)
     assert cost_subgraph(g, f, 2.0).m == 3
     assert cost_subgraph(g, f, 0.5).m == 0
+    # f(w1, w2) = w1 prices the stored u -> v step by W_u: 1, 2, 1
+    sub = cost_subgraph(g, monomial_penalty(1.0, 0.0), 1.5)
+    assert list(zip(sub.edges_u, sub.edges_v)) == [(0, 1), (2, 3)]
 
 
 def test_saw_path_counts():

@@ -394,6 +394,21 @@ def test_spec_validation():
         IgirgWindow(lam=-1.0, d=1, side=4.0, tau=2.5, alpha=2.0, c=1.0)
 
 
+@pytest.mark.parametrize("field, match", [
+    ("alpha", "alpha must exceed 1"), ("c", "kernel constants"),
+    ("c1_threshold", "kernel constants")])
+def test_spec_validation_refuses_nan(field, match):
+    # NaN fails every comparison, so each check must be written to refuse it
+    base = dict(d=2, tau=2.5, alpha=2.0, c=1.0, c1_threshold=1.0)
+    with pytest.raises(ValueError, match=match):
+        Girg(n=10, **{**base, field: math.nan})
+    with pytest.raises(ValueError, match=match):
+        IgirgWindow(lam=1.0, side=4.0, **{**base, field: math.nan})
+    for field in ("lam", "side"):
+        with pytest.raises(ValueError, match="lam and side"):
+            IgirgWindow(**{**base, "lam": 1.0, "side": 4.0, field: math.nan})
+
+
 def test_graph_container():
     window = Window(1, 10.0, boundary="hard")
     vs = VertexSet(window, np.array([[-2.0], [0.0], [1.0], [3.0]]),
