@@ -3,7 +3,9 @@
 Formats
 -------
 * Run config: flat ``key = value`` text, one entry per line, ``#`` comments.
-  Unknown keys are rejected.
+  Unknown keys, and keys that the command does not read for its model, are
+  rejected.  An optional key that is absent keeps the model's or the
+  sweep's own default.
 * Graph file: ``#format pplab-graph 1`` header block followed by ``v`` and
   ``e`` lines; reals are written as their shortest round-trippable decimal,
   so write -> read -> write is byte-identical.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,18 +156,13 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected true or false, got {s!r}")
 
 
-def _parse_float_list(s: str) -> tuple:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("expected a comma-separated list of numbers")
-    return tuple(_parse_float(p) for p in parts)
-
-
-def _parse_int_list(s: str) -> tuple:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("expected a comma-separated list of integers")
-    return tuple(_parse_int(p) for p in parts)
+def _list_of(parse, what: str):
+    def parse_list(s: str) -> tuple:
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"expected a comma-separated list of {what}")
+        return tuple(parse(p) for p in parts)
+    return parse_list
 
 
 def _enum(*allowed):
@@ -177,16 +174,12 @@ def _enum(*allowed):
     return parse
 
 
-def _checked_str(checker):
-    def parse(s: str) -> str:
-        checker(s)            # raises ConfigError on malformed specs
-        return s.strip()
-    return parse
-
+_MODELS = {"girg": Girg, "igirg": IgirgWindow, "sfp": SfpWindow, "hrg": Hrg}
+_LAW_FAMILIES = {"poly": PolyAtZero, "exp": Exponential}
 
 # key -> value parser
 _CONFIG_KEYS = {
-    "model": _enum("girg", "igirg", "sfp", "hrg"),
+    "model": _enum(*_MODELS),
     "n": _parse_int,
     "d": _parse_int,
     "radius": _parse_int,
@@ -205,37 +198,19 @@ _CONFIG_KEYS = {
     "c_h": _parse_float,
     "t_h": _parse_float,
     "pin_origin": _parse_bool,
-    "penalty": _checked_str(parse_penalty),
-    "law": _checked_str(parse_length_law),
-    "law_family": _enum("poly", "exp"),
-    "beta_grid": _parse_float_list,
-    "size_grid": _parse_int_list,
+    "penalty": parse_penalty,
+    "law": parse_length_law,
+    "law_family": _enum(*_LAW_FAMILIES),
+    "beta_grid": _list_of(_parse_float, "numbers"),
+    "size_grid": _list_of(_parse_int, "integers"),
 }
+# the config key of each dataclass field whose name differs from it
+_KEY_OF = {"c1_threshold": "c1", "alpha_H": "alpha_h", "C_H": "c_h",
+           "T_H": "t_h"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flat key=value document; items sorted by key."""
-
-    items: tuple
-
-    def get(self, key, default=None):
-        for k, v in self.items:
-            if k == key:
-                return v
-        return default
-
-    def __contains__(self, key) -> bool:
-        return any(k == key for k, _ in self.items)
-
-    def require(self, key):
-        for k, v in self.items:
-            if k == key:
-                return v
-        raise ConfigError(f"missing required config key {key!r}")
-
-
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> dict:
+    """The validated flat key = value document, keys in file order."""
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -251,71 +226,73 @@ def parse_config(text: str) -> RunConfig:
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         entries[key] = _CONFIG_KEYS[key](value.strip())
-    return RunConfig(items=tuple(sorted(entries.items())))
+    return entries
 
 
-def model_from_config(cfg: RunConfig):
-    model = cfg.require("model")
+def _require(cfg: dict, key: str):
+    if key not in cfg:
+        raise ConfigError(f"missing required config key {key!r}")
+    return cfg[key]
+
+
+def _keys(cls, fixed=()) -> set:
+    """The config keys of cls's fields, less those named in `fixed`."""
+    return {_KEY_OF.get(f.name, f.name) for f in fields(cls)
+            if f.name not in fixed}
+
+
+def _build(cls, cfg: dict, **fixed):
+    """cls from `fixed` and cfg's keys.  A field that cfg does not set
+    keeps cls's own default; a field without one is required."""
+    args = dict(fixed)
+    for field in fields(cls):
+        key = _KEY_OF.get(field.name, field.name)
+        if field.name not in fixed and (key in cfg
+                                        or field.default is MISSING):
+            args[field.name] = _require(cfg, key)
     try:
-        if model == "girg":
-            return Girg(n=cfg.require("n"), d=cfg.require("d"),
-                        tau=cfg.require("tau"), alpha=cfg.require("alpha"),
-                        c=cfg.require("c"),
-                        c1_threshold=cfg.get("c1", 1.0))
-        if model == "igirg":
-            return IgirgWindow(lam=cfg.require("lam"), d=cfg.require("d"),
-                               side=cfg.require("side"),
-                               tau=cfg.require("tau"),
-                               alpha=cfg.require("alpha"), c=cfg.require("c"),
-                               c1_threshold=cfg.get("c1", 1.0),
-                               pin_origin=cfg.get("pin_origin", False))
-        if model == "sfp":
-            return SfpWindow(d=cfg.require("d"), radius=cfg.require("radius"),
-                             tau=cfg.require("tau"),
-                             lambda_perc=cfg.require("lambda_perc"),
-                             alpha_norm=cfg.require("alpha_norm"))
-        return Hrg(n=cfg.require("n"), alpha_H=cfg.require("alpha_h"),
-                   C_H=cfg.require("c_h"), T_H=cfg.get("t_h"))
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def sweep_from_config(cfg: RunConfig, seed_override=None) -> SweepSpec:
-    if cfg.require("model") != "girg":
+def _refuse_unread(cfg: dict, read: set, reader: str) -> None:
+    for key in cfg:
+        if key not in read:
+            raise ConfigError(f"config key {key!r} is not read by {reader}")
+
+
+def model_from_config(cfg: dict):
+    """The model that `pplab generate` draws."""
+    model = _require(cfg, "model")
+    _refuse_unread(cfg, {"model", "law", "seed"} | _keys(_MODELS[model]),
+                   f"generate with model = {model}")
+    return _build(_MODELS[model], cfg)
+
+
+def sweep_from_config(cfg: dict, seed_override=None) -> SweepSpec:
+    if _require(cfg, "model") != "girg":
         raise ConfigError("sweeps run on girg models; set model = girg")
     if "n" in cfg:
         raise ConfigError("sweep sizes come from size_grid; drop the n key")
-    f = parse_penalty(cfg.require("penalty"))
-    family_name = cfg.require("law_family")
-    if family_name == "exp":
-        if f.deg != 0:
-            raise ConfigError(
-                "law_family = exp sweeps the rate, which only classifies "
-                "flat penalties (mu = nu = 0); use law_family = poly")
-        family = Exponential
-    else:
-        family = PolyAtZero
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    try:
-        base = Girg(n=1, d=cfg.require("d"), tau=cfg.require("tau"),
-                    alpha=cfg.require("alpha"), c=cfg.require("c"),
-                    c1_threshold=cfg.get("c1", 1.0))
-        return SweepSpec(base=base, f=f, law_family=family,
-                         beta_grid=cfg.require("beta_grid"),
-                         size_grid=cfg.require("size_grid"),
-                         pairs_per_graph=cfg.get("pairs_per_graph", 30),
-                         graphs_per_cell=cfg.get("graphs_per_cell", 5),
-                         seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _refuse_unread(cfg, {"model", "penalty"} | _keys(Girg, ("n",))
+                   | _keys(SweepSpec, ("base", "f")), "sweep with model = girg")
+    f = _require(cfg, "penalty")
+    family = _LAW_FAMILIES[_require(cfg, "law_family")]
+    if family is Exponential and f.deg != 0:
+        raise ConfigError(
+            "law_family = exp sweeps the rate, which only classifies "
+            "flat penalties (mu = nu = 0); use law_family = poly")
+    seed = {} if seed_override is None else {"seed": seed_override}
+    return _build(SweepSpec, cfg, base=_build(Girg, cfg, n=1), f=f,
+                  law_family=family, **seed)
 
 
 # ---------------------------------------------------------------------------
 # graph text format
 
 
-_MODEL_CLASS_NAMES = {Girg: "girg", IgirgWindow: "igirg",
-                      SfpWindow: "sfp", Hrg: "hrg"}
+_MODEL_CLASS_NAMES = {cls: name for name, cls in _MODELS.items()}
 _TORUS_MODELS = ("girg", "hrg")
 
 
@@ -405,7 +382,7 @@ def read_graph_text(text: str) -> Graph:
         if key not in headers:
             raise ValueError(f"missing header #{key}")
     model = headers["model"]
-    if model not in ("girg", "igirg", "sfp", "hrg"):
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r} in graph header")
     d = int(headers["d"])
     n = int(headers["n"])
@@ -456,10 +433,9 @@ def _compact(x: float) -> str:
 def cmd_generate(args) -> int:
     cfg = parse_config(_load_text(args.config))
     spec = model_from_config(cfg)
-    law = parse_length_law(cfg.require("law")) if "law" in cfg else None
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     try:
-        g = generate(spec, seed, law)
+        g = generate(spec, seed, cfg.get("law"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     Path(args.out).write_text(write_graph_text(g))

@@ -21,39 +21,39 @@ from functools import partial
 
 import numpy as np
 
+from . import calibration
 from .cost import classify, critical_beta
-from .metrics import largest_component, n1t, pair_distances
+from .metrics import components, largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
                      generate, relength)
-from .rng import EdgeLengthLaw, SeedSpec, derive_master, uniform
+from .rng import EdgeLengthLaw, PolyAtZero, SeedSpec, derive_master, uniform
 
 _CSV_HEADER = "beta,n,median_d,q1,q3,giant_frac,verdict,seed"
 
 
-def cell_verdict(tau: float, alpha: float, f, beta: float,
-                 law: EdgeLengthLaw) -> str:
+def cell_verdict(tau: float, alpha: float, f, law: EdgeLengthLaw) -> str:
     """Analytic phase verdict for one sweep cell.
 
     deg(f) = 0 strips the weights out of the cost entirely, so the verdict
     reduces to whether the length law's explosion sum converges; every
-    other penalty goes through the full classifier with beta- = beta+ =
-    beta.
+    other penalty goes through the full classifier with the law's own
+    decay exponents beta- and beta+.
     """
     if f.deg == 0.0:
         return ("FppExplosive" if law.explosion_sum_converges
                 else "FppConservative")
-    return classify(f, tau, alpha, beta, beta).outcome
+    return classify(f, tau, alpha, law.beta_minus, law.beta_plus).outcome
 
 
-def _near_critical(f, tau: float, beta: float, margin: float = 0.1) -> bool:
-    """Within `margin` (relative) of a finite explosive/conservative threshold."""
+def _near_critical(f, tau: float, beta: float) -> bool:
+    """Within 10% (relative) of a finite explosive/conservative threshold."""
     try:
         thresholds = critical_beta(f, tau)
     except ValueError:
         return False
     if not isinstance(thresholds, tuple):
         thresholds = (thresholds,)
-    return any(math.isfinite(t) and abs(beta - t) <= margin * t
+    return any(math.isfinite(t) and abs(beta - t) <= 0.1 * t
                for t in thresholds)
 
 
@@ -81,7 +81,7 @@ class SweepSpec:
             check_vertex_count(n)
         for beta in self.beta_grid:
             # raises on unclassifiable cells (bad tau/alpha/beta domain)
-            cell_verdict(self.base.tau, self.base.alpha, self.f, beta,
+            cell_verdict(self.base.tau, self.base.alpha, self.f,
                          self.law_family(beta))
 
 
@@ -171,7 +171,7 @@ class _Cell:
             beta=beta, n=self.n, distances=arr, median_d=float(med),
             q1=float(q1), q3=float(q3),
             giant_frac=float(np.mean(self.fracs)) if self.fracs else math.nan,
-            verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f, beta,
+            verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f,
                                  self.law),
             seed=spec.seed, reason=self.reason,
             near_critical=_near_critical(spec.f, spec.base.tau, beta))
@@ -315,7 +315,7 @@ class DecadeProfile:
     mean_degree: float
     mean_weight: float
     ratio: float                   # mean degree / mean weight
-    reliable: bool                 # count >= 30
+    reliable: bool                 # count >= RELIABLE_DECADE_COUNT
 
 
 def degree_weight_profile(g: Graph) -> list:
@@ -331,7 +331,7 @@ def degree_weight_profile(g: Graph) -> list:
         out.append(DecadeProfile(
             decade=int(dec), count=int(sel.sum()), mean_degree=mean_deg,
             mean_weight=mean_w, ratio=mean_deg / mean_w,
-            reliable=int(sel.sum()) >= 30))
+            reliable=int(sel.sum()) >= calibration.RELIABLE_DECADE_COUNT))
     return out
 
 
@@ -364,10 +364,11 @@ class GiantCurvePoint:
     mean_second_fraction: float    # second largest / n (uniqueness proxy)
 
 
-def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0,
-                         length_law=None) -> list:
-    """Mean largest- and second-largest-component fractions per size."""
-    from .metrics import components
+def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0) -> list:
+    """Mean largest- and second-largest-component fractions per size.
+
+    Components do not depend on edge lengths, so the graphs carry unit ones.
+    """
     out = []
     for n in sizes:
         spec = make_spec(n)
@@ -375,8 +376,7 @@ def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0,
             raise ValueError("giant-component curve expects tau in (2, 3)")
         fracs, seconds = [], []
         for rep in range(reps):
-            g = generate(spec, derive_master(seed, f"giant:{n}:{rep}"),
-                         length_law=length_law)
+            g = generate(spec, derive_master(seed, f"giant:{n}:{rep}"))
             comps = components(g)
             fracs.append(len(comps[0]) / g.n)
             seconds.append(len(comps[1]) / g.n if len(comps) > 1 else 0.0)
@@ -397,31 +397,28 @@ class AsymmetrySideResult:
     origin_weights: np.ndarray     # the pinned origin's drawn weight per rep
 
 
-def asymmetry_experiment(f, sides, t: float, reps: int, *, d: int = 1,
-                         tau: float = 1.5, alpha: float = 2.0, c: float = 1.0,
-                         lam: float = 1.0, length_law=None,
+def asymmetry_experiment(f, sides, t: float, reps: int, *,
                          seed: int = 0) -> list:
     """Outward vs inward cheap-edge counts at a pinned origin, per side.
 
-    Each repetition draws a fresh windowed-IGIRG cloud with the origin
-    pinned and counts incident edges within one-hop cost t in the two
-    directions; the asymmetric regime tau in (1, 2] is enforced because
-    that is where the direction of f decides explosivity.
+    Each repetition draws a fresh windowed-IGIRG cloud (lam = 1, d = 1,
+    alpha = 2, c = 1) with the origin pinned and counts incident edges
+    within one-hop cost t in the two directions.  The model sits in the
+    asymmetric regime tau in (1, 2], at tau = 1.5, where the direction of
+    f decides explosivity, and lengths follow PolyAtZero(1) (beta = 1).
     """
-    if not 1.0 < tau <= 2.0:
-        raise ValueError("asymmetry experiment expects tau in (1, 2]")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     out = []
     for side in sides:
-        spec = IgirgWindow(lam=lam, d=d, side=float(side), tau=tau,
-                           alpha=alpha, c=c, pin_origin=True)
+        spec = IgirgWindow(lam=1.0, d=1, side=float(side), tau=1.5,
+                           alpha=2.0, c=1.0, pin_origin=True)
         outward = np.zeros(reps)
         inward = np.zeros(reps)
         origin_w = np.zeros(reps)
         for rep in range(reps):
             g = generate(spec, derive_master(seed, f"asym:{side}:{rep}"),
-                         length_law=length_law)
+                         length_law=PolyAtZero(1.0))
             origin = g.vertices.origin_index
             outward[rep] = n1t(g, f, origin, t, "outward")
             inward[rep] = n1t(g, f, origin, t, "inward")
@@ -433,7 +430,7 @@ def asymmetry_experiment(f, sides, t: float, reps: int, *, d: int = 1,
     return out
 
 
-def direction_criterion(results, batches: int, band=(1.0, 2.0)) -> list:
+def direction_criterion(results, batches: int) -> list:
     """Per-batch comparison: do outward counts outgrow inward ones?
 
     Marginal means mix two origin populations — light origins drive the
@@ -441,7 +438,7 @@ def direction_criterion(results, batches: int, band=(1.0, 2.0)) -> list:
     out but cubed stepping in) while heavy origins drive the inward ones —
     and both marginal means end up growing at the same rate.  The
     comparison therefore conditions on repetitions whose origin weight
-    fell in a fixed band, where the direction effect is undiluted: per
+    fell in calibration.ASYMMETRY_WEIGHT_BAND, where the direction effect is undiluted: per
     batch, the smallest-to-largest-side growth factor of (1 + banded mean)
     must be strictly larger outward than inward.
     """
@@ -456,9 +453,10 @@ def direction_criterion(results, batches: int, band=(1.0, 2.0)) -> list:
     if per < 1:
         raise ValueError("more batches than repetitions")
 
+    lo, hi = calibration.ASYMMETRY_WEIGHT_BAND
+
     def banded_mean(r: AsymmetrySideResult, counts, sl) -> float:
-        m = ((r.origin_weights[sl] >= band[0])
-             & (r.origin_weights[sl] <= band[1]))
+        m = (r.origin_weights[sl] >= lo) & (r.origin_weights[sl] <= hi)
         return float(counts[sl][m].mean()) if m.any() else 0.0
 
     first, last = results[0], results[-1]
@@ -499,22 +497,20 @@ def hrg_mapped_probability(arg, T_H: float):
 
 
 def hrg_kernel_validation(n: int, alpha_H: float, C_H: float, T_H: float,
-                          reps: int, *, seed: int = 0,
-                          pairs_per_rep: int = 200_000,
-                          bin_edges=None) -> list:
+                          reps: int, *, seed: int = 0) -> list:
     """Empirical vs predicted connection frequency, binned by mapped argument.
 
-    Vertex pairs are subsampled uniformly; the edge indicator is read off
-    the generated graph, the prediction from the limiting kernel at the
-    pair's own argument (so the per-bin comparison is against the mean
-    prediction, not a midpoint evaluation).
+    Each repetition subsamples 200,000 vertex pairs uniformly; the edge
+    indicator is read off the generated graph, the prediction from the
+    limiting kernel at the pair's own argument (so the per-bin comparison
+    is against the mean prediction, not a midpoint evaluation).  The 24
+    bins are log-spaced over arguments 10^-3 to 10^3.
     """
     if T_H is None:
         raise ValueError("kernel validation needs the parametrized model "
                          "(finite T_H)")
-    if bin_edges is None:
-        bin_edges = np.logspace(-3.0, 3.0, 25)
-    edges = np.asarray(bin_edges, dtype=np.float64)
+    pairs_per_rep = 200_000
+    edges = np.logspace(-3.0, 3.0, 25)
     nb = edges.size - 1
     pair_tot = np.zeros(nb, dtype=np.int64)
     edge_tot = np.zeros(nb, dtype=np.int64)

@@ -67,7 +67,9 @@ class VertexSet:
             raise ValueError("positions and weights disagree on vertex count")
         if pos.shape[1] != self.window.d:
             raise ValueError("position dimension does not match window")
-        if w.size and w.min() < 1.0:
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
+        if w.size and not w.min() >= 1.0:       # NaN fails too; +inf is kept
             raise ValueError("weights must be >= 1")
         if self.origin_index is not None and not 0 <= self.origin_index < w.shape[0]:
             raise ValueError("origin_index out of range")
@@ -99,8 +101,7 @@ class Graph:
                 u, v, ell = u[order], v[order], ell[order]
                 if (np.diff(u * vertices.n + v) == 0).any():
                     raise ValueError("duplicate edge")
-            if (ell < 0).any():
-                raise ValueError("edge lengths must be non-negative")
+            _check_lengths(ell)
         self.edges_u = u
         self.edges_v = v
         self.lengths = ell
@@ -149,13 +150,17 @@ class Graph:
         ell = np.ascontiguousarray(lengths, dtype=np.float64)
         if ell.shape != self.edges_u.shape:
             raise ValueError("edge arrays must have equal length")
-        if (ell < 0).any():
-            raise ValueError("edge lengths must be non-negative")
+        _check_lengths(ell)
         g = object.__new__(Graph)
         g.vertices, g.spec, g.seed = self.vertices, self.spec, self.seed
         g.edges_u, g.edges_v, g.lengths = self.edges_u, self.edges_v, ell
         g._edge_derived = self._edge_derived
         return g
+
+
+def _check_lengths(ell) -> None:
+    if not (ell >= 0).all():                # NaN fails too; +inf is kept
+        raise ValueError("edge lengths must be non-negative")
 
 
 def _build_csr(g: Graph) -> tuple:
@@ -239,7 +244,7 @@ class SfpWindow:
             raise ValueError("need d >= 1 and radius >= 0")
         if not self.tau > 1.0:
             raise ValueError("tau must exceed 1")
-        if self.lambda_perc <= 0 or self.alpha_norm <= 0:
+        if not (self.lambda_perc > 0 and self.alpha_norm > 0):
             raise ValueError("lambda_perc and alpha_norm must be positive")
 
     @property
@@ -260,7 +265,9 @@ class Hrg:
         _check_common(self.n, 1, 2.0 * self.alpha_H + 1.0)
         if not 0.5 < self.alpha_H < 1.0:
             raise ValueError("alpha_H must lie in (1/2, 1)")
-        if self.T_H is not None and self.T_H <= 0:
+        if not math.isfinite(self.C_H):
+            raise ValueError("C_H must be finite")
+        if self.T_H is not None and not self.T_H > 0:
             raise ValueError("T_H must be positive (or None)")
 
     @property
@@ -882,10 +889,10 @@ def _uniform_positions(master_seed, n, d, side):
     return (u - 0.5) * side
 
 
-def _pareto_weights(master_seed, n, tau, cap=None):
+def _pareto_weights(master_seed, n, tau):
     counters = np.arange(n, dtype=np.int64)
     u = uniform_array(master_seed, "weights", counters)
-    return weight_from_uniform(u, WeightLaw(tau, cap=cap))
+    return weight_from_uniform(u, WeightLaw(tau))
 
 
 def check_vertex_count(n: int) -> None:
@@ -894,8 +901,8 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds cap {_VERTEX_CAP}")
 
 
-def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
-             weight_cap: float | None = None) -> Graph:
+def generate(spec, master_seed: int,
+             length_law: EdgeLengthLaw | None = None) -> Graph:
     """Sample a graph; identical (spec, seed, law) gives identical bytes.
 
     Girg edges come from the cell sampler when it is expected to examine
@@ -905,7 +912,7 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
     if isinstance(spec, Girg):
         check_vertex_count(spec.n)
         pos = _uniform_positions(master_seed, spec.n, spec.d, 1.0)
-        w = _pareto_weights(master_seed, spec.n, spec.tau, weight_cap)
+        w = _pareto_weights(master_seed, spec.n, spec.tau)
         vs = VertexSet(spec.window, pos, w)
     elif isinstance(spec, IgirgWindow):
         mean = spec.lam * spec.side**spec.d
@@ -917,7 +924,7 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         pos = _uniform_positions(master_seed, n_pois, spec.d, spec.side)
         if spec.pin_origin:
             pos = np.vstack([pos, np.zeros((1, spec.d))])
-        w = _pareto_weights(master_seed, n_total, spec.tau, weight_cap)
+        w = _pareto_weights(master_seed, n_total, spec.tau)
         vs = VertexSet(spec.window, pos, w,
                        origin_index=n_total - 1 if spec.pin_origin else None)
     elif isinstance(spec, SfpWindow):
@@ -926,7 +933,7 @@ def generate(spec, master_seed: int, length_law: EdgeLengthLaw | None = None,
         axes = [np.arange(-spec.radius, spec.radius + 1)] * spec.d
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pos = grid.reshape(-1, spec.d).astype(np.float64)
-        w = _pareto_weights(master_seed, n, spec.tau, weight_cap)
+        w = _pareto_weights(master_seed, n, spec.tau)
         origin = int(np.flatnonzero((pos == 0.0).all(axis=1))[0])
         vs = VertexSet(spec.window, pos, w, origin_index=origin)
     elif isinstance(spec, Hrg):

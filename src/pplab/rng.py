@@ -127,25 +127,18 @@ def derive_master(master_seed: int, text: str) -> int:
 class WeightLaw:
     """Pareto vertex-weight law P(W >= x) = x^{-(tau-1)} for x >= 1.
 
-    The slowly-varying correction is pinned to 1.  ``cap`` optionally
-    truncates the law by clipping (W := min(W, cap)), which is how
-    weight-truncated graphs are produced.
+    The slowly-varying correction is pinned to 1.
     """
 
     tau: float
-    cap: float | None = None
 
     def __post_init__(self):
         if not self.tau > 1:
             raise ValueError("tau must exceed 1")
-        if self.cap is not None and self.cap < 1:
-            raise ValueError("cap must be >= 1")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = np.where(x >= 1.0, 1.0 - x ** (-(self.tau - 1.0)), 0.0)
-        if self.cap is not None:
-            out = np.where(x >= self.cap, 1.0, out)
         return out if out.ndim else float(out)
 
 
@@ -153,8 +146,6 @@ def weight_from_uniform(u, law: WeightLaw):
     """Inverse-cdf transform: W = U^{-1/(tau-1)} for U in (0,1]."""
     u = np.asarray(u, dtype=np.float64)
     w = u ** (-1.0 / (law.tau - 1.0))
-    if law.cap is not None:
-        w = np.minimum(w, law.cap)
     return w if w.ndim else float(w)
 
 

@@ -381,10 +381,8 @@ def test_criterion_12_penalty_direction_asymmetry():
     reps = calibration.ASYMMETRY_BATCHES * calibration.ASYMMETRY_REPS_PER_BATCH
     results = asymmetry_experiment(
         monomial_penalty(3.0, 0.25), calibration.ASYMMETRY_SIDES,
-        calibration.ASYMMETRY_T, reps, tau=1.5, length_law=PolyAtZero(1.0),
-        seed=2026)
-    flags = direction_criterion(results, calibration.ASYMMETRY_BATCHES,
-                                band=calibration.ASYMMETRY_WEIGHT_BAND)
+        calibration.ASYMMETRY_T, reps, seed=2026)
+    flags = direction_criterion(results, calibration.ASYMMETRY_BATCHES)
     won = sum(flags)
 
     lo_w, hi_w = calibration.ASYMMETRY_WEIGHT_BAND

@@ -12,6 +12,11 @@ A reference is a name, an attribute or an imported name in the parsed code;
 docstrings and comments never count.  Names are matched bare: a top-level
 definition by any of the three, a method by an attribute only.  A method
 that shares its name with an attribute in use therefore counts as reached.
+
+The same reached code must pass every defaulted parameter of a public
+function or method, by keyword or by position, in some call; a call with
+``*`` or ``**`` passes every parameter.  A parameter that no such call
+passes is a setting nobody uses, and becomes a constant.
 """
 from __future__ import annotations
 
@@ -34,6 +39,14 @@ KEEP = {
     "rng.EdgeLengthLaw.cdf":
         "closed-form length cdf; test_rng's quantile inequality and KS "
         "tests check quantile and sample_from_uniform against it",
+}
+
+
+# Defaulted parameters that reached code never passes, kept for the tests.
+UNPASSED = {
+    "metrics.distance_matrix.direction":
+        "the reference that test_metrics compares pair_distances against, "
+        "in both directions",
 }
 
 
@@ -114,11 +127,16 @@ def _script_names() -> set:
     return names
 
 
+def _callers() -> list:
+    """Parsed code that is not the package: perfbench and the acceptance."""
+    paths = [*(ROOT / "perfbench").glob("*.py"),
+             ROOT / "tests" / "test_acceptance.py"]
+    return [ast.parse(p.read_text()) for p in paths]
+
+
 def _unreached() -> list:
     defs, reached = _package()
-    callers = [*(ROOT / "perfbench").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    reached.add(*(ast.parse(p.read_text()) for p in callers))
+    reached.add(*_callers())
     reached.names |= _script_names()
     for dotted in KEEP:
         reached.update(defs[dotted].refs)
@@ -140,3 +158,53 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     unused = _unreached()
     assert not unused, ("public names that only the unit tests reach: "
                         + ", ".join(unused))
+
+
+def _public_functions():
+    """(dotted name, node, 1 for a method's self else 0) of every public
+    function and public method of a public class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if (isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")):
+                        yield f"{path.stem}.{node.name}.{m.name}", m, 1
+
+
+def _unpassed() -> list:
+    calls = {}                     # bare callee name -> [ast.Call]
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    for tree in trees + _callers():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for dotted, fn, skip in _public_functions():
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = [(p.arg, i - skip) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs,
+                                                   a.kw_defaults)
+                      if d is not None]
+        for param, pos in defaulted:
+            if not any(any(isinstance(x, ast.Starred) for x in c.args)
+                       or any(k.arg in (None, param) for k in c.keywords)
+                       or (pos is not None and len(c.args) > pos)
+                       for c in calls.get(fn.name, ())):
+                out.append(f"{dotted}.{param}")
+    return sorted(p for p in out if p not in UNPASSED)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    unused = _unpassed()
+    assert not unused, ("defaulted parameters that no call outside the unit "
+                        "tests passes: " + ", ".join(unused))

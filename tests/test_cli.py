@@ -150,6 +150,55 @@ def test_sweep_from_config_guards():
             "model = hrg\nn = 8\nalpha_h = 0.75\nc_h = 1.0\n"))
 
 
+@pytest.mark.parametrize("extra", [
+    "lam = 5", "radius = 3", "alpha_h = 0.6", "beta_grid = 0.1",
+    "pairs_per_graph = 3", "penalty = prod:1"])
+def test_generate_refuses_keys_the_model_does_not_read(extra):
+    text = ("model = girg\nn = 10\nd = 2\ntau = 2.5\nalpha = 2.0\n"
+            f"c = 0.5\n{extra}\n")
+    key = extra.split()[0]
+    with pytest.raises(ConfigError) as exc:
+        model_from_config(parse_config(text))
+    assert str(exc.value) == (f"config key {key!r} is not read by generate "
+                              "with model = girg")
+
+
+@pytest.mark.parametrize("extra", ["law = exp:3", "side = 9", "lam = 1",
+                                   "t_h = 0.5", "pin_origin = true"])
+def test_sweep_refuses_keys_it_does_not_read(extra):
+    text = ("model = girg\nd = 2\ntau = 2.5\nalpha = 2.0\nc = 0.5\n"
+            "penalty = prod:1\nlaw_family = poly\nbeta_grid = 0.1\n"
+            f"size_grid = 64\n{extra}\n")
+    key = extra.split()[0]
+    with pytest.raises(ConfigError) as exc:
+        sweep_from_config(parse_config(text))
+    assert str(exc.value) == (f"config key {key!r} is not read by sweep "
+                              "with model = girg")
+
+
+def test_optional_keys_fall_back_to_the_dataclass_defaults():
+    ig = model_from_config(parse_config(
+        "model = igirg\nlam = 1.0\nd = 1\nside = 5.0\ntau = 2.5\n"
+        "alpha = 2.0\nc = 1.0\nc1 = 2.0\n"))
+    assert ig == IgirgWindow(lam=1.0, d=1, side=5.0, tau=2.5, alpha=2.0,
+                             c=1.0, c1_threshold=2.0)
+    hrg = model_from_config(parse_config(
+        "model = hrg\nn = 100\nalpha_h = 0.75\nc_h = 1.0\n"))
+    assert hrg == Hrg(n=100, alpha_H=0.75, C_H=1.0)
+    base = ("model = girg\nd = 2\ntau = 2.5\nalpha = 2.0\nc = 0.5\n"
+            "penalty = prod:1\nlaw_family = poly\nbeta_grid = 0.1\n"
+            "size_grid = 64\n")
+    spec = sweep_from_config(parse_config(base))
+    assert spec == experiments.SweepSpec(
+        base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5), f=spec.f,
+        law_family=PolyAtZero, beta_grid=(0.1,), size_grid=(64,))
+    spec = sweep_from_config(parse_config(
+        base + "c1 = 3.0\npairs_per_graph = 4\ngraphs_per_cell = 2\n"
+        "seed = 5\n"), seed_override=6)
+    assert (spec.base.c1_threshold, spec.pairs_per_graph,
+            spec.graphs_per_cell, spec.seed) == (3.0, 4, 2, 6)
+
+
 # ---------------------------------------------------------------------------
 # graph text format
 
@@ -311,6 +360,25 @@ def test_cmd_distance_edge_cases(tmp_path, capsys):
                       "--penalty", "prod:1", "--source", "0",
                       "--target", "9")
     assert rc == 2 and "not a vertex" in err
+
+
+def test_cmd_distance_refuses_a_nan_weight(tmp_path, capsys):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("model = girg\nn = 20\nd = 2\ntau = 2.5\nalpha = 2\n"
+                   "c = 0.5\nlaw = poly:1\n")
+    gp = tmp_path / "g.graph"
+    assert _run(capsys, "generate", "--config", str(cfg), "--out", str(gp),
+                "--seed", "3")[0] == 0
+    argv = ["distance", "--graph", str(gp), "--penalty", "prod:1",
+            "--source", "0", "--target", "5"]
+    assert _run(capsys, *argv)[0] == 0
+    lines = gp.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("v 0 "))
+    lines[row] = lines[row].rsplit(" ", 1)[0] + " nan\n"
+    gp.write_text("".join(lines))
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"config error: {gp}: weights must be >= 1\n"
 
 
 # a square of two two-hop routes from 0 to 3, 0-1-3 and 0-2-3, whose
@@ -625,6 +693,15 @@ def test_cmd_hrgmap_refuses_points_off_the_disk(capsys, phi, r, field):
                         "--n", "100")
     assert (rc, out) == (2, "")
     assert err.startswith(f"config error: {field} must lie in [0, ")
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--c-h", "nan", "C_H"), ("--c-h", "inf", "C_H"), ("--t-h", "nan", "T_H")])
+def test_cmd_hrgmap_refuses_nan_model_constants(capsys, flag, value, field):
+    rc, out, err = _run(capsys, "hrgmap", "--phi", "1", "--r", "3",
+                        "--n", "100", flag, value)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"config error: {field} must ")
 
 
 def test_cmd_boxes_report(tmp_path, capsys):

@@ -105,16 +105,24 @@ def test_two_point_is_deterministic_in_seed():
 
 
 def test_cell_verdict_covers_all_routes():
-    assert cell_verdict(2.5, 2.0, PROD, 0.1, PolyAtZero(0.1)) == \
+    assert cell_verdict(2.5, 2.0, PROD, PolyAtZero(0.1)) == \
         "ExplosiveLengthwise"
-    assert cell_verdict(2.5, 2.0, PROD, 1.0, PolyAtZero(1.0)) == \
-        "Conservative"
+    assert cell_verdict(2.5, 2.0, PROD, PolyAtZero(1.0)) == "Conservative"
+    # Exponential decays linearly at 0 (beta- = beta+ = 1) at every rate
+    assert cell_verdict(2.5, 2.0, PROD, Exponential(0.1)) == "Conservative"
     # mu = 0 strips the weights: the verdict is the length law's alone
     flat = product_penalty(0.0)
-    assert cell_verdict(2.5, 2.0, flat, 1.0, Exponential(1.0)) == \
-        "FppExplosive"
-    assert cell_verdict(2.5, 2.0, flat, 1.0, DoubleExpFlat(2.0, 1.0, 1.0)) == \
+    assert cell_verdict(2.5, 2.0, flat, Exponential(1.0)) == "FppExplosive"
+    assert cell_verdict(2.5, 2.0, flat, DoubleExpFlat(2.0, 1.0, 1.0)) == \
         "FppConservative"
+
+
+def test_sweep_verdicts_read_the_law_exponents():
+    # the grid value 0.1 is Exponential's rate here, not its beta (1)
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5), f=PROD,
+                     law_family=Exponential, beta_grid=(0.1,),
+                     size_grid=(64,), pairs_per_graph=2, graphs_per_cell=1)
+    assert [c.verdict for c in phase_sweep(spec)] == ["Conservative"]
 
 
 def test_near_critical_flags_ten_percent_window():
@@ -383,8 +391,7 @@ def test_giant_curve_tau_domain():
 
 
 def test_asymmetry_symmetric_penalty_is_direction_blind():
-    res = asymmetry_experiment(PROD, (8.0, 16.0), 1.0, 10,
-                               length_law=PolyAtZero(1.0), seed=77)
+    res = asymmetry_experiment(PROD, (8.0, 16.0), 1.0, 10, seed=77)
     for r in res:
         np.testing.assert_array_equal(r.outward_counts, r.inward_counts)
         assert r.origin_weights.min() >= 1.0
@@ -394,14 +401,12 @@ def test_asymmetry_symmetric_penalty_is_direction_blind():
 def test_asymmetry_t_zero_counts_nothing():
     # continuous length law: zero-cost edges have probability zero
     res = asymmetry_experiment(monomial_penalty(3.0, 0.25), (8.0,), 0.0, 8,
-                               length_law=PolyAtZero(1.0), seed=13)
+                               seed=13)
     assert res[0].outward_counts.sum() == 0
     assert res[0].inward_counts.sum() == 0
 
 
 def test_asymmetry_domain_checks():
-    with pytest.raises(ValueError, match="tau"):
-        asymmetry_experiment(PROD, (8.0,), 1.0, 2, tau=2.5)
     with pytest.raises(ValueError):
         asymmetry_experiment(PROD, (8.0,), 1.0, 0)
 
@@ -423,11 +428,9 @@ def test_direction_criterion_on_pinned_asymmetric_penalty():
     # small-scale version of the pinned run; the full batch criterion
     # lives in the acceptance suite
     f = monomial_penalty(3.0, 0.25)
-    res = asymmetry_experiment(
-        f, (32.0, 512.0), calibration.ASYMMETRY_T, 70,
-        length_law=PolyAtZero(1.0), seed=2026)
-    flags = direction_criterion(res, 2,
-                                band=calibration.ASYMMETRY_WEIGHT_BAND)
+    res = asymmetry_experiment(f, (32.0, 512.0), calibration.ASYMMETRY_T, 70,
+                               seed=2026)
+    flags = direction_criterion(res, 2)
     assert flags == [True, True]
 
 
@@ -445,8 +448,7 @@ def test_hrg_mapped_probability_limits():
 
 
 def test_hrg_kernel_validation_matches_prediction():
-    rows = hrg_kernel_validation(2048, 0.75, 1.0, 0.5, 1, seed=314,
-                                 pairs_per_rep=150_000)
+    rows = hrg_kernel_validation(2048, 0.75, 1.0, 0.5, 1, seed=314)
     assert all(r.lo < r.hi for r in rows)
     busy = [r for r in rows if r.pairs >= calibration.HRG_KERNEL_MIN_PAIRS]
     assert len(busy) >= 5

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from pplab import metrics
+from pplab import metrics, models
 from pplab.cost import (
     MaxPenalty,
     monomial_penalty,
@@ -783,6 +783,20 @@ def test_greedy_bound_requires_monomial():
                             path)
 
 
+def _capped(spec, seed, law, cap):
+    """generate(spec, seed, law) with every weight clipped at cap.
+
+    The edges come from the all-pairs sweep on the clipped weights, and the
+    lengths from the seed, as generate draws a window's.
+    """
+    vs = generate(spec, seed).vertices
+    vs = VertexSet(vs.window, vs.positions, np.minimum(vs.weights, cap),
+                   vs.origin_index)
+    u, v = models._pairwise_pairs(spec, seed, vs)
+    return relength(Graph(vs, u, v, np.ones(u.size), spec=spec, seed=seed),
+                    law)
+
+
 def _boxing_windows():
     """(graph, boxing) pairs: criterion 10's windows, capped weights, d = 2."""
     p = solve_boxing_params(TAU, 1.0, 1.0, 0.1)
@@ -793,10 +807,11 @@ def _boxing_windows():
     for seed in range(20):
         g = generate(spec, seed, length_law=law)
         yield g, build_boxing(g.vertices.window, [0.0], M, p.C, p.D, p.delta)
-    # weight_cap makes heavy vertices tie at the cap, which is delta-good at k = 2
+    # capped weights make heavy vertices tie at the cap, which is delta-good
+    # at k = 2
     spec = IgirgWindow(lam=1.0, d=1, side=400.0, tau=TAU, alpha=2.0, c=1.0)
     for seed in range(10):
-        g = generate(spec, seed, length_law=law, weight_cap=3.0)
+        g = _capped(spec, seed, law, 3.0)
         yield g, build_boxing(g.vertices.window, [0.0], 1.0, 1.3, 2.0, 0.2)
     # d = 2 with D = 2.5: Gamma_5 and Gamma_6 hold sub-boxes (D = 1.5 fills
     # only Gamma_0 at this side)
@@ -870,7 +885,7 @@ def test_delta_good_scan_matches_per_vertex_oracle():
     tied = 0
     for spec, center, params in cases:
         for seed, cap in ((11, 1.5), (12, 3.0)):
-            g = generate(spec, seed, length_law=law, weight_cap=cap)
+            g = _capped(spec, seed, law, cap)
             b = build_boxing(g.vertices.window, center, *params)
             scan = delta_good_scan(g, b, TAU)
             w = g.vertices.weights

@@ -409,6 +409,49 @@ def test_spec_validation_refuses_nan(field, match):
             IgirgWindow(**{**base, "lam": 1.0, "side": 4.0, field: math.nan})
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: Hrg(n=50, alpha_H=0.75, C_H=math.nan), "C_H must be finite"),
+    (lambda: Hrg(n=50, alpha_H=0.75, C_H=math.inf), "C_H must be finite"),
+    (lambda: Hrg(n=50, alpha_H=0.75, C_H=1.0, T_H=math.nan), "T_H"),
+    (lambda: SfpWindow(d=1, radius=5, tau=2.5, lambda_perc=math.nan,
+                       alpha_norm=1.5), "lambda_perc and alpha_norm"),
+    (lambda: SfpWindow(d=1, radius=5, tau=2.5, lambda_perc=1.0,
+                       alpha_norm=math.nan), "lambda_perc and alpha_norm"),
+])
+def test_hrg_and_sfp_refuse_nan(build, match):
+    # these generated an edgeless HRG, or an SFP with only its forced edges
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def _unit_vertices(positions, weights):
+    return VertexSet(Window(1, 10.0, boundary="hard"),
+                     np.asarray(positions, dtype=np.float64)[:, None],
+                     np.asarray(weights, dtype=np.float64))
+
+
+@pytest.mark.parametrize("positions, weights, match", [
+    ([0.0, 1.0], [math.nan, 2.0], "weights must be >= 1"),
+    ([0.0, 1.0], [2.0, math.nan], "weights must be >= 1"),
+    ([math.nan, 1.0], [1.0, 2.0], "positions must be finite"),
+    ([0.0, math.inf], [1.0, 2.0], "positions must be finite"),
+])
+def test_vertex_set_refuses_nan(positions, weights, match):
+    with pytest.raises(ValueError, match=match):
+        _unit_vertices(positions, weights)
+
+
+def test_graph_refuses_nan_lengths_and_keeps_inf():
+    # +inf weights (a Pareto draw that overflows) and +inf lengths stay valid
+    vs = _unit_vertices([0.0, 1.0, 2.0], [1.0, math.inf, 2.0])
+    g = Graph(vs, [0, 1], [1, 2], [math.inf, 1.0])
+    assert g.with_lengths([1.0, math.inf]).lengths[1] == math.inf
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(vs, [0, 1], [1, 2], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        g.with_lengths([1.0, math.nan])
+
+
 def test_graph_container():
     window = Window(1, 10.0, boundary="hard")
     vs = VertexSet(window, np.array([[-2.0], [0.0], [1.0], [3.0]]),

@@ -36,12 +36,6 @@ def test_weight_pinned_values():
     )
 
 
-def test_weight_cap_clips():
-    law = WeightLaw(tau=2.0, cap=10.0)
-    assert weight_from_uniform(1e-6, law) == 10.0
-    assert weight_from_uniform(0.9, law) == pytest.approx(1.0 / 0.9)
-
-
 def test_weight_ks_statistic():
     law = WeightLaw(tau=2.5)
     u = uniform_array(987654321, "ks-weights", np.arange(100_000))
