@@ -704,6 +704,21 @@ def test_cmd_hrgmap_refuses_nan_model_constants(capsys, flag, value, field):
     assert err.startswith(f"config error: {field} must ")
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_cmd_hrg_blames_alpha_h_not_tau(tmp_path, capsys, value):
+    # tau = 2 alpha_H + 1 is derived, so a bad alpha_H is reported by name
+    want = (2, "", "config error: alpha_H must lie in (1/2, 1)\n")
+    assert _run(capsys, "hrgmap", "--phi", "1", "--r", "3", "--n", "100",
+                f"--alpha-h={value}") == want
+    cfg = tmp_path / "hrg.cfg"
+    cfg.write_text(f"model = hrg\nn = 100\nalpha_h = {value}\nc_h = 1.0\n"
+                   "seed = 3\n")
+    out_path = tmp_path / "hrg.graph"
+    assert _run(capsys, "generate", "--config", str(cfg),
+                "--out", str(out_path)) == want
+    assert not out_path.exists()
+
+
 def test_cmd_boxes_report(tmp_path, capsys):
     cfg = tmp_path / "ig.cfg"
     cfg.write_text("model = igirg\nd = 1\nside = 1000.0\nlam = 1.0\n"

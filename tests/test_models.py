@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,7 +272,7 @@ def test_generate_starts_no_thread(monkeypatch):
         raise AssertionError(f"generate started thread {self.name}")
 
     monkeypatch.setattr(threading.Thread, "start", no_start)
-    # criterion 12's largest window: about 512 vertices, two row blocks
+    # criterion 12's largest window: about 512 vertices, 17 one-tile strips
     asym = IgirgWindow(lam=1.0, d=1, side=512.0, tau=1.5, alpha=2.0, c=1.0,
                        pin_origin=True)
     cases = [*GOLDEN_CASES.values(), (asym, PolyAtZero(1.0))]
@@ -409,6 +410,13 @@ def test_spec_validation_refuses_nan(field, match):
             IgirgWindow(**{**base, "lam": 1.0, "side": 4.0, field: math.nan})
 
 
+@pytest.mark.parametrize("alpha_H", [math.nan, 0.0, -1.0])
+def test_hrg_blames_alpha_H_not_tau(alpha_H):
+    # tau = 2 alpha_H + 1 is derived, so its check would name the wrong input
+    with pytest.raises(ValueError, match=r"^alpha_H must lie in \(1/2, 1\)$"):
+        Hrg(n=100, alpha_H=alpha_H, C_H=1.0)
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda: Hrg(n=50, alpha_H=0.75, C_H=math.nan), "C_H must be finite"),
     (lambda: Hrg(n=50, alpha_H=0.75, C_H=math.inf), "C_H must be finite"),
@@ -519,6 +527,29 @@ def test_csr_matches_edge_scan():
         assert h.csr is g.csr
 
 
+def _reference_csr(g):
+    """CSR by a stable argsort: half-edges to smaller neighbours (v -> u)
+    precede those to larger ones, each block in (u, v) order, so a stable
+    sort by source sorts each row."""
+    src = np.concatenate([g.edges_v, g.edges_u])
+    order = np.argsort(src, kind="stable")
+    nbr = np.concatenate([g.edges_u, g.edges_v])[order]
+    eid = order % max(g.m, 1)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
+    return indptr, nbr, eid
+
+
+def test_csr_matches_argsort_reference():
+    graphs = [generate(spec, 1, law) for spec, law in GOLDEN_CASES.values()]
+    graphs += [generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=1.0), 7),
+               _line_graph(1, []), _line_graph(5, []),
+               _line_graph(6, [(1, 4), (2, 4)])]      # 0, 3 and 5 isolated
+    for g in graphs:
+        for got, want in zip(g.csr, _reference_csr(g), strict=True):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
 def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
     g = _line_graph(4, [(1, 3), (0, 2), (1, 2), (0, 1)], [1.0, 2.0, 3.0, 4.0])
     assert list(zip(g.edges_u.tolist(), g.edges_v.tolist())) == \
@@ -530,22 +561,104 @@ def test_graph_sorts_unsorted_edges_and_rejects_duplicates():
             _line_graph(4, pairs)
 
 
+# golden specs grown past one tile width
+WIDE_SPECS = {
+    "girg": GOLDEN_CASES["girg"][0],
+    "igirg": replace(GOLDEN_CASES["igirg"][0], side=2400.0),
+    "sfp": replace(GOLDEN_CASES["sfp"][0], radius=25),
+    "hrg": replace(GOLDEN_CASES["hrg"][0], n=2200),
+}
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_pairwise_sweep_emits_edges_in_pair_order(threads):
-    # several blocks per row of blocks, so keys come out of (u, v) order
-    # until sorted; Graph then keeps the edges as they come.  At 3, three
-    # callers sweep the same vertices at once.
-    for name in ("girg", "igirg", "sfp", "hrg"):
-        spec, _ = GOLDEN_CASES[name]
+    # several tiles per strip, so keys come out of (u, v) order until
+    # sorted; Graph then keeps the edges as they come.  At 3, three callers
+    # sweep the same vertices at once.
+    for name, spec in WIDE_SPECS.items():
         vs = generate(spec, 5).vertices
         runs = _on_threads(threads,
                            lambda: models._pairwise_pairs(spec, 5, vs))
         for u, v in runs:
             keys = u * vs.n + v
-            assert vs.n > models._BLOCK and u.size and (u < v).all(), name
+            assert vs.n > models._TILE and u.size and (u < v).all(), name
             assert (np.diff(keys) > 0).all(), name
             assert np.array_equal(u, runs[0][0]), name
             assert np.array_equal(v, runs[0][1]), name
+
+
+# the slow reference: every pair u < v decided on its own
+SWEEP_SPECS = {
+    "girg-d1-alpha2-c1": Girg(n=1, d=1, tau=2.5, alpha=2.0, c=1.0),
+    "girg-d2-alpha2-c0": Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.0),
+    "girg-d2-alpha3-c0.5": Girg(n=1, d=2, tau=2.5, alpha=3.0, c=0.5),
+    "girg-d1-threshold": Girg(n=1, d=1, tau=2.8, alpha=math.inf, c=0.0),
+    "girg-d2-threshold": Girg(n=1, d=2, tau=2.5, alpha=math.inf, c=1.0,
+                              c1_threshold=2.0),
+    "igirg-d1-c1-pinned": IgirgWindow(lam=1.0, d=1, side=2100.0, tau=2.3,
+                                      alpha=3.0, c=1.0, pin_origin=True),
+    "sfp": SfpWindow(d=2, radius=23, tau=2.5, lambda_perc=1.0,
+                     alpha_norm=2.0),
+    "hrg-T": Hrg(n=1, alpha_H=0.75, C_H=1.0, T_H=0.5),
+    "hrg-threshold": Hrg(n=1, alpha_H=0.75, C_H=1.0),
+}
+SWEEP_SIZES = (1, 2, models._STRIP - 1, models._STRIP, models._STRIP + 1,
+               models._TILE + 40)
+
+
+def _sweep_vertices(spec, n, seed):
+    """n vertices in spec's window: uniform positions (for SfpWindow the
+    first n grid points), Pareto weights, the last one at the origin under
+    pin_origin."""
+    win = spec.window
+    if isinstance(spec, SfpWindow):
+        axis = np.arange(-spec.radius, spec.radius + 1, dtype=np.float64)
+        grid = np.stack(np.meshgrid(*[axis] * win.d, indexing="ij"), axis=-1)
+        pos = grid.reshape(-1, win.d)[:n].copy()
+    else:
+        pos = models._uniform_positions(seed, n, win.d, win.side)
+    origin = None
+    if getattr(spec, "pin_origin", False):
+        pos[-1], origin = 0.0, n - 1
+    return VertexSet(win, pos, models._pareto_weights(seed, n, spec.tau),
+                     origin_index=origin)
+
+
+def _reference_pairs(spec, seed, vs, chunk=1 << 18):
+    """Edges u < v in (u, v) order: a pair is an edge when
+    uniform_array(seed, "edges", [u*n + v]) <= connect_prob(spec, w_u, w_v,
+    dist), with dist accumulated axis by axis as the sweep does."""
+    n, win, w = vs.n, vs.window, vs.weights
+    iu, iv = np.triu_indices(n, 1)
+    keep = np.zeros(iu.size, dtype=bool)
+    for s in range(0, iu.size, chunk):
+        u, v = iu[s:s + chunk], iv[s:s + chunk]
+        sq = np.zeros(u.size)
+        for x in vs.positions.T:
+            dx = np.abs(x[u] - x[v])
+            if win.boundary == "torus":
+                dx = np.minimum(dx, win.side - dx)
+            sq += dx * dx
+        dist = dx if win.d == 1 else np.sqrt(sq)
+        with np.errstate(divide="ignore", over="ignore"):
+            p = connect_prob(spec, w[u], w[v], dist)
+        keep[s:s + chunk] = uniform_array(seed, "edges", u * n + v) <= p
+    return iu[keep], iv[keep]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SPECS))
+def test_pairwise_sweep_matches_pair_by_pair_reference(name):
+    spec = SWEEP_SPECS[name]
+    for n in SWEEP_SIZES:
+        if "n" in spec.__dataclass_fields__:
+            spec = replace(spec, n=n)
+        vs = _sweep_vertices(spec, n, 11)
+        u, v = models._pairwise_pairs(spec, 11, vs)
+        ru, rv = _reference_pairs(spec, 11, vs)
+        assert u.dtype == v.dtype == np.int64, (name, n)
+        assert np.array_equal(u, ru) and np.array_equal(v, rv), (name, n)
+        if n > models._TILE:            # the c = 0 power kernel has no edges
+            assert (u.size > n) == (name != "girg-d2-alpha2-c0"), name
 
 
 # ---------------------------------------------------------------------------

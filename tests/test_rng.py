@@ -1,4 +1,5 @@
 """Randomness module: pinned examples and distributional invariants."""
+import hashlib
 import math
 
 import numpy as np
@@ -115,13 +116,40 @@ LAWS = [
 ]
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda l: type(l).__name__ + repr(getattr(l, "__dict__", "")))
+# the 4-nudge ulp repair leaves about 9% of PolyAtZero(0.1) draws short;
+# lifting the cap moves realizations, so it waits for ROADMAP item 3's bump
+SHORT_AFTER_REPAIR = pytest.param(
+    PolyAtZero(0.1), marks=pytest.mark.xfail(
+        strict=True, reason="ulp repair capped at 4 nudges; ROADMAP item 3"))
+
+
+@pytest.mark.parametrize("law", [*LAWS, SHORT_AFTER_REPAIR],
+                         ids=lambda l: type(l).__name__ + repr(getattr(l, "__dict__", "")))
 def test_quantile_inequality_exact(law):
     # F_L(quantile(y)) >= y must hold exactly, not within tolerance
     rng = np.random.default_rng(2024)
     ys = rng.uniform(1e-12, 1.0 - 1e-12, size=1000)
     q = law.quantile(ys)
     assert np.all(law.cdf(q) >= ys)
+
+
+# sha256 of sample_from_uniform on uniform_array(5, "lengths", 0..10^5 - 1),
+# recorded before the ulp repair was restricted to the still-short entries
+QUANTILE_PINS = {
+    PolyAtZero(0.1): "27fc494c209e5c72f609a7b3864bbd027846dc4b67b83aa307a750e35197801e",
+    PolyAtZero(2.0): "f3effd49343791e66f86e50208202b201a15b6ef860d4a4dca817030791fb56e",
+    Exponential(1.0): "e603e5e732c173f3665ccdbd22cb0ab158cc819c5fb2f07accb6f42952396732",
+    DoubleExpFlat(2.0, 1.0, 1.0): "686c7a120ed859cddae28146d47cd606e814bb2243f105507c0cb6da8639e356",
+    PointMass(0.3): "f838a30dff1207788c8a51f18e689dd1fad7431a17860f70a7b96962fd6172fb",
+}
+
+
+@pytest.mark.parametrize("law", list(QUANTILE_PINS), ids=repr)
+def test_sample_from_uniform_pinned(law):
+    u = uniform_array(5, "lengths", np.arange(100_000))
+    t = law.sample_from_uniform(u)
+    assert t.dtype == np.float64
+    assert hashlib.sha256(t.tobytes()).hexdigest() == QUANTILE_PINS[law]
 
 
 def test_beta_exponents():
