@@ -36,7 +36,7 @@ from .cost import (
     product_penalty,
     solve_boxing_params,
 )
-from .experiments import SweepSpec, phase_sweep, sweep_to_csv
+from .experiments import SweepSpec, cell_verdict, phase_sweep, sweep_to_csv
 from .geometry import Window, build_boxing
 from .metrics import (
     GreedyFailure,
@@ -85,50 +85,53 @@ def _floats_csv(text: str, arity: int, what: str) -> list:
         raise ConfigError(f"{what}: cannot parse {text!r}") from None
 
 
-def parse_penalty(spec: str):
+def _poly_terms(text: str) -> PenaltyPolynomial:
+    return PenaltyPolynomial(tuple(tuple(_floats_csv(grp, 3, "poly term"))
+                                   for grp in text.split(";")))
+
+
+# kind -> (number of comma-separated numbers, or None for the raw text;
+# the builder they are passed to)
+_PENALTY_KINDS = {
+    "prod": (1, product_penalty),
+    "mono": (2, monomial_penalty),
+    "sum": (1, power_sum_penalty),
+    "max": (1, MaxPenalty),
+    "poly": (None, _poly_terms),
+}
+_LAW_KINDS = {
+    "poly": (1, PolyAtZero),
+    "exp": (1, Exponential),
+    "dexp": (3, DoubleExpFlat),
+    "point": (1, PointMass),
+}
+
+
+def _parse_spec(spec: str, kinds: dict, what: str, noun: str):
+    """``<kind>:<args>`` built by its entry in `kinds`; `what` names the
+    grammar in its messages, `noun` the value that failed to build."""
     kind, sep, rest = spec.strip().partition(":")
     kind = kind.strip().lower()
     if not sep:
-        raise ConfigError(f"penalty spec needs '<kind>:<args>', got {spec!r}")
+        raise ConfigError(f"{what} spec needs '<kind>:<args>', got {spec!r}")
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r} "
+                          f"(expected {'/'.join(kinds)})")
+    arity, build = kinds[kind]
     try:
-        if kind == "prod":
-            return product_penalty(_floats_csv(rest, 1, "prod")[0])
-        if kind == "mono":
-            mu, nu = _floats_csv(rest, 2, "mono")
-            return monomial_penalty(mu, nu)
-        if kind == "sum":
-            return power_sum_penalty(_floats_csv(rest, 1, "sum")[0])
-        if kind == "max":
-            return MaxPenalty(_floats_csv(rest, 1, "max")[0])
-        if kind == "poly":
-            terms = [tuple(_floats_csv(grp, 3, "poly term"))
-                     for grp in rest.split(";")]
-            return PenaltyPolynomial(tuple(terms))
+        if arity is None:
+            return build(rest)
+        return build(*_floats_csv(rest, arity, kind))
     except ValueError as exc:
-        raise ConfigError(f"invalid penalty {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown penalty kind {kind!r} "
-                      "(expected prod/mono/sum/max/poly)")
+        raise ConfigError(f"invalid {noun} {spec!r}: {exc}") from None
+
+
+def parse_penalty(spec: str):
+    return _parse_spec(spec, _PENALTY_KINDS, "penalty", "penalty")
 
 
 def parse_length_law(spec: str):
-    kind, sep, rest = spec.strip().partition(":")
-    kind = kind.strip().lower()
-    if not sep:
-        raise ConfigError(f"length-law spec needs '<kind>:<args>', got {spec!r}")
-    try:
-        if kind == "poly":
-            return PolyAtZero(_floats_csv(rest, 1, "poly")[0])
-        if kind == "exp":
-            return Exponential(_floats_csv(rest, 1, "exp")[0])
-        if kind == "dexp":
-            eta, c1, c2 = _floats_csv(rest, 3, "dexp")
-            return DoubleExpFlat(eta, c1, c2)
-        if kind == "point":
-            return PointMass(_floats_csv(rest, 1, "point")[0])
-    except ValueError as exc:
-        raise ConfigError(f"invalid length law {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown length-law kind {kind!r} "
-                      "(expected poly/exp/dexp/point)")
+    return _parse_spec(spec, _LAW_KINDS, "length-law", "length law")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,6 @@ _CONFIG_KEYS = {
     "tau": _parse_float,
     "alpha": _parse_float,
     "c": _parse_float,
-    "c1": _parse_float,
     "side": _parse_float,
     "lam": _parse_float,
     "lambda_perc": _parse_float,
@@ -205,8 +207,7 @@ _CONFIG_KEYS = {
     "size_grid": _list_of(_parse_int, "integers"),
 }
 # the config key of each dataclass field whose name differs from it
-_KEY_OF = {"c1_threshold": "c1", "alpha_H": "alpha_h", "C_H": "c_h",
-           "T_H": "t_h"}
+_KEY_OF = {"alpha_H": "alpha_h", "C_H": "c_h", "T_H": "t_h"}
 
 
 def parse_config(text: str) -> dict:
@@ -468,11 +469,9 @@ def cmd_classify(args) -> int:
     try:
         check_tau_alpha(args.tau, args.alpha)
         if f.deg == 0:
-            converges = law.explosion_sum_converges
-            outcome = "FppExplosive" if converges else "FppConservative"
-            detail = ("flat penalty; length-law explosion sum "
-                      + ("converges" if converges else "diverges"))
-            print(f"{outcome} [{detail}]")
+            outcome = cell_verdict(args.tau, args.alpha, f, law)
+            sums = "converges" if outcome == "FppExplosive" else "diverges"
+            print(f"{outcome} [flat penalty; length-law explosion sum {sums}]")
             return 0
         v = classify(f, args.tau, args.alpha, law.beta_minus, law.beta_plus,
                      args.direction)

@@ -125,23 +125,23 @@ def _sideways_threshold(nu: float, tau: float) -> float:
 
 
 def _clause_bounds(f: PenaltyPolynomial, tau: float):
-    """(explosive_below, conservative_above) thresholds of the theorem."""
-    deg = f.deg
-    lengthwise = (3.0 - tau) / deg
+    """(sideways, lengthwise, conservative_above): clause (i) holds for
+    beta+ below the first, clause (ii) below the second, and clause (iii)
+    for beta- above the third."""
+    lengthwise = (3.0 - tau) / f.deg
     sideways = min(_sideways_threshold(nu, tau) for _, _, nu in f.terms)
-    top = [t for t in f.terms if t[1] + t[2] == deg]
-    conservative_extra = min(_sideways_threshold(nu, tau) for _, _, nu in top)
-    explosive_below = max(lengthwise, sideways)
-    conservative_above = max(lengthwise, conservative_extra)
-    return explosive_below, conservative_above
+    top_sideways = min(_sideways_threshold(nu, tau)
+                       for _, mu, nu in f.terms if mu + nu == f.deg)
+    return sideways, lengthwise, max(lengthwise, top_sideways)
 
 
 def critical_beta(f, tau: float):
     """Outward threshold(s): the clause bounds that classify applies.
 
-    Returns explosive_below when it equals conservative_above, else the
-    pair; +inf (explosive at every beta) when every term has nu = 0 and
-    tau <= 2.  The max penalty reads its power-sum surrogate's bounds.
+    Returns the explosive bound max(sideways, lengthwise) when it equals
+    conservative_above, else the pair; +inf (explosive at every beta) when
+    every term has nu = 0 and tau <= 2.  The max penalty reads its
+    power-sum surrogate's bounds.
     """
     if not 1.0 < tau < 3.0:
         raise ValueError("critical_beta requires tau in (1, 3)")
@@ -149,7 +149,8 @@ def critical_beta(f, tau: float):
         f = f.surrogate()
     if f.deg == 0:
         raise ValueError("deg(f) = 0 is the FPP reduction; no weight-driven threshold")
-    lo, hi = _clause_bounds(f, tau)
+    sideways, lengthwise, hi = _clause_bounds(f, tau)
+    lo = max(sideways, lengthwise)
     return lo if lo == hi else (lo, hi)
 
 
@@ -184,38 +185,33 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
             "tau >= 3: weight tail too thin for explosive passage",
         )
 
-    deg = f.deg
-    lengthwise_thr = (3.0 - tau) / deg
-    explosive_below, conservative_above = _clause_bounds(f, tau)
+    sideways, lengthwise, conservative_above = _clause_bounds(f, tau)
+    explosive_below = max(sideways, lengthwise)
 
     # clause (i): sideways explosion, almost surely
     if alpha <= 1.0:
         return PhaseVerdict("ExplosiveSideways", direction, "clause (i), alpha <= 1")
-    if all(beta_plus < _sideways_threshold(nu, tau) for _, _, nu in f.terms):
+    if beta_plus < sideways:
         return PhaseVerdict(
             "ExplosiveSideways", direction,
             "clause (i), beta+ < (2-tau)/nu_i for every term",
         )
     # clause (ii): lengthwise explosion
-    if beta_plus < lengthwise_thr:
+    if beta_plus < lengthwise:
         return PhaseVerdict(
             "ExplosiveLengthwise", direction,
-            f"clause (ii), beta+ < (3-tau)/deg(f) = {lengthwise_thr:.6g}",
+            f"clause (ii), beta+ < (3-tau)/deg(f) = {lengthwise:.6g}",
         )
     # clause (iii): conservative
-    if beta_minus > lengthwise_thr:
-        top = [t for t in f.terms if t[1] + t[2] == deg]
-        qualifying = [
-            (mu, nu) for _, mu, nu in top
-            if beta_minus > _sideways_threshold(nu, tau)
-        ]
-        if qualifying:
-            listed = ", ".join(f"w1^{mu:g} w2^{nu:g}" for mu, nu in qualifying)
-            return PhaseVerdict(
-                "Conservative", direction,
-                f"clause (iii), beta- > (3-tau)/deg(f) with qualifying top "
-                f"term(s): {listed}",
-            )
+    if beta_minus > conservative_above:
+        listed = ", ".join(f"w1^{mu:g} w2^{nu:g}" for _, mu, nu in f.terms
+                           if mu + nu == f.deg
+                           and beta_minus > _sideways_threshold(nu, tau))
+        return PhaseVerdict(
+            "Conservative", direction,
+            f"clause (iii), beta- > (3-tau)/deg(f) with qualifying top "
+            f"term(s): {listed}",
+        )
     if beta_minus == beta_plus == explosive_below == conservative_above:
         return PhaseVerdict(
             "Critical", direction,

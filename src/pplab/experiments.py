@@ -26,7 +26,8 @@ from .cost import classify, critical_beta
 from .metrics import components, largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
                      generate, relength)
-from .rng import EdgeLengthLaw, PolyAtZero, SeedSpec, derive_master, uniform
+from .rng import (EdgeLengthLaw, PolyAtZero, check_seed, derive_master,
+                  uniform)
 
 _CSV_HEADER = "beta,n,median_d,q1,q3,giant_frac,verdict,seed"
 
@@ -73,6 +74,12 @@ class SweepSpec:
     def __post_init__(self):
         if not self.beta_grid or not self.size_grid:
             raise ValueError("beta and size grids must be non-empty")
+        for name in ("beta_grid", "size_grid"):
+            grid = getattr(self, name)
+            twice = [x for x in grid if grid.count(x) > 1]
+            if twice:
+                raise ValueError(f"{name} repeats {twice[0]!r}")
+        check_seed(self.seed)
         if self.pairs_per_graph < 1 or self.graphs_per_cell < 1:
             raise ValueError("need at least one pair and one graph per cell")
         for n in self.size_grid:
@@ -123,7 +130,7 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
     def draw() -> int:
         nonlocal counter
         while True:
-            u = uniform(SeedSpec(seed, "two-point", counter))
+            u = uniform(seed, "two-point", counter)
             counter += 1
             v = min(int(u * g.n), g.n - 1)
             if member[v]:
@@ -255,7 +262,7 @@ def phase_sweep(spec: SweepSpec) -> list:
     index) order, and every seed comes from `derive_master`, so the cells
     are the same bit for bit.
     """
-    jobs = [(n, gi) for n in sorted(set(spec.size_grid), reverse=True)
+    jobs = [(n, gi) for n in sorted(spec.size_grid, reverse=True)
             for gi in range(spec.graphs_per_cell)]
     workers = min(_available_cpus(), len(jobs))
     if workers > 1 and hasattr(os, "fork"):

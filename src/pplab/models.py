@@ -33,7 +33,6 @@ from .rng import (
     EdgeLengthLaw,
     WeightLaw,
     sample_poisson,
-    SeedSpec,
     stream_key,
     uniform_array,
     weight_from_uniform,
@@ -185,21 +184,18 @@ def _build_csr(g: Graph) -> tuple:
 
 @dataclass(frozen=True)
 class Girg:
-    """n weighted vertices on the unit torus; kernel scaled by 1/n."""
+    """n weighted vertices on the unit torus; the kernel's distance scale
+    is n (see _power_kernel)."""
 
     n: int
     d: int
     tau: float
     alpha: float       # > 1, math.inf for the threshold kernel
-    c: float
-    c1_threshold: float = 1.0
+    c: float           # kernel constant at every alpha; 0: coincident only
 
     def __post_init__(self):
         _check_common(self.n, self.d, self.tau)
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must exceed 1 (or be inf)")
-        if not (self.c >= 0 and self.c1_threshold > 0):
-            raise ValueError("kernel constants must be positive (c >= 0)")
+        _check_kernel(self)
 
     @property
     def window(self) -> Window:
@@ -208,7 +204,8 @@ class Girg:
 
 @dataclass(frozen=True)
 class IgirgWindow:
-    """Poisson cloud of intensity lam on a finite box, n-free kernel."""
+    """Poisson cloud of intensity lam on a finite box; the kernel's
+    distance scale is 1 (n-free), with alpha and c as in Girg."""
 
     lam: float
     d: int
@@ -216,17 +213,13 @@ class IgirgWindow:
     tau: float
     alpha: float
     c: float
-    c1_threshold: float = 1.0
     pin_origin: bool = False
 
     def __post_init__(self):
         if not (self.lam > 0 and self.side > 0):
             raise ValueError("lam and side must be positive")
         _check_common(1, self.d, self.tau)
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must exceed 1 (or be inf)")
-        if not (self.c >= 0 and self.c1_threshold > 0):
-            raise ValueError("kernel constants must be positive (c >= 0)")
+        _check_kernel(self)
 
     @property
     def window(self) -> Window:
@@ -296,6 +289,14 @@ def _check_common(n, d, tau):
         raise ValueError("tau must exceed 1")
 
 
+def _check_kernel(spec):
+    """The power kernel's domain: alpha > 1 (or inf) and c >= 0."""
+    if not spec.alpha > 1.0:
+        raise ValueError("alpha must exceed 1 (or be inf)")
+    if not spec.c >= 0:
+        raise ValueError("kernel constants must be positive (c >= 0)")
+
+
 # ---------------------------------------------------------------------------
 # hyperbolic geometry and the HRG -> GIRG mapping
 
@@ -352,36 +353,38 @@ def _dist_pow(dist, d, out=None):
     return np.power(dist, d, out=out)
 
 
-def _power_kernel(wprod, dist_pow_d, scale, alpha, c, c1, out):
-    """min(1, c (wprod / (scale * dist^d))^alpha) written into ``out``.
+def _power_kernel(spec, wprod, dist_pow_d, out):
+    """The Girg / IgirgWindow kernel, written into ``out``.
 
-    The threshold form applies at alpha = inf.  ``out`` has the broadcast
-    shape of the inputs and may be dist_pow_d itself.  dist = 0 needs no
-    special care: the argument overflows to +inf and the kernel saturates
-    at 1 (weights are >= 1, so 0/0 cannot occur).
+    With the spec's alpha and c, and scale = n on the Girg torus, 1 in an
+    IgirgWindow: min(1, c (wprod / (scale dist^d))^alpha) at finite alpha,
+    the threshold 1{c wprod >= scale dist^d} at alpha = inf (after
+    Bringmann, Keusch and Lengler, ESA 2017), and 1{dist = 0} at c = 0
+    for every alpha.  ``out`` has the broadcast shape of the inputs and
+    may be dist_pow_d itself.  dist = 0 needs no special care: the
+    argument overflows to +inf and the kernel saturates at 1 (weights are
+    >= 1, so 0/0 cannot occur).
     """
-    if math.isinf(alpha):
-        np.copyto(out, c1 * wprod >= scale * dist_pow_d)
-        return out
-    if c == 0.0:
-        np.copyto(out, dist_pow_d == 0.0)
-        return out
-    den = dist_pow_d
-    if scale != 1.0:
-        den = np.multiply(dist_pow_d, scale, out=out)
-    np.divide(wprod, den, out=out)
-    if alpha == 2.0:
-        np.multiply(out, out, out=out)
-    else:
-        np.power(out, alpha, out=out)
-    if c != 1.0:
-        np.multiply(out, c, out=out)
-    return np.minimum(out, 1.0, out=out)
-
-
-def _kernel_scale(spec) -> float:
-    """Distance scale of the power kernel: n on the GIRG torus, else 1."""
-    return float(spec.n) if isinstance(spec, Girg) else 1.0
+    alpha, c = spec.alpha, spec.c
+    scale = float(spec.n) if isinstance(spec, Girg) else 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        if c == 0.0:
+            np.copyto(out, dist_pow_d == 0.0)
+        elif math.isinf(alpha):
+            np.copyto(out, c * wprod >= scale * dist_pow_d)
+        else:
+            den = dist_pow_d
+            if scale != 1.0:
+                den = np.multiply(dist_pow_d, scale, out=out)
+            np.divide(wprod, den, out=out)
+            if alpha == 2.0:
+                np.multiply(out, out, out=out)
+            else:
+                np.power(out, alpha, out=out)
+            if c != 1.0:
+                np.multiply(out, c, out=out)
+            np.minimum(out, 1.0, out=out)
+    return out
 
 
 def connect_prob(spec, w_u, w_v, dist):
@@ -397,10 +400,8 @@ def connect_prob(spec, w_u, w_v, dist):
     wprod = w_u * w_v
     with np.errstate(divide="ignore", over="ignore"):
         if isinstance(spec, (Girg, IgirgWindow)):
-            out = np.empty(np.broadcast_shapes(wprod.shape, dist.shape))
-            p = _power_kernel(wprod, _dist_pow(dist, spec.d),
-                              _kernel_scale(spec), spec.alpha, spec.c,
-                              spec.c1_threshold, out=out)
+            p = _power_kernel(spec, wprod, _dist_pow(dist, spec.d), np.empty(
+                np.broadcast_shapes(wprod.shape, dist.shape)))
         elif isinstance(spec, SfpWindow):
             arg = wprod / dist**spec.d
             if math.isinf(spec.alpha_norm):
@@ -490,11 +491,8 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
             _block_distances(axes, i0, i1, j0, j1, side, torus, dist, a, b)
             w_i, w_j = weights[i0:i1, None], weights[None, j0:j1]
             if power:
-                with np.errstate(divide="ignore", over="ignore"):
-                    p = _power_kernel(np.multiply(w_i, w_j, out=b),
-                                      _dist_pow(dist, spec.d, out=a),
-                                      _kernel_scale(spec), spec.alpha, spec.c,
-                                      spec.c1_threshold, out=a)
+                p = _power_kernel(spec, np.multiply(w_i, w_j, out=b),
+                                  _dist_pow(dist, spec.d, out=a), a)
             else:
                 p = connect_prob(spec, w_i, w_j, dist)
             base = np.uint64((key + (i0 * n + j0) * _GOLDEN) & _MASK64)
@@ -557,13 +555,11 @@ class _CellPlan:
         return self.examined * _CELL_PAIR_COST < n * (n - 1) / 2
 
 
-def _type_two_bound(spec: Girg, n: int, s, level: int) -> np.ndarray:
+def _type_two_bound(spec: Girg, s, level: int) -> np.ndarray:
     """pbar = kernel(2^(s+2), 2^-level) for an array of layer sums s."""
-    with np.errstate(divide="ignore", over="ignore"):
-        wprod = np.ldexp(1.0, np.asarray(s, dtype=np.int64) + 2)
-        return _power_kernel(wprod, np.ldexp(1.0, -level * spec.d), float(n),
-                             spec.alpha, spec.c, spec.c1_threshold,
-                             out=np.empty(wprod.shape))
+    wprod = np.ldexp(1.0, np.asarray(s, dtype=np.int64) + 2)
+    return _power_kernel(spec, wprod, np.ldexp(1.0, -level * spec.d),
+                         np.empty(wprod.shape))
 
 
 def _cell_offsets(level: int, d: int, far: bool) -> np.ndarray:
@@ -595,12 +591,12 @@ def _cell_plan(spec: Girg, w) -> _CellPlan:
     """
     n, d = w.shape[0], spec.d
     finest = (n.bit_length() - 1) // d
-    if spec.c == 0.0 and not math.isinf(spec.alpha):
+    if spec.c == 0.0:
         # only coincident points connect: one layer, finest cells
         layer = np.zeros(n, dtype=np.int64)
         base = np.full(1, finest, dtype=np.int64)
     else:
-        log_c = (math.log2(spec.c1_threshold) if math.isinf(spec.alpha)
+        log_c = (math.log2(spec.c) if math.isinf(spec.alpha)
                  else math.log2(spec.c) / spec.alpha)
         # the radius at weight product 2^(s+2) is 2^-((x - s) / d)
         x = math.log2(n) - 2.0 - log_c
@@ -632,7 +628,7 @@ def _cell_plan(spec: Girg, w) -> _CellPlan:
         frac[b == level] += near / cells
         if level >= 2:
             far = b >= level
-            pbar = np.minimum(_type_two_bound(spec, n, si[far], level), 1.0)
+            pbar = np.minimum(_type_two_bound(spec, si[far], level), 1.0)
             frac[far] += (min(6, 1 << level) ** d - near) / cells * pbar
     return _CellPlan(layer, base, finest, float((pairs * frac).sum()))
 
@@ -718,9 +714,7 @@ def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar=None):
         np.sqrt(dist, out=dist)
     wprod = w[u]
     wprod *= w[v]
-    with np.errstate(divide="ignore", over="ignore"):
-        p = _power_kernel(wprod, _dist_pow(dist, spec.d, out=dist), float(n),
-                          spec.alpha, spec.c, spec.c1_threshold, out=dist)
+    p = _power_kernel(spec, wprod, _dist_pow(dist, spec.d, out=dist), dist)
     keys = u * n
     keys += v
     words = keys.astype(np.uint64)
@@ -837,7 +831,7 @@ def _cell_pairs(spec: Girg, master_seed, vs: VertexSet, plan: _CellPlan):
         far = np.zeros(s.size, dtype=bool)
         if level >= 2:
             far = base >= level
-            pbar[far] = _type_two_bound(spec, n, s[far], level)
+            pbar[far] = _type_two_bound(spec, s[far], level)
             far &= pbar > 0.0
         # a far class whose bound is 1 makes every pair a candidate, so its
         # coins decide it; the others are drawn by skipping
@@ -923,7 +917,7 @@ def generate(spec, master_seed: int,
         vs = VertexSet(spec.window, pos, w)
     elif isinstance(spec, IgirgWindow):
         mean = spec.lam * spec.side**spec.d
-        n_pois = sample_poisson(SeedSpec(master_seed, "count", 0), mean)
+        n_pois = sample_poisson(master_seed, "count", mean)
         n_total = n_pois + (1 if spec.pin_origin else 0)
         check_vertex_count(n_total)
         if n_total == 0:

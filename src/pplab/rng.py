@@ -56,39 +56,31 @@ def _mix64_np(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return np.bitwise_xor(x, tmp, out=x)
 
 
+def check_seed(master_seed: int) -> None:
+    """Refuse a master seed outside [0, 2^64)."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError("master_seed must fit in 64 bits")
+
+
 def stream_key(master_seed: int, stream_label: str) -> int:
     """64-bit stream key for (master_seed, label).
 
     blake2b keeps the label hash stable across platforms and python
     processes (the builtin hash() is salted per process).
     """
+    check_seed(master_seed)
     digest = blake2b(stream_label.encode("utf-8"), digest_size=8).digest()
     label_word = int.from_bytes(digest, "big")
-    return _mix64((master_seed & _MASK64) ^ label_word)
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Address of a single variate: (master_seed, stream_label, counter)."""
-
-    master_seed: int
-    stream_label: str
-    counter: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if self.counter < 0:
-            raise ValueError("counter must be non-negative")
+    return _mix64(master_seed ^ label_word)
 
 
 def uniform_word(key: int, counter: int) -> int:
     return _mix64((key + counter * _GOLDEN) & _MASK64)
 
 
-def uniform(spec: SeedSpec) -> float:
-    """Uniform variate on (0, 1] for the given seed triple."""
-    word = uniform_word(stream_key(spec.master_seed, spec.stream_label), spec.counter)
+def uniform(master_seed: int, stream_label: str, counter: int) -> float:
+    """Uniform variate on (0, 1] for the seed triple."""
+    word = uniform_word(stream_key(master_seed, stream_label), counter)
     return ((word >> 11) + 1) * _TWO53_INV
 
 
@@ -113,6 +105,7 @@ def uniform_array(master_seed: int, stream_label: str, counters) -> np.ndarray:
 
 def derive_master(master_seed: int, text: str) -> int:
     """Derive a child master seed for an independent sub-experiment."""
+    check_seed(master_seed)
     digest = blake2b(
         master_seed.to_bytes(8, "big") + text.encode("utf-8"), digest_size=8
     ).digest()
@@ -318,11 +311,11 @@ class PointMass(EdgeLengthLaw):
         return np.full_like(y, self.value)
 
 
-def sample_poisson(spec: SeedSpec, mean: float) -> int:
-    """Poisson count addressed by a seed triple (mean >= 0)."""
+def sample_poisson(master_seed: int, stream_label: str, mean: float) -> int:
+    """Poisson count (mean >= 0) addressed by (master_seed, label, 0)."""
     if mean < 0:
         raise ValueError("mean must be non-negative")
     if mean == 0:
         return 0
-    word = uniform_word(stream_key(spec.master_seed, spec.stream_label), spec.counter)
+    word = uniform_word(stream_key(master_seed, stream_label), 0)
     return int(np.random.default_rng(word).poisson(mean))

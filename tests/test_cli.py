@@ -1,14 +1,16 @@
 """Config parsing, graph file format, and the pplab subcommands."""
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from pplab import experiments
+from pplab import cli, experiments
 from pplab.cli import (
     ConfigError,
     main,
@@ -65,6 +67,39 @@ def test_length_law_grammar():
     for bad in ("poly:0", "exp:-1", "dexp:1,1", "gauss:1", "poly"):
         with pytest.raises(ConfigError):
             parse_length_law(bad)
+
+
+GRAMMAR_PENALTIES = [
+    "prod:1", " prod:0 ", "PROD:2", "prod : 1", "prod:1.5e-1", "prod:nan",
+    "mono:2,0.5", "mono: 1 , 0 ", "sum:1.5", "max:2", "max:0", "max:-1",
+    "poly:1,1.75,0;1,0,0.75", "poly:2,0,0", "poly:1,1,1;", "poly:",
+    "poly:1,-1,0", "poly:0,1,1", "poly:1,2", "poly:a,b,c",
+    "prod", "prod:", "prod:x", "prod:1,2", "mono:1", "mono:1,2,3",
+    "frob:1", "", ":", ":1", "prod:-1", "sum:", "max:1:2", "mono:1,,2",
+]
+GRAMMAR_LAWS = [
+    "poly:0.5", "POLY:2", " exp:2 ", "dexp:2,1,1", "point:3", "point:0",
+    "poly:0", "poly:-1", "poly:nan", "exp:-1", "exp:0", "exp:inf",
+    "dexp:1,1", "dexp:1,1,1", "dexp:2,0,1", "dexp:2,1,x", "point:-1",
+    "gauss:1", "poly", "poly:", "poly:1,2", "", ":", "exp:1:2",
+]
+# sha256 of every spec's result repr or error message, one line each
+GRAMMAR_DIGEST = "c6f6188d9231eb4dab249ccee265b8070c0bcca60b8c66dced4f7cdb0368b6bf"
+
+
+def test_grammar_results_and_messages_pinned():
+    lines = []
+    for parse, specs in ((parse_penalty, GRAMMAR_PENALTIES),
+                         (parse_length_law, GRAMMAR_LAWS)):
+        for spec in specs:
+            try:
+                got = repr(parse(spec))
+            except Exception as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{parse.__name__}({spec!r}) -> {got}")
+    assert sum("ConfigError" in line for line in lines) == 39
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAMMAR_DIGEST, text
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +214,9 @@ def test_sweep_refuses_keys_it_does_not_read(extra):
 def test_optional_keys_fall_back_to_the_dataclass_defaults():
     ig = model_from_config(parse_config(
         "model = igirg\nlam = 1.0\nd = 1\nside = 5.0\ntau = 2.5\n"
-        "alpha = 2.0\nc = 1.0\nc1 = 2.0\n"))
+        "alpha = 2.0\nc = 1.0\n"))
     assert ig == IgirgWindow(lam=1.0, d=1, side=5.0, tau=2.5, alpha=2.0,
-                             c=1.0, c1_threshold=2.0)
+                             c=1.0, pin_origin=False)
     hrg = model_from_config(parse_config(
         "model = hrg\nn = 100\nalpha_h = 0.75\nc_h = 1.0\n"))
     assert hrg == Hrg(n=100, alpha_H=0.75, C_H=1.0)
@@ -193,10 +228,20 @@ def test_optional_keys_fall_back_to_the_dataclass_defaults():
         base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5), f=spec.f,
         law_family=PolyAtZero, beta_grid=(0.1,), size_grid=(64,))
     spec = sweep_from_config(parse_config(
-        base + "c1 = 3.0\npairs_per_graph = 4\ngraphs_per_cell = 2\n"
+        base + "pairs_per_graph = 4\ngraphs_per_cell = 2\n"
         "seed = 5\n"), seed_override=6)
-    assert (spec.base.c1_threshold, spec.pairs_per_graph,
-            spec.graphs_per_cell, spec.seed) == (3.0, 4, 2, 6)
+    assert (spec.pairs_per_graph, spec.graphs_per_cell,
+            spec.seed) == (4, 2, 6)
+
+
+def test_the_threshold_kernel_reads_c():
+    # alpha = inf has no constant of its own: c1 is an unknown key
+    with pytest.raises(ConfigError,
+                       match=r"^line 1: unknown config key 'c1'$"):
+        parse_config("c1 = 2.0\n")
+    girg = model_from_config(parse_config(
+        "model = girg\nn = 10\nd = 1\ntau = 2.5\nalpha = inf\nc = 2.0\n"))
+    assert girg == Girg(n=10, d=1, tau=2.5, alpha=math.inf, c=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +597,40 @@ def test_cmd_classify_lines(capsys):
     assert rc == 2 and "alpha" in err
 
 
+CLASSIFY_TAUS = ["0.5", "1", "1.05", "1.5", "2", "2.5", "2.95", "3", "3.5"]
+CLASSIFY_ALPHAS = ["-1", "0.5", "1", "2", "inf"]
+CLASSIFY_PENALTIES = [
+    "prod:0", "prod:0.5", "prod:1", "mono:1,0", "mono:0,1", "mono:2,0.5",
+    "mono:0.5,2", "sum:1", "sum:0.5", "max:1", "max:2",
+    "poly:1,1.75,0;1,0,0.75", "poly:1,1,0;1,0,1;2,0.5,0.5",
+    "poly:1,0,0;1,1,1", "poly:2,0,0"]
+CLASSIFY_LAWS = ["poly:0.1", "poly:0.5", "poly:1", "poly:2", "exp:1",
+                 "dexp:2,1,1", "point:0", "point:1"]
+# sha256 of exit code, stdout and stderr of every grid call, in grid order
+CLASSIFY_DIGEST = \
+    "b4af2d7e94218e7f8973289a2db1ed58de7a291fc6e19228619040eb89ce7722"
+
+
+def test_cmd_classify_grid_pinned(capsys, monkeypatch):
+    # 10,800 calls; one parser serves them all
+    monkeypatch.setattr(cli, "_build_parser",
+                        functools.cache(cli._build_parser))
+    digest = hashlib.sha256()
+    first_words = set()
+    for tau, alpha, penalty, law, direction in itertools.product(
+            CLASSIFY_TAUS, CLASSIFY_ALPHAS, CLASSIFY_PENALTIES, CLASSIFY_LAWS,
+            ("outward", "inward")):
+        rc, out, err = _run(capsys, "classify", "--tau", tau, "--alpha",
+                            alpha, "--penalty", penalty, "--law", law,
+                            "--direction", direction)
+        digest.update(f"{rc}\n{out}{err}".encode())
+        first_words.add((out or err).split(" ")[0])
+    assert first_words == {
+        "config", "FppExplosive", "FppConservative", "ExplosiveSideways",
+        "ExplosiveLengthwise", "Conservative", "Critical", "Inconclusive"}
+    assert digest.hexdigest() == CLASSIFY_DIGEST
+
+
 @pytest.mark.parametrize("tau, alpha, penalty, field", [
     ("nan", "2", "prod:1", "tau"),
     ("2.5", "nan", "prod:1", "alpha"),
@@ -633,6 +712,47 @@ def test_cmd_sweep_refuses_bad_configs_before_generating(tmp_path, capsys,
     cfg.write_text(SWEEP_CFG + "workers = 2\n")
     rc, _, err = _run(capsys, "sweep", "--config", str(cfg))
     assert rc == 2 and "unknown config key 'workers'" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, monkeypatch, seed):
+    girg = tmp_path / "girg.cfg"
+    girg.write_text("model = girg\nn = 50\nd = 1\ntau = 2.5\nalpha = 2.0\n"
+                    "c = 1.0\n")
+    igirg = tmp_path / "igirg.cfg"
+    igirg.write_text("model = igirg\nlam = 1.0\nd = 1\nside = 50.0\n"
+                     "tau = 2.5\nalpha = 2.0\nc = 1.0\n")
+    out = tmp_path / "g.graph"
+    for cfg in (girg, igirg):
+        rc, stdout, err = _run(capsys, "generate", "--config", str(cfg),
+                               "--out", str(out), "--seed", seed)
+        assert (rc, stdout) == (2, "") and not out.exists()
+        assert err == "config error: master_seed must fit in 64 bits\n"
+    # a sweep refuses before it draws anything, from --seed or the config
+    monkeypatch.setattr(experiments, "generate", None)
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(SWEEP_CFG)
+    rc, stdout, err = _run(capsys, "sweep", "--config", str(sweep),
+                           "--seed", seed)
+    assert (rc, stdout) == (2, "")
+    assert err == "config error: master_seed must fit in 64 bits\n"
+    sweep.write_text(SWEEP_CFG.replace("seed = 7", f"seed = {seed}"))
+    assert _run(capsys, "sweep", "--config", str(sweep))[:2] == (2, "")
+
+
+@pytest.mark.parametrize("line, repeated", [
+    ("size_grid = 64, 64", "size_grid repeats 64"),
+    ("beta_grid = 1.0, 1.0", "beta_grid repeats 1.0"),
+    ("beta_grid = 0.1, 1, 1.0", "beta_grid repeats 1.0")])
+def test_cmd_sweep_refuses_a_repeated_grid_value(tmp_path, capsys,
+                                                 monkeypatch, line, repeated):
+    monkeypatch.setattr(experiments, "generate", None)
+    cfg = tmp_path / "sweep.cfg"
+    key = line.split()[0]
+    cfg.write_text("".join(line + "\n" if row.startswith(key) else row + "\n"
+                           for row in SWEEP_CFG.splitlines()))
+    rc, out, err = _run(capsys, "sweep", "--config", str(cfg))
+    assert (rc, out, err) == (2, "", f"config error: {repeated}\n")
 
 
 def test_cmd_sweep_exits_3_when_a_pool_worker_fails(tmp_path, capsys,

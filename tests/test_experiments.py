@@ -153,6 +153,21 @@ def test_sweep_spec_validation():
         SweepSpec(**{**ok, "beta_grid": (-0.5,)})
 
 
+def test_sweep_spec_refuses_repeated_grid_values_and_bad_seeds():
+    # a repeated value would write its CSV row twice
+    ok = dict(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5), f=PROD,
+              law_family=PolyAtZero, beta_grid=(0.1, 1.0),
+              size_grid=(64, 128))
+    with pytest.raises(ValueError, match=r"^size_grid repeats 64$"):
+        SweepSpec(**{**ok, "size_grid": (64, 128, 64)})
+    with pytest.raises(ValueError, match=r"^beta_grid repeats 1.0$"):
+        SweepSpec(**{**ok, "beta_grid": (1.0, 1.0)})
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed must fit in 64"):
+            SweepSpec(**ok, seed=seed)
+    SweepSpec(**ok, seed=2**64 - 1)
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -46,11 +47,11 @@ def test_connect_prob_same_position():
 
 
 def test_connect_prob_threshold_equality():
-    spec = Girg(n=100, d=1, tau=2.5, alpha=math.inf, c=1.0, c1_threshold=1.0)
+    spec = Girg(n=100, d=1, tau=2.5, alpha=math.inf, c=1.0)
     assert connect_prob(spec, 10.0, 10.0, 1.0) == 1.0     # 1*100 == 100*1
     assert connect_prob(spec, 10.0, 10.0, 1.01) == 0.0
     spec = IgirgWindow(lam=1.0, d=2, side=10.0, tau=2.5, alpha=math.inf,
-                       c=1.0, c1_threshold=2.0)
+                       c=2.0)
     assert connect_prob(spec, 1.0, 2.0, 2.0) == 1.0       # 2*2 == 2^2
     assert connect_prob(spec, 1.0, 1.9, 2.0) == 0.0
 
@@ -59,7 +60,7 @@ def test_connect_prob_symmetric():
     rng = np.random.default_rng(3)
     specs = [
         FIG1,
-        Girg(n=500, d=1, tau=2.2, alpha=math.inf, c=1.0, c1_threshold=0.7),
+        Girg(n=500, d=1, tau=2.2, alpha=math.inf, c=0.7),
         IgirgWindow(lam=1.0, d=1, side=8.0, tau=2.5, alpha=3.0, c=0.4),
         SfpWindow(d=1, radius=4, tau=2.5, lambda_perc=0.8, alpha_norm=1.5),
         Hrg(n=200, alpha_H=0.6, C_H=0.5, T_H=0.25),
@@ -70,6 +71,56 @@ def test_connect_prob_symmetric():
             w1, w2 = (rng.pareto(1.5, size=2) + 1.0)
             dist = float(rng.uniform(0.01, 2.0))
             assert connect_prob(spec, w1, w2, dist) == connect_prob(spec, w2, w1, dist)
+
+
+def _closed_form_kernel(spec, w_u, w_v, dist):
+    """The power kernel in plain floats, sharing no code with models:
+    1{dist = 0} at c = 0, 1{c w_u w_v >= scale dist^d} at alpha = inf,
+    else min(1, c (w_u w_v / (scale dist^d))^alpha); scale is n on the
+    Girg torus and 1 in a window."""
+    scale = spec.n if isinstance(spec, Girg) else 1
+    dist_d = dist * dist if spec.d == 2 else dist
+    if spec.c == 0:
+        return 1.0 if dist == 0 else 0.0
+    if math.isinf(spec.alpha):
+        return 1.0 if spec.c * (w_u * w_v) >= scale * dist_d else 0.0
+    if dist == 0:
+        return 1.0
+    return min(1.0, spec.c * (w_u * w_v / (scale * dist_d)) ** spec.alpha)
+
+
+@pytest.mark.parametrize("model", ["girg", "igirg"])
+def test_connect_prob_matches_the_closed_form(model):
+    rng = np.random.default_rng(17)
+    seen = set()
+    for d, alpha, c in itertools.product((1, 2), (2.0, 3.0, math.inf),
+                                         (0.0, 0.5, 1.0, 2.0)):
+        spec = (Girg(n=300, d=d, tau=2.5, alpha=alpha, c=c) if model == "girg"
+                else IgirgWindow(lam=1.0, d=d, side=50.0, tau=2.5,
+                                 alpha=alpha, c=c))
+        scale = spec.n if model == "girg" else 1
+        for _ in range(300):
+            w_u, w_v = (float(x) for x in rng.pareto(1.5, size=2) + 1.0)
+            # scale dist^d / (w_u w_v) log-uniform over [1e-2, 1e2], so
+            # the threshold and the cap at 1 both land on either side
+            ratio = 10.0 ** rng.uniform(-2.0, 2.0)
+            dist = (ratio * w_u * w_v / scale) ** (1.0 / d)
+            if rng.random() < 0.05:
+                dist = 0.0
+            got = connect_prob(spec, w_u, w_v, dist)
+            want = _closed_form_kernel(spec, w_u, w_v, dist)
+            if c == 0 or math.isinf(alpha):          # the 0/1 branches
+                assert got == want, (spec, w_u, w_v, dist)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            seen.add((c, alpha, want == 1.0, want == 0.0))
+    # every constant gives both outcomes of the threshold, and the finite
+    # kernel both capped and fractional values
+    for c in (0.0, 0.5, 1.0, 2.0):
+        assert {(c, math.inf, True, False),
+                (c, math.inf, False, True)} <= seen, c
+    for c in (0.5, 1.0, 2.0):
+        assert {(c, 2.0, True, False), (c, 2.0, False, False)} <= seen, c
 
 
 def test_connect_prob_scalar_matches_array():
@@ -396,11 +447,10 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, match", [
-    ("alpha", "alpha must exceed 1"), ("c", "kernel constants"),
-    ("c1_threshold", "kernel constants")])
+    ("alpha", "alpha must exceed 1"), ("c", "kernel constants")])
 def test_spec_validation_refuses_nan(field, match):
     # NaN fails every comparison, so each check must be written to refuse it
-    base = dict(d=2, tau=2.5, alpha=2.0, c=1.0, c1_threshold=1.0)
+    base = dict(d=2, tau=2.5, alpha=2.0, c=1.0)
     with pytest.raises(ValueError, match=match):
         Girg(n=10, **{**base, field: math.nan})
     with pytest.raises(ValueError, match=match):
@@ -592,9 +642,8 @@ SWEEP_SPECS = {
     "girg-d1-alpha2-c1": Girg(n=1, d=1, tau=2.5, alpha=2.0, c=1.0),
     "girg-d2-alpha2-c0": Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.0),
     "girg-d2-alpha3-c0.5": Girg(n=1, d=2, tau=2.5, alpha=3.0, c=0.5),
-    "girg-d1-threshold": Girg(n=1, d=1, tau=2.8, alpha=math.inf, c=0.0),
-    "girg-d2-threshold": Girg(n=1, d=2, tau=2.5, alpha=math.inf, c=1.0,
-                              c1_threshold=2.0),
+    "girg-d1-threshold": Girg(n=1, d=1, tau=2.8, alpha=math.inf, c=1.0),
+    "girg-d2-threshold": Girg(n=1, d=2, tau=2.5, alpha=math.inf, c=2.0),
     "igirg-d1-c1-pinned": IgirgWindow(lam=1.0, d=1, side=2100.0, tau=2.3,
                                       alpha=3.0, c=1.0, pin_origin=True),
     "sfp": SfpWindow(d=2, radius=23, tau=2.5, lambda_perc=1.0,

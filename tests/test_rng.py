@@ -11,8 +11,8 @@ from pplab.rng import (
     Exponential,
     PointMass,
     PolyAtZero,
-    SeedSpec,
     WeightLaw,
+    derive_master,
     sample_poisson,
     uniform,
     uniform_array,
@@ -47,7 +47,7 @@ def test_weight_ks_statistic():
 
 def test_sample_weight_matches_array_path():
     law = WeightLaw(tau=2.5)
-    w_scalar = [weight_from_uniform(uniform(SeedSpec(42, "w", k)), law)
+    w_scalar = [weight_from_uniform(uniform(42, "w", k), law)
                 for k in range(64)]
     w_vec = weight_from_uniform(uniform_array(42, "w", np.arange(64)), law)
     assert np.array_equal(np.array(w_scalar), w_vec)
@@ -57,11 +57,29 @@ def test_sample_weight_matches_array_path():
 # uniform stream determinism
 
 def test_replay_is_bit_identical():
-    spec = SeedSpec(123456789, "replay", 777)
-    assert uniform(spec) == uniform(spec)
+    triple = (123456789, "replay", 777)
+    assert uniform(*triple) == uniform(*triple)
     a = uniform_array(123456789, "replay", np.arange(1000))
     b = uniform_array(123456789, "replay", np.arange(1000)[::-1])[::-1]
     assert np.array_equal(a, b)  # order independence
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seeds_outside_64_bits_are_refused(seed):
+    # a masked seed would alias 2^64 + 5 to 5
+    for draw in (lambda: uniform_array(seed, "x", [0]),
+                 lambda: uniform(seed, "x", 0),
+                 lambda: derive_master(seed, "x"),
+                 lambda: sample_poisson(seed, "x", 1.0)):
+        with pytest.raises(ValueError,
+                           match="^master_seed must fit in 64 bits$"):
+            draw()
+
+
+def test_the_seed_domain_ends_are_accepted():
+    for seed in (0, 2**64 - 1):
+        assert 0.0 < uniform(seed, "x", 0) <= 1.0
+        assert 0 <= derive_master(seed, "x") < 2**64
 
 
 def test_distinct_labels_decorrelate():
@@ -199,17 +217,17 @@ def test_min_quantile_bound(law, N, zeta):
 # poisson
 
 def test_poisson_zero_mean():
-    assert sample_poisson(SeedSpec(1, "pois", 0), 0.0) == 0
+    assert sample_poisson(1, "pois", 0.0) == 0
 
 
 def test_poisson_replay():
-    spec = SeedSpec(77, "pois", 12)
-    assert sample_poisson(spec, 100.0) == sample_poisson(spec, 100.0)
+    assert sample_poisson(77, "pois", 100.0) == \
+        sample_poisson(77, "pois", 100.0)
 
 
 def test_poisson_moments():
     draws = np.array(
-        [sample_poisson(SeedSpec(2718, "pois-mc", k), 4.0) for k in range(100_000)],
+        [sample_poisson(2718, f"pois-mc:{k}", 4.0) for k in range(100_000)],
         dtype=np.float64,
     )
     assert abs(draws.mean() - 4.0) < 0.1
@@ -218,4 +236,4 @@ def test_poisson_moments():
 
 def test_negative_mean_rejected():
     with pytest.raises(ValueError):
-        sample_poisson(SeedSpec(1, "p", 0), -1.0)
+        sample_poisson(1, "p", -1.0)
