@@ -36,6 +36,7 @@ from .cost import (
     product_penalty,
     solve_boxing_params,
 )
+from .domain import ConfigError, check_domains
 from .experiments import SweepSpec, cell_verdict, phase_sweep, sweep_to_csv
 from .geometry import Window, build_boxing
 from .metrics import (
@@ -61,10 +62,6 @@ from .models import (
 from .rng import DoubleExpFlat, Exponential, PointMass, PolyAtZero
 
 
-class ConfigError(Exception):
-    """Bad user input: rejected keys, malformed specs, domain violations."""
-
-
 def _fmt(x: float) -> str:
     """Shortest decimal that parses back to exactly x."""
     return repr(float(x))
@@ -85,19 +82,19 @@ def _floats_csv(text: str, arity: int, what: str) -> list:
         raise ConfigError(f"{what}: cannot parse {text!r}") from None
 
 
-def _poly_terms(text: str) -> PenaltyPolynomial:
-    return PenaltyPolynomial(tuple(tuple(_floats_csv(grp, 3, "poly term"))
-                                   for grp in text.split(";")))
+def _poly_terms(text: str) -> tuple:
+    return tuple(tuple(_floats_csv(grp, 3, "poly term"))
+                 for grp in text.split(";"))
 
 
-# kind -> (number of comma-separated numbers, or None for the raw text;
-# the builder they are passed to)
+# kind -> (number of comma-separated numbers, or None for one argument,
+# the ';'-separated poly terms; the builder they are passed to)
 _PENALTY_KINDS = {
     "prod": (1, product_penalty),
     "mono": (2, monomial_penalty),
     "sum": (1, power_sum_penalty),
     "max": (1, MaxPenalty),
-    "poly": (None, _poly_terms),
+    "poly": (None, PenaltyPolynomial),
 }
 _LAW_KINDS = {
     "poly": (1, PolyAtZero),
@@ -118,10 +115,10 @@ def _parse_spec(spec: str, kinds: dict, what: str, noun: str):
         raise ConfigError(f"unknown {what} kind {kind!r} "
                           f"(expected {'/'.join(kinds)})")
     arity, build = kinds[kind]
+    args = ([_poly_terms(rest)] if arity is None
+            else _floats_csv(rest, arity, kind))
     try:
-        if arity is None:
-            return build(rest)
-        return build(*_floats_csv(rest, arity, kind))
+        return build(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid {noun} {spec!r}: {exc}") from None
 
@@ -251,10 +248,7 @@ def _build(cls, cfg: dict, **fixed):
         if field.name not in fixed and (key in cfg
                                         or field.default is MISSING):
             args[field.name] = _require(cfg, key)
-    try:
-        return cls(**args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return cls(**args)
 
 
 def _refuse_unread(cfg: dict, read: set, reader: str) -> None:
@@ -388,8 +382,7 @@ def read_graph_text(text: str) -> Graph:
     d = int(headers["d"])
     n = int(headers["n"])
     side = float(headers["side"])
-    if d < 1 or n < 0 or not side > 0:
-        raise ValueError("graph header out of domain")
+    check_domains(locals(), n="[0, inf)")
     window = Window(d, side,
                     boundary="torus" if model in _TORUS_MODELS else "hard")
 
@@ -435,10 +428,7 @@ def cmd_generate(args) -> int:
     cfg = parse_config(_load_text(args.config))
     spec = model_from_config(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    try:
-        g = generate(spec, seed, cfg.get("law"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    g = generate(spec, seed, cfg.get("law"))
     Path(args.out).write_text(write_graph_text(g))
     print(f"n {g.n}")
     print(f"edges {g.m}")
@@ -449,9 +439,7 @@ def cmd_generate(args) -> int:
 def cmd_distance(args) -> int:
     g = _load_graph(args.graph)
     f = parse_penalty(args.penalty)
-    for name, v in (("source", args.source), ("target", args.target)):
-        if not 0 <= v < g.n:
-            raise ConfigError(f"{name} {v} is not a vertex (n = {g.n})")
+    check_domains(vars(args), source=f"[0, {g.n})", target=f"[0, {g.n})")
     res = cost_search(g, f, args.source, direction=args.direction)
     d = float(res.dist[args.target])
     if not math.isfinite(d):
@@ -466,17 +454,14 @@ def cmd_distance(args) -> int:
 def cmd_classify(args) -> int:
     f = parse_penalty(args.penalty)
     law = parse_length_law(args.law)
-    try:
-        check_tau_alpha(args.tau, args.alpha)
-        if f.deg == 0:
-            outcome = cell_verdict(args.tau, args.alpha, f, law)
-            sums = "converges" if outcome == "FppExplosive" else "diverges"
-            print(f"{outcome} [flat penalty; length-law explosion sum {sums}]")
-            return 0
-        v = classify(f, args.tau, args.alpha, law.beta_minus, law.beta_plus,
-                     args.direction)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check_tau_alpha(args.tau, args.alpha)
+    if f.deg == 0:
+        outcome = cell_verdict(args.tau, args.alpha, f, law)
+        sums = "converges" if outcome == "FppExplosive" else "diverges"
+        print(f"{outcome} [flat penalty; length-law explosion sum {sums}]")
+        return 0
+    v = classify(f, args.tau, args.alpha, law.beta_minus, law.beta_plus,
+                 args.direction)
     print(f"{v.outcome} [beta-={_compact(law.beta_minus)} "
           f"beta+={_compact(law.beta_plus)}; {v.triggered_condition}]")
     return 0
@@ -496,25 +481,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_params(args) -> int:
-    try:
-        p = solve_boxing_params(args.tau, args.mu, args.nu, args.beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    p = solve_boxing_params(args.tau, args.mu, args.nu, args.beta)
     print(f"delta={_fmt(p.delta)} C={_fmt(p.C)} D={_fmt(p.D)} "
           f"xi={_fmt(p.xi)} rho={_fmt(p.rho)}")
     return 0
 
 
 def cmd_hrgmap(args) -> int:
-    try:
-        spec = Hrg(n=args.n, alpha_H=args.alpha_h, C_H=args.c_h, T_H=args.t_h)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not 0.0 <= args.phi < 2.0 * math.pi:
-        raise ConfigError("phi must lie in [0, 2 pi)")
-    if not 0.0 <= args.r <= spec.R_n:
-        raise ConfigError("r must lie in [0, R_n] = "
-                          f"[0, {_compact(spec.R_n)}]")
+    spec = Hrg(n=args.n, alpha_H=args.alpha_h, C_H=args.c_h, T_H=args.t_h)
+    check_domains(vars(args), phi=f"[0, {2.0 * math.pi!r})",
+                  r=f"[0, {spec.R_n!r}]")
     x, w = hrg_to_girg_coords(args.phi, args.r, spec)
     print(f"x={_compact(x)} w={_compact(w)}")
     return 0
@@ -529,11 +505,8 @@ def cmd_boxes(args) -> int:
         center = [0.0] * d
     else:
         center = list(_floats_csv(args.center, d, "--center"))
-    try:
-        b = build_boxing(g.vertices.window, center, args.M, args.C, args.D,
-                         args.delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    b = build_boxing(g.vertices.window, center, args.M, args.C, args.D,
+                     args.delta)
     scan = delta_good_scan(g, b, args.tau)
     f2 = check_F2(g, b, args.tau, epsilon=args.eps, scan=scan)
     print(f"k_star {b.k_star}")

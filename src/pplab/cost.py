@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import ConfigError, check_derived, check_domains
+
 _S_GRID = [0.1 * i for i in range(11)]  # 11-point check grid on [0,1]
 
 
@@ -30,15 +32,11 @@ class PenaltyPolynomial:
 
     def __post_init__(self):
         if not self.terms:
-            raise ValueError("penalty needs at least one term")
-        norm = []
+            raise ConfigError("penalty needs at least one term")
         for a, mu, nu in self.terms:
-            if a <= 0:
-                raise ValueError("term coefficients must be positive")
-            if mu < 0 or nu < 0:
-                raise ValueError("term exponents must be non-negative")
-            norm.append((float(a), float(mu), float(nu)))
-        object.__setattr__(self, "terms", tuple(norm))
+            check_domains(locals(), a="(0, inf)", mu="[0, inf)", nu="[0, inf)")
+        object.__setattr__(self, "terms", tuple(
+            (float(a), float(mu), float(nu)) for a, mu, nu in self.terms))
 
     @property
     def deg(self) -> float:
@@ -84,8 +82,7 @@ class MaxPenalty:
     mu: float
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("max penalty needs mu > 0")
+        check_domains(vars(self), mu="(0, inf)")
 
     @property
     def deg(self) -> float:
@@ -128,7 +125,8 @@ def _clause_bounds(f: PenaltyPolynomial, tau: float):
     """(sideways, lengthwise, conservative_above): clause (i) holds for
     beta+ below the first, clause (ii) below the second, and clause (iii)
     for beta- above the third."""
-    lengthwise = (3.0 - tau) / f.deg
+    lengthwise = check_derived("(3-tau)/deg(f), deg(f) the top mu + nu, "
+                               "overflows", lambda: (3.0 - tau) / f.deg)
     sideways = min(_sideways_threshold(nu, tau) for _, _, nu in f.terms)
     top_sideways = min(_sideways_threshold(nu, tau)
                        for _, mu, nu in f.terms if mu + nu == f.deg)
@@ -143,12 +141,11 @@ def critical_beta(f, tau: float):
     every term has nu = 0 and tau <= 2.  The max penalty reads its
     power-sum surrogate's bounds.
     """
-    if not 1.0 < tau < 3.0:
-        raise ValueError("critical_beta requires tau in (1, 3)")
+    check_domains(locals(), tau="(1, 3)")
     if isinstance(f, MaxPenalty):
         f = f.surrogate()
     if f.deg == 0:
-        raise ValueError("deg(f) = 0 is the FPP reduction; no weight-driven threshold")
+        raise ConfigError("deg(f) = 0 is the FPP reduction; no weight-driven threshold")
     sideways, lengthwise, hi = _clause_bounds(f, tau)
     lo = max(sideways, lengthwise)
     return lo if lo == hi else (lo, hi)
@@ -156,10 +153,7 @@ def critical_beta(f, tau: float):
 
 def check_tau_alpha(tau: float, alpha: float) -> None:
     """The model domain every verdict needs: tau > 1 and alpha > 0."""
-    if not tau > 1.0:
-        raise ValueError("tau must exceed 1")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    check_domains(locals(), tau="(1, inf]", alpha="(0, inf]")
 
 
 def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
@@ -168,14 +162,15 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
     if direction not in ("outward", "inward"):
         raise ValueError("direction must be 'outward' or 'inward'")
     check_tau_alpha(tau, alpha)
-    if not 0 <= beta_minus <= beta_plus:
-        raise ValueError("need 0 <= beta- <= beta+")
+    check_domains(locals(), beta_minus="[0, inf]", beta_plus="[0, inf]")
+    if not beta_minus <= beta_plus:
+        raise ConfigError("need 0 <= beta- <= beta+")
     if isinstance(f, MaxPenalty):
         f = f.surrogate()
     if direction == "inward":
         f = f.reversed()
     if f.deg == 0:
-        raise ValueError(
+        raise ConfigError(
             "deg(f) = 0 is the FPP reduction; explosion is decided by the "
             "length-law sum, not by weight exponents"
         )
@@ -243,14 +238,10 @@ def idelta_interval(tau: float, mu: float, nu: float, beta_plus: float,
 
     Returns (lo, hi); the interval is empty when lo >= hi.
     """
-    if not 1.0 < tau < 3.0:
-        raise ValueError("tau must lie in (1, 3)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if mu < 0 or nu < 0:
-        raise ValueError("exponents must be non-negative")
+    check_domains(locals(), tau="(1, 3)", mu="[0, inf)", nu="[0, inf)",
+                  beta_plus="[0, inf)", delta="(0, 1)")
     if (mu + nu) * beta_plus >= 3.0 - tau:
-        raise ValueError("(mu + nu) beta+ must be below 3 - tau")
+        raise ConfigError("(mu + nu) beta+ must be below 3 - tau")
     lo = 1.0 + (mu + nu) * beta_plus / (tau - 1.0) * (1.0 + delta) / (1.0 - delta) ** 2
     hi = 2.0 / (tau - 1.0) * (1.0 - delta) / (1.0 + delta)
     return (lo, hi)
@@ -276,16 +267,10 @@ def solve_boxing_params(tau: float, mu: float, nu: float,
     an 11-point grid in s (both constraint families are monotone enough in
     s that the grid is a safe proxy; an independent re-check is part of
     the test suite).  Fails below delta = 2^-20 reporting the violated
-    inequality.
+    inequality; idelta_interval refuses (mu + nu) beta+ >= 3 - tau first.
     """
-    if not 1.0 < tau < 3.0:
-        raise ValueError("tau must lie in (1, 3)")
-    if not 0.0 < beta_plus < math.inf:
-        raise ValueError("beta+ must be positive and finite")
-    if (mu + nu) * beta_plus >= 3.0 - tau:
-        raise ValueError(
-            "(mu + nu) beta+ >= 3 - tau: no admissible boxing parameters"
-        )
+    check_domains(locals(), tau="(1, 3)", mu="[0, inf)", nu="[0, inf)",
+                  beta_plus="(0, inf)")
     delta = 0.2
     last_violation = "empty D-interval"
     while delta >= 2.0**-20:
@@ -311,9 +296,10 @@ def solve_boxing_params(tau: float, mu: float, nu: float,
                 elif rho <= 0.0:
                     violation = "rho <= 0"
                 else:
+                    check_derived("tau, mu, nu and beta+ make xi or rho "
+                                  "overflow", lambda: xi + rho)
                     return BoxingParams(delta=delta, C=C, D=D, xi=xi, rho=rho)
             last_violation = violation
         delta /= 2.0
-    raise ValueError(
-        f"no admissible delta found down to 2^-20; last violation: {last_violation}"
-    )
+    raise ConfigError(f"tau, mu, nu and beta+ admit no delta down to 2^-20; "
+                      f"last violation: {last_violation}")

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import calibration
 from .cost import classify, critical_beta
+from .domain import ConfigError, check_domains
 from .metrics import components, largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
                      generate, relength)
@@ -73,18 +74,17 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.beta_grid or not self.size_grid:
-            raise ValueError("beta and size grids must be non-empty")
+            raise ConfigError("beta and size grids must be non-empty")
         for name in ("beta_grid", "size_grid"):
             grid = getattr(self, name)
             twice = [x for x in grid if grid.count(x) > 1]
             if twice:
-                raise ValueError(f"{name} repeats {twice[0]!r}")
+                raise ConfigError(f"{name} repeats {twice[0]!r}")
         check_seed(self.seed)
-        if self.pairs_per_graph < 1 or self.graphs_per_cell < 1:
-            raise ValueError("need at least one pair and one graph per cell")
+        check_domains(vars(self), pairs_per_graph="[1, inf)",
+                      graphs_per_cell="[1, inf)", size_grid="[1, inf)",
+                      beta_grid="(0, inf)")
         for n in self.size_grid:
-            # sizes the model refuses fail here, before any graph is drawn
-            replace(self.base, n=n)
             check_vertex_count(n)
         for beta in self.beta_grid:
             # raises on unclassifiable cells (bad tau/alpha/beta domain)
@@ -115,8 +115,7 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
     differ.  pair_distances measures each outward from its first vertex,
     bit for bit as the full search from that vertex does.
     """
-    if pairs < 0:
-        raise ValueError("pairs must be >= 0")
+    check_domains(locals(), pairs="[0, inf)")
     if pairs == 0:
         return []
     giant = largest_component(g)
@@ -344,8 +343,7 @@ def degree_weight_profile(g: Graph) -> list:
 
 def tail_exponent_estimate(values, top_fraction: float) -> float:
     """Pareto index fitted by maximum likelihood to the top order statistics."""
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must lie in (0, 1]")
+    check_domains(locals(), top_fraction="(0, 1]")
     v = np.asarray(values, dtype=np.float64)
     k = int(math.floor(v.size * top_fraction))
     if k < 100:
@@ -379,8 +377,7 @@ def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0) -> list:
     out = []
     for n in sizes:
         spec = make_spec(n)
-        if not 2.0 < spec.tau < 3.0:
-            raise ValueError("giant-component curve expects tau in (2, 3)")
+        check_domains({"tau": spec.tau}, tau="(2, 3)")
         fracs, seconds = [], []
         for rep in range(reps):
             g = generate(spec, derive_master(seed, f"giant:{n}:{rep}"))
@@ -414,8 +411,7 @@ def asymmetry_experiment(f, sides, t: float, reps: int, *,
     asymmetric regime tau in (1, 2], at tau = 1.5, where the direction of
     f decides explosivity, and lengths follow PolyAtZero(1) (beta = 1).
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    check_domains(locals(), reps="[1, inf)")
     out = []
     for side in sides:
         spec = IgirgWindow(lam=1.0, d=1, side=float(side), tau=1.5,
@@ -449,8 +445,7 @@ def direction_criterion(results, batches: int) -> list:
     batch, the smallest-to-largest-side growth factor of (1 + banded mean)
     must be strictly larger outward than inward.
     """
-    if batches < 1:
-        raise ValueError("batches must be >= 1")
+    check_domains(locals(), batches="[1, inf)")
     if len(results) < 2:
         raise ValueError("need at least two window sides")
     reps = results[0].outward_counts.size

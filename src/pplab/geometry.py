@@ -7,7 +7,10 @@ from itertools import product
 
 import numpy as np
 
-_SUBBOX_GUARD = 2_000_000  # refuse to enumerate more grid cells than this
+from .domain import ConfigError, check_derived, check_domains
+
+_SUBBOX_GUARD = 2_000_000  # most grid cells one annulus may enumerate
+_ANNULUS_GUARD = 10_000    # most annuli one boxing may hold (about 1 s)
 
 
 @dataclass(frozen=True)
@@ -19,10 +22,7 @@ class Window:
     boundary: str = "hard"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if not self.side > 0:
-            raise ValueError("side must be positive")
+        check_domains(vars(self), d="[1, inf)", side="(0, inf)")
         if self.boundary not in ("hard", "torus"):
             raise ValueError("boundary must be 'hard' or 'torus'")
 
@@ -89,8 +89,11 @@ class BoxingSystem:
 
     def leader_weight_interval(self, k: int, tau: float) -> tuple:
         """Half-open weight interval (lo, hi] that makes a leader delta-good."""
+        check_domains(locals(), tau="(1, inf]")
         e = self.M * self.C**k / (tau - 1.0)
-        return (math.exp((1.0 - self.delta) * e), math.exp((1.0 + self.delta) * e))
+        hi = check_derived("tau makes e^{(1+delta) M C^k/(tau-1)} overflow",
+                           lambda: math.exp((1.0 + self.delta) * e))
+        return (math.exp((1.0 - self.delta) * e), hi)
 
     def leader_count_threshold(self, k_next: int, eps: float) -> float:
         """Required number of next-annulus good neighbours, e^{(1-eps) M C^{k+1} (D-1)}."""
@@ -102,7 +105,7 @@ def _enumerate_annulus(window: Window, center: np.ndarray, k: int,
     d = window.d
     cells = int(math.floor(2.0 * outer_half / subbox_side))
     if cells**d > _SUBBOX_GUARD:
-        raise ValueError(
+        raise ConfigError(
             f"annulus {k} would hold {cells}^{d} grid cells; "
             f"guard is {_SUBBOX_GUARD}"
         )
@@ -133,6 +136,16 @@ def _enumerate_annulus(window: Window, center: np.ndarray, k: int,
     )
 
 
+def _box_side(M: float, C: float, D: float, k: int, d: int) -> float:
+    """Box_k's side e^{M D C^k / d}; +inf once the exponential overflows."""
+    growth = check_derived("M, C and D make C^k overflow while Box_k still "
+                           "fits in the window", lambda: C**k)
+    try:
+        return math.exp(M * D * growth / d)
+    except OverflowError:
+        return math.inf
+
+
 def build_boxing(window: Window, center, M: float, C: float, D: float,
                  delta: float) -> BoxingSystem:
     """Construct the boxing system; fails if even Box_0 exceeds the window.
@@ -140,23 +153,25 @@ def build_boxing(window: Window, center, M: float, C: float, D: float,
     k_star is the largest k with e^{M D C^k / d} <= side, found by direct
     integer enumeration of the inequality.
     """
-    if M <= 0 or C <= 1 or D <= 1:
-        raise ValueError("require M > 0, C > 1, D > 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0,1)")
     center = np.asarray(center, dtype=np.float64).reshape(window.d)
+    check_domains(locals(), M="(0, inf)", C="(1, inf)", D="(1, inf)",
+                  delta="(0, 1)", center="(-inf, inf)")
     d = window.d
 
-    if math.exp(M * D / d) > window.side:
-        raise ValueError("window smaller than Box_0: no boxing exists (k_star < 0)")
+    if _box_side(M, C, D, 0, d) > window.side:
+        raise ConfigError("window smaller than Box_0 (e^{M D / d} > side): "
+                          "no boxing exists (k_star < 0)")
     k_star = 0
-    while math.exp(M * D * C ** (k_star + 1) / d) <= window.side:
+    while _box_side(M, C, D, k_star + 1, d) <= window.side:
         k_star += 1
+        if k_star >= _ANNULUS_GUARD:
+            raise ConfigError(f"M, C and D give more than {_ANNULUS_GUARD} "
+                              "annuli (the guard)")
 
     annuli = []
     for k in range(k_star + 1):
-        outer = math.exp(M * D * C**k / d) / 2.0
-        inner = None if k == 0 else math.exp(M * D * C ** (k - 1) / d) / 2.0
+        outer = _box_side(M, C, D, k, d) / 2.0
+        inner = None if k == 0 else _box_side(M, C, D, k - 1, d) / 2.0
         s = math.exp(M * C**k / d)
         annuli.append(_enumerate_annulus(window, center, k, outer, inner, s))
     return BoxingSystem(

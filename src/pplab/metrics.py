@@ -25,6 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from .domain import check_domains
 from .geometry import BoxingSystem, locate_subbox
 from .models import Graph
 
@@ -32,8 +33,7 @@ from .models import Graph
 def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
     """ids as int64, refused unless each is a vertex id below n."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ((ids < 0) | (ids >= n)).any():
-        raise ValueError(f"{what} not in graph")
+    check_domains({what: ids}, **{what: f"[0, {n})"})
     return ids
 
 
@@ -55,7 +55,8 @@ def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
         nbr, eid = nbr[row], eid[row]
         w_row = np.full(nbr.size, w[v])
     pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
-    cost = np.asarray(f(*pair), dtype=np.float64)
+    with np.errstate(over="ignore"):    # an overflowing cost is +inf
+        cost = np.asarray(f(*pair), dtype=np.float64)
     cost *= g.lengths[eid]         # in place: no second slot-sized array
     return cost
 
@@ -162,8 +163,7 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
 
 def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
+    check_domains(locals(), t="[0, inf]")
     return int(np.count_nonzero(_slot_costs(g, f, direction, v) <= t))
 
 
@@ -230,17 +230,18 @@ def delta_good_scan(g: Graph, b: BoxingSystem, tau: float) -> DeltaGoodScan:
     """
     if g.vertices.window != b.window:
         raise ValueError("graph and boxing system use different windows")
+    # every annulus's weight bounds first, so a refused tau costs no work
+    bounds = [b.leader_weight_interval(ann.k, tau) for ann in b.annuli]
     k_of, row_of = locate_subbox(b, g.vertices.positions)
     w = g.vertices.weights
     # by annulus, then heaviest first; lexsort is stable, so ties keep id order
     order = np.lexsort((-w, k_of))
     out = []
-    for ann in b.annuli:
+    for ann, (lo, hi) in zip(b.annuli, bounds):
         here = order[k_of[order] == ann.k]
         rows, first = np.unique(row_of[here], return_index=True)
         leader = np.full(ann.count, -1, dtype=np.int64)
         leader[rows] = here[first]
-        lo, hi = b.leader_weight_interval(ann.k, tau)
         lw = w[here[first]]
         good = np.zeros(ann.count, dtype=bool)
         good[rows] = (lw > lo) & (lw <= hi)
@@ -258,6 +259,7 @@ def check_F2(g: Graph, b: BoxingSystem, tau: float, epsilon: float | None = None
     Gamma_{k+1}; vacuously true with no good leaders at k.
     """
     eps = b.delta if epsilon is None else epsilon
+    check_domains(locals(), eps="(0, 1)")
     if scan is None:
         scan = delta_good_scan(g, b, tau)
     flags = []
@@ -357,6 +359,7 @@ def greedy_bound_report(b: BoxingSystem, tau: float, f, law,
         raise ValueError("the greedy cost bound is stated for monomial penalties")
     a, mu, nu = terms[0]
     eps = b.delta if epsilon is None else epsilon
+    check_domains(locals(), eps="(0, 1)")
     quantiles, bounds = [], []
     for k in path.annuli[:-1]:
         y = (k + 1.0) * math.exp(-(1.0 - eps) * b.M * b.C ** (k + 1) * (b.D - 1.0))
@@ -402,10 +405,7 @@ def saw_path_count(g: Graph, v: int, k: int) -> int:
     The walks from v of at most k edges, sum_j e_v' A^j 1, bound the steps
     of the path walk; above _SAW_STEP_CAP it is refused before it starts.
     """
-    if k > 8:
-        raise ValueError("k is capped at 8 (combinatorial explosion guard)")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_domains(locals(), k="[0, 8]")    # 8: combinatorial explosion guard
     _vertex_ids(g.n, v, "vertex")
     indptr, nbr, _ = g.csr
     adj = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))

@@ -23,6 +23,7 @@ from itertools import product
 import numpy as np
 from scipy.sparse import coo_array
 
+from .domain import ConfigError, check_derived, check_domains
 from .geometry import Window
 from .rng import (
     _GOLDEN,
@@ -69,10 +70,8 @@ class VertexSet:
             raise ValueError("positions and weights disagree on vertex count")
         if pos.shape[1] != self.window.d:
             raise ValueError("position dimension does not match window")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions must be finite")
-        if w.size and not w.min() >= 1.0:       # NaN fails too; +inf is kept
-            raise ValueError("weights must be >= 1")
+        check_domains({"positions": pos, "weights": w},
+                      positions="(-inf, inf)", weights="[1, inf]")
         if self.origin_index is not None and not 0 <= self.origin_index < w.shape[0]:
             raise ValueError("origin_index out of range")
 
@@ -181,6 +180,10 @@ def _build_csr(g: Graph) -> tuple:
 # ---------------------------------------------------------------------------
 # model specifications
 
+# Girg's and IgirgWindow's shared fields; c = inf would join every pair.
+_POWER_KERNEL = dict(d="[1, inf)", tau="(1, inf]", alpha="(1, inf]",
+                     c="[0, inf)")
+
 
 @dataclass(frozen=True)
 class Girg:
@@ -194,8 +197,7 @@ class Girg:
     c: float           # kernel constant at every alpha; 0: coincident only
 
     def __post_init__(self):
-        _check_common(self.n, self.d, self.tau)
-        _check_kernel(self)
+        check_domains(vars(self), n="[1, inf)", **_POWER_KERNEL)
 
     @property
     def window(self) -> Window:
@@ -216,10 +218,8 @@ class IgirgWindow:
     pin_origin: bool = False
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.side > 0):
-            raise ValueError("lam and side must be positive")
-        _check_common(1, self.d, self.tau)
-        _check_kernel(self)
+        check_domains(vars(self), lam="(0, inf)", side="(0, inf)",
+                      **_POWER_KERNEL)
 
     @property
     def window(self) -> Window:
@@ -237,12 +237,9 @@ class SfpWindow:
     alpha_norm: float
 
     def __post_init__(self):
-        if self.radius < 0 or self.d < 1:
-            raise ValueError("need d >= 1 and radius >= 0")
-        if not self.tau > 1.0:
-            raise ValueError("tau must exceed 1")
-        if not (self.lambda_perc > 0 and self.alpha_norm > 0):
-            raise ValueError("lambda_perc and alpha_norm must be positive")
+        check_domains(vars(self), d="[1, inf)", radius="[0, inf)",
+                      tau="(1, inf]", lambda_perc="(0, inf)",
+                      alpha_norm="(0, inf]")
 
     @property
     def window(self) -> Window:
@@ -259,13 +256,12 @@ class Hrg:
     T_H: float | None = None    # None: threshold connectivity d_H <= R_n
 
     def __post_init__(self):
-        if not 0.5 < self.alpha_H < 1.0:
-            raise ValueError("alpha_H must lie in (1/2, 1)")
-        _check_common(self.n, 1, self.tau)
-        if not math.isfinite(self.C_H):
-            raise ValueError("C_H must be finite")
-        if self.T_H is not None and not self.T_H > 0:
-            raise ValueError("T_H must be positive (or None)")
+        check_domains(vars(self), alpha_H="(0.5, 1)", n="[1, inf)",
+                      C_H="(-inf, inf)")
+        if self.T_H is not None:
+            check_domains(vars(self), T_H="(0, inf]")
+        check_derived("n and C_H make sinh(R_n)^2, R_n = 2 ln n + C_H, "
+                      "overflow", lambda: math.sinh(self.R_n) ** 2)
 
     @property
     def R_n(self) -> float:
@@ -278,23 +274,6 @@ class Hrg:
     @property
     def window(self) -> Window:
         return Window(1, 1.0, boundary="torus")
-
-
-def _check_common(n, d, tau):
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if not tau > 1.0:
-        raise ValueError("tau must exceed 1")
-
-
-def _check_kernel(spec):
-    """The power kernel's domain: alpha > 1 (or inf) and c >= 0."""
-    if not spec.alpha > 1.0:
-        raise ValueError("alpha must exceed 1 (or be inf)")
-    if not spec.c >= 0:
-        raise ValueError("kernel constants must be positive (c >= 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +878,7 @@ def _pareto_weights(master_seed, n, tau):
 def check_vertex_count(n: int) -> None:
     """Refuse a graph above the vertex cap before any of it is sampled."""
     if n > _VERTEX_CAP:
-        raise ValueError(f"vertex count {n} exceeds cap {_VERTEX_CAP}")
+        raise ConfigError(f"vertex count {n} exceeds cap {_VERTEX_CAP}")
 
 
 def generate(spec, master_seed: int,
@@ -916,12 +895,16 @@ def generate(spec, master_seed: int,
         w = _pareto_weights(master_seed, spec.n, spec.tau)
         vs = VertexSet(spec.window, pos, w)
     elif isinstance(spec, IgirgWindow):
-        mean = spec.lam * spec.side**spec.d
+        mean = check_derived("lam * side^d overflows",
+                             lambda: spec.lam * spec.side**spec.d)
+        if mean > _VERTEX_CAP:      # refused on the mean, before the draw
+            raise ConfigError(f"lam * side^d = {mean:g} expected vertices "
+                              f"exceed cap {_VERTEX_CAP}")
         n_pois = sample_poisson(master_seed, "count", mean)
         n_total = n_pois + (1 if spec.pin_origin else 0)
         check_vertex_count(n_total)
         if n_total == 0:
-            raise ValueError("empty Poisson sample; enlarge lam or side")
+            raise ConfigError("empty Poisson sample; enlarge lam or side")
         pos = _uniform_positions(master_seed, n_pois, spec.d, spec.side)
         if spec.pin_origin:
             pos = np.vstack([pos, np.zeros((1, spec.d))])
@@ -948,10 +931,11 @@ def generate(spec, master_seed: int,
         vs = VertexSet(spec.window, x[:, None], np.maximum(w, 1.0))
     else:
         raise TypeError(f"unknown model spec {type(spec).__name__}")
-    plan = _cell_plan(spec, vs.weights) if isinstance(spec, Girg) else None
-    if plan is not None and plan.pays_off(vs.n):
-        u, v = _cell_pairs(spec, master_seed, vs, plan)
-    else:
-        u, v = _pairwise_pairs(spec, master_seed, vs)
+    with np.errstate(over="ignore"):    # a weight product may be +inf
+        plan = _cell_plan(spec, vs.weights) if isinstance(spec, Girg) else None
+        if plan is not None and plan.pays_off(vs.n):
+            u, v = _cell_pairs(spec, master_seed, vs, plan)
+        else:
+            u, v = _pairwise_pairs(spec, master_seed, vs)
     ls = _edge_lengths(master_seed, u, v, vs.n, length_law)
     return Graph(vs, u, v, ls, spec=spec, seed=master_seed)

@@ -20,6 +20,8 @@ from hashlib import blake2b
 
 import numpy as np
 
+from .domain import ConfigError, check_derived, check_domains
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -59,7 +61,7 @@ def _mix64_np(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 def check_seed(master_seed: int) -> None:
     """Refuse a master seed outside [0, 2^64)."""
     if not 0 <= master_seed <= _MASK64:
-        raise ValueError("master_seed must fit in 64 bits")
+        raise ConfigError("master_seed must fit in 64 bits")
 
 
 def stream_key(master_seed: int, stream_label: str) -> int:
@@ -126,8 +128,7 @@ class WeightLaw:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 1:
-            raise ValueError("tau must exceed 1")
+        check_domains(vars(self), tau="(1, inf]")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -138,7 +139,8 @@ class WeightLaw:
 def weight_from_uniform(u, law: WeightLaw):
     """Inverse-cdf transform: W = U^{-1/(tau-1)} for U in (0,1]."""
     u = np.asarray(u, dtype=np.float64)
-    w = u ** (-1.0 / (law.tau - 1.0))
+    with np.errstate(over="ignore"):    # +inf weights are valid
+        w = u ** (-1.0 / (law.tau - 1.0))
     return w if w.ndim else float(w)
 
 
@@ -174,8 +176,7 @@ class EdgeLengthLaw:
         """
         scalar = np.isscalar(y) or getattr(y, "ndim", 0) == 0
         y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        if np.any((y <= 0.0) | (y > 1.0)):
-            raise ValueError("quantile requires y in (0, 1]")
+        check_domains(locals(), y="(0, 1]")
         t = self._quantile(y)
         ts, ys, idx = t, y, None        # still-short entries (idx None: all)
         for _ in range(4):
@@ -201,8 +202,7 @@ class PolyAtZero(EdgeLengthLaw):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        check_domains(vars(self), beta="(0, inf]")   # inf: point mass at 1
 
     @property
     def beta_minus(self):
@@ -228,8 +228,9 @@ class Exponential(EdgeLengthLaw):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        check_domains(vars(self), rate="(0, inf)")
+        check_derived("rate makes the mean length 1/rate overflow",
+                      lambda: 1.0 / self.rate)
 
     beta_minus = 1.0
     beta_plus = 1.0
@@ -259,10 +260,10 @@ class DoubleExpFlat(EdgeLengthLaw):
     c2: float
 
     def __post_init__(self):
-        if not self.eta > 1:
-            raise ValueError("eta must exceed 1")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1, c2 must be positive")
+        check_domains(vars(self), eta="(1, inf]", c1="(0, inf)", c2="(0, inf)")
+        # e^c2: the cdf below the atom; -log(u)/c1: the quantile at u = 2^-53
+        check_derived("c1 or c2 makes e^c2 or -log(u)/c1 overflow",
+                      lambda: math.exp(self.c2) + 53 * math.log(2) / self.c1)
 
     beta_minus = math.inf
     beta_plus = math.inf
@@ -289,8 +290,7 @@ class PointMass(EdgeLengthLaw):
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("value must be non-negative")
+        check_domains(vars(self), value="[0, inf)")
 
     @property
     def beta_minus(self):
@@ -313,8 +313,7 @@ class PointMass(EdgeLengthLaw):
 
 def sample_poisson(master_seed: int, stream_label: str, mean: float) -> int:
     """Poisson count (mean >= 0) addressed by (master_seed, label, 0)."""
-    if mean < 0:
-        raise ValueError("mean must be non-negative")
+    check_domains(locals(), mean="[0, inf)")
     if mean == 0:
         return 0
     word = uniform_word(stream_key(master_seed, stream_label), 0)

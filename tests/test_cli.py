@@ -84,7 +84,7 @@ GRAMMAR_LAWS = [
     "gauss:1", "poly", "poly:", "poly:1,2", "", ":", "exp:1:2",
 ]
 # sha256 of every spec's result repr or error message, one line each
-GRAMMAR_DIGEST = "c6f6188d9231eb4dab249ccee265b8070c0bcca60b8c66dced4f7cdb0368b6bf"
+GRAMMAR_DIGEST = "cfee91d4f5daff0f62b33600f6e84c14bd69f3e6f1c45b06fcc597ec76b04b3f"
 
 
 def test_grammar_results_and_messages_pinned():
@@ -97,7 +97,7 @@ def test_grammar_results_and_messages_pinned():
             except Exception as exc:
                 got = f"{type(exc).__name__}: {exc}"
             lines.append(f"{parse.__name__}({spec!r}) -> {got}")
-    assert sum("ConfigError" in line for line in lines) == 39
+    assert sum("ConfigError" in line for line in lines) == 41
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == GRAMMAR_DIGEST, text
 
@@ -404,7 +404,7 @@ def test_cmd_distance_edge_cases(tmp_path, capsys):
     rc, _, err = _run(capsys, "distance", "--graph", str(p),
                       "--penalty", "prod:1", "--source", "0",
                       "--target", "9")
-    assert rc == 2 and "not a vertex" in err
+    assert (rc, err) == (2, "config error: target must lie in [0, 4)\n")
 
 
 def test_cmd_distance_refuses_a_nan_weight(tmp_path, capsys):
@@ -645,7 +645,7 @@ def test_cmd_classify_refuses_nan(capsys, tau, alpha, penalty, field):
 
 
 @pytest.mark.parametrize("line, field", [
-    ("alpha = 2.0", "alpha"), ("c = 1.0", "kernel constants")])
+    ("alpha = 2.0", "alpha"), ("c = 1.0", "c must lie in [0, inf)")])
 def test_cmd_generate_refuses_nan_model_constants(tmp_path, capsys, line,
                                                   field):
     cfg = tmp_path / "nan.cfg"
@@ -827,7 +827,7 @@ def test_cmd_hrgmap_refuses_nan_model_constants(capsys, flag, value, field):
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
 def test_cmd_hrg_blames_alpha_h_not_tau(tmp_path, capsys, value):
     # tau = 2 alpha_H + 1 is derived, so a bad alpha_H is reported by name
-    want = (2, "", "config error: alpha_H must lie in (1/2, 1)\n")
+    want = (2, "", "config error: alpha_H must lie in (0.5, 1)\n")
     assert _run(capsys, "hrgmap", "--phi", "1", "--r", "3", "--n", "100",
                 f"--alpha-h={value}") == want
     cfg = tmp_path / "hrg.cfg"
@@ -894,3 +894,102 @@ def test_exit_codes(tmp_path, capsys):
     rc, _, err = _run(capsys, "generate", "--config", str(sfp_cfg),
                       "--out", str(tmp_path / "nodir" / "x.graph"))
     assert rc == 3 and "runtime failure" in err
+
+
+# ---------------------------------------------------------------------------
+# declared input domains
+
+
+GIRG_CFG = "model = girg\nn = 50\nd = 1\ntau = 2.5\nalpha = 2.0\nc = 1.0\n"
+IGIRG_CFG = ("model = igirg\nlam = 0.1\nd = 1\nside = 1000.0\ntau = 2.5\n"
+             "alpha = 2.0\nc = 1.0\nlaw = poly:1\nseed = 3\n")
+HRG_CFG = "model = hrg\nn = 100\nalpha_h = 0.75\nc_h = 1.0\nseed = 3\n"
+BOX_ARGS = ["--tau", "2.5", "--penalty", "mono:1,1", "--M", "1.0",
+            "--C", "1.3", "--D", "2.0", "--delta", "0.2"]
+HRG_OVERFLOW = "n and C_H make sinh(R_n)^2, R_n = 2 ln n + C_H, overflow"
+BOX_0 = ("window smaller than Box_0 (e^{M D / d} > side): no boxing exists "
+         "(k_star < 0)")
+
+
+def _with(args, flag, value):
+    """args with the value after `flag` replaced."""
+    args = list(args)
+    args[args.index(flag) + 1] = value
+    return args
+
+
+# Each input here once exited 3 or answered wrongly (inf for a
+# reachable pair, or a Python message): argv with {cfg}/{out}/{graph},
+# the config text, and the exact message, which names the field.
+FOUND_INPUTS = [
+    pytest.param(["generate", "--config", "{cfg}", "--out", "{out}"],
+                 GIRG_CFG.replace("c = 1.0", "c = inf"),
+                 "c must lie in [0, inf)", id="generate-girg-c=inf"),
+    pytest.param(["generate", "--config", "{cfg}", "--out", "{out}"],
+                 IGIRG_CFG.replace("c = 1.0", "c = inf"),
+                 "c must lie in [0, inf)", id="generate-igirg-c=inf"),
+    pytest.param(["sweep", "--config", "{cfg}"],
+                 "model = girg\nd = 1\ntau = 2.5\nalpha = 2.0\nc = inf\n"
+                 "penalty = prod:1\nlaw_family = poly\nbeta_grid = 1.0\n"
+                 "size_grid = 50\n", "c must lie in [0, inf)",
+                 id="sweep-girg-c=inf"),
+    pytest.param(["generate", "--config", "{cfg}", "--out", "{out}"],
+                 HRG_CFG.replace("c_h = 1.0", "c_h = 1e308"), HRG_OVERFLOW,
+                 id="generate-hrg-c_h=1e308"),
+    pytest.param(["hrgmap", "--phi", "1", "--r", "3", "--n", "100",
+                  "--c-h", "1e308"], None, HRG_OVERFLOW,
+                 id="hrgmap-c-h=1e308"),
+    pytest.param(["boxes", "--graph", "{graph}",
+                  *_with(BOX_ARGS, "--M", "1e308")], None, BOX_0,
+                 id="boxes-M=1e308"),
+    pytest.param(["boxes", "--graph", "{graph}",
+                  *_with(BOX_ARGS, "--D", "1e308")], None, BOX_0,
+                 id="boxes-D=1e308"),
+    pytest.param(["boxes", "--graph", "{graph}",
+                  *_with(BOX_ARGS, "--M", "5e-324")], None,
+                 "M, C and D make C^k overflow while Box_k still fits in "
+                 "the window", id="boxes-M=5e-324"),
+    *[pytest.param(["distance", "--graph", "{graph}", "--source", "0",
+                    "--target", "5", "--penalty", spec], None,
+                   f"invalid penalty {spec!r}: {message}",
+                   id=f"distance-{spec}")
+      for spec, message in [
+          ("prod:nan", "mu must lie in [0, inf)"),
+          ("prod:inf", "mu must lie in [0, inf)"),
+          ("mono:nan,1", "mu must lie in [0, inf)"),
+          ("sum:nan", "mu must lie in [0, inf)"),
+          ("max:inf", "mu must lie in (0, inf)"),
+          ("poly:nan,1,1", "a must lie in (0, inf)")]],
+    pytest.param(["classify", "--tau", "2.5", "--alpha", "2", "--penalty",
+                  "prod:nan", "--law", "poly:1"], None,
+                 "invalid penalty 'prod:nan': mu must lie in [0, inf)",
+                 id="classify-prod:nan"),
+]
+
+
+@pytest.fixture(scope="module")
+def igirg_graph_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("domains") / "ig.graph"
+    path.write_text(write_graph_text(generate(
+        IgirgWindow(lam=0.1, d=1, side=1000.0, tau=2.5, alpha=2.0, c=1.0),
+        3, PolyAtZero(1.0))))
+    return path
+
+
+def test_the_found_pair_is_reachable(igirg_graph_file, capsys):
+    # so the refused NaN and infinite penalties hid a finite distance
+    rc, out, _ = _run(capsys, "distance", "--graph", str(igirg_graph_file),
+                      "--source", "0", "--target", "5", "--penalty", "prod:1")
+    assert rc == 0 and math.isfinite(float(out.split()[1]))
+
+
+@pytest.mark.parametrize("argv, cfg_text, message", FOUND_INPUTS)
+def test_found_inputs_exit_2_naming_the_field(tmp_path, capsys,
+                                              igirg_graph_file, argv,
+                                              cfg_text, message):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.graph"
+    if cfg_text is not None:
+        cfg.write_text(cfg_text)
+    argv = [a.format(cfg=cfg, out=out, graph=igirg_graph_file) for a in argv]
+    assert _run(capsys, *argv) == (2, "", f"config error: {message}\n")
+    assert not out.exists()

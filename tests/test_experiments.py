@@ -130,6 +130,11 @@ def test_near_critical_flags_ten_percent_window():
     assert _near_critical(PROD, 2.5, 0.26)
     assert not _near_critical(PROD, 2.5, 0.1)
     assert not _near_critical(PROD, 2.5, 1.0)
+    # both edges of the window, 0.025 either side of beta_c = 0.25: inside
+    # at 0.02, outside at 0.04 (a 20% window would flag 0.21 and 0.29)
+    assert _near_critical(PROD, 2.5, 0.27) and _near_critical(PROD, 2.5, 0.23)
+    assert not _near_critical(PROD, 2.5, 0.29)
+    assert not _near_critical(PROD, 2.5, 0.21)
     assert not _near_critical(product_penalty(0.0), 2.5, 0.25)
     assert not _near_critical(monomial_penalty(1, 0), 1.5, 1.5)
 
@@ -329,6 +334,10 @@ def test_trend_helpers():
         pytest.approx(0.05)
     assert trend_slope((4096, 1024, 2048), (1.1, 1.0, 1.05)) == \
         pytest.approx(0.05)
+    # four unequally spaced sizes off one line: least squares gives 0.09,
+    # the endpoint slope (1.5 - 1.0) / 4 would give 0.125
+    assert trend_slope([1024, 2048, 8192, 16384], [1.0, 1.3, 1.2, 1.5]) == \
+        pytest.approx(0.09)
     with pytest.raises(ValueError):
         trend_slope([1024], [1.0])
     assert strictly_increasing([1.0, 2.0, 3.0])

@@ -214,7 +214,8 @@ def test_entry_points_refuse_vertex_ids_outside_the_graph(call):
     g = _girg200()
     call(g, g.n - 1)                     # the last vertex is accepted
     for bad in (-1, g.n):
-        with pytest.raises(ValueError, match="not in graph"):
+        with pytest.raises(ValueError, match=r"^(vertex|source|target|pair "
+                           rf"vertex) must lie in \[0, {g.n}\)$"):
             call(g, bad)
 
 
