@@ -149,6 +149,14 @@ def _parse_float(s: str) -> float:
         raise ConfigError(f"expected a number, got {s!r}") from None
 
 
+def _parse_named(name: str, parse, s: str):
+    """parse(s), with `name` in front of the message it refuses s with."""
+    try:
+        return parse(s)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _parse_bool(s: str) -> bool:
     low = s.strip().lower()
     if low in ("true", "false"):
@@ -223,7 +231,8 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
-        entries[key] = _CONFIG_KEYS[key](value.strip())
+        entries[key] = _parse_named(f"line {lineno}: {key}",
+                                    _CONFIG_KEYS[key], value.strip())
     return entries
 
 
@@ -379,9 +388,9 @@ def read_graph_text(text: str) -> Graph:
     model = headers["model"]
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r} in graph header")
-    d = int(headers["d"])
-    n = int(headers["n"])
-    side = float(headers["side"])
+    d, n = (_parse_named(f"header #{key}", _parse_int, headers[key])
+            for key in ("d", "n"))
+    side = _parse_named("header #side", _parse_float, headers["side"])
     check_domains(locals(), n="[0, inf)")
     window = Window(d, side,
                     boundary="torus" if model in _TORUS_MODELS else "hard")

@@ -106,7 +106,6 @@ class MaxPenalty:
 class PhaseVerdict:
     outcome: str       # ExplosiveSideways | ExplosiveLengthwise | Conservative
     #                  # | Critical | Inconclusive
-    direction: str     # outward | inward
     triggered_condition: str
 
 
@@ -131,24 +130,6 @@ def _clause_bounds(f: PenaltyPolynomial, tau: float):
     top_sideways = min(_sideways_threshold(nu, tau)
                        for _, mu, nu in f.terms if mu + nu == f.deg)
     return sideways, lengthwise, max(lengthwise, top_sideways)
-
-
-def critical_beta(f, tau: float):
-    """Outward threshold(s): the clause bounds that classify applies.
-
-    Returns the explosive bound max(sideways, lengthwise) when it equals
-    conservative_above, else the pair; +inf (explosive at every beta) when
-    every term has nu = 0 and tau <= 2.  The max penalty reads its
-    power-sum surrogate's bounds.
-    """
-    check_domains(locals(), tau="(1, 3)")
-    if isinstance(f, MaxPenalty):
-        f = f.surrogate()
-    if f.deg == 0:
-        raise ConfigError("deg(f) = 0 is the FPP reduction; no weight-driven threshold")
-    sideways, lengthwise, hi = _clause_bounds(f, tau)
-    lo = max(sideways, lengthwise)
-    return lo if lo == hi else (lo, hi)
 
 
 def check_tau_alpha(tau: float, alpha: float) -> None:
@@ -176,7 +157,7 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
         )
     if tau >= 3.0:
         return PhaseVerdict(
-            "Conservative", direction,
+            "Conservative",
             "tau >= 3: weight tail too thin for explosive passage",
         )
 
@@ -185,16 +166,16 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
 
     # clause (i): sideways explosion, almost surely
     if alpha <= 1.0:
-        return PhaseVerdict("ExplosiveSideways", direction, "clause (i), alpha <= 1")
+        return PhaseVerdict("ExplosiveSideways", "clause (i), alpha <= 1")
     if beta_plus < sideways:
         return PhaseVerdict(
-            "ExplosiveSideways", direction,
+            "ExplosiveSideways",
             "clause (i), beta+ < (2-tau)/nu_i for every term",
         )
     # clause (ii): lengthwise explosion
     if beta_plus < lengthwise:
         return PhaseVerdict(
-            "ExplosiveLengthwise", direction,
+            "ExplosiveLengthwise",
             f"clause (ii), beta+ < (3-tau)/deg(f) = {lengthwise:.6g}",
         )
     # clause (iii): conservative
@@ -203,17 +184,17 @@ def classify(f, tau: float, alpha: float, beta_minus: float, beta_plus: float,
                            if mu + nu == f.deg
                            and beta_minus > _sideways_threshold(nu, tau))
         return PhaseVerdict(
-            "Conservative", direction,
+            "Conservative",
             f"clause (iii), beta- > (3-tau)/deg(f) with qualifying top "
             f"term(s): {listed}",
         )
     if beta_minus == beta_plus == explosive_below == conservative_above:
         return PhaseVerdict(
-            "Critical", direction,
+            "Critical",
             f"beta- = beta+ = threshold {explosive_below:.6g}",
         )
     return PhaseVerdict(
-        "Inconclusive", direction,
+        "Inconclusive",
         f"no clause applies (explosive below {explosive_below:.6g}, "
         f"conservative above {conservative_above:.6g})",
     )

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from . import calibration
-from .cost import classify, critical_beta
+from .cost import classify
 from .domain import ConfigError, check_domains
 from .metrics import components, largest_component, n1t, pair_distances
 from .models import (Girg, Graph, Hrg, IgirgWindow, check_vertex_count,
@@ -45,18 +45,6 @@ def cell_verdict(tau: float, alpha: float, f, law: EdgeLengthLaw) -> str:
         return ("FppExplosive" if law.explosion_sum_converges
                 else "FppConservative")
     return classify(f, tau, alpha, law.beta_minus, law.beta_plus).outcome
-
-
-def _near_critical(f, tau: float, beta: float) -> bool:
-    """Within 10% (relative) of a finite explosive/conservative threshold."""
-    try:
-        thresholds = critical_beta(f, tau)
-    except ValueError:
-        return False
-    if not isinstance(thresholds, tuple):
-        thresholds = (thresholds,)
-    return any(math.isfinite(t) and abs(beta - t) <= 0.1 * t
-               for t in thresholds)
 
 
 @dataclass(frozen=True)
@@ -96,7 +84,6 @@ class SweepSpec:
 class CellResult:
     beta: float
     n: int
-    distances: np.ndarray          # pooled over graphs; empty on failure
     median_d: float                # nan when the cell is empty
     q1: float
     q3: float
@@ -104,7 +91,6 @@ class CellResult:
     verdict: str
     seed: int
     reason: str | None = None      # None = ok; else failure code
-    near_critical: bool = False
 
 
 def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
@@ -167,20 +153,35 @@ class _Cell:
             self.dists = []
 
     def result(self) -> CellResult:
-        spec, beta = self.spec, self.beta
-        arr = np.asarray(self.dists, dtype=np.float64)
-        if arr.size:
-            q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-        else:
-            q1 = med = q3 = math.nan
+        spec = self.spec
+        q1, med, q3 = _quartiles(self.dists)
         return CellResult(
-            beta=beta, n=self.n, distances=arr, median_d=float(med),
-            q1=float(q1), q3=float(q3),
+            beta=self.beta, n=self.n, median_d=med, q1=q1, q3=q3,
             giant_frac=float(np.mean(self.fracs)) if self.fracs else math.nan,
             verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f,
                                  self.law),
-            seed=spec.seed, reason=self.reason,
-            near_critical=_near_critical(spec.f, spec.base.tau, beta))
+            seed=spec.seed, reason=self.reason)
+
+
+def _quartiles(values) -> list:
+    """Linearly interpolated quartiles of values (nan when there are none).
+
+    np.quantile interpolates a + (b - a) t between neighbouring order
+    statistics, which is nan once b = +inf, an overflowing cost.  Where b is
+    +inf each quartile is instead what the interpolation is in exact
+    arithmetic: a when t = 0, else +inf.  Finite neighbours keep numpy's
+    value bit for bit.
+    """
+    x = np.sort(np.asarray(values, dtype=np.float64))
+    if not x.size:
+        return [math.nan] * 3
+    at = (x.size - 1) * np.array([0.25, 0.5, 0.75])
+    lo = np.floor(at).astype(np.int64)
+    hi = np.minimum(lo + 1, x.size - 1)
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(x, [0.25, 0.5, 0.75])
+    exact = np.where(at == lo, x[lo], math.inf)
+    return np.where(np.isposinf(x[hi]), exact, q).tolist()
 
 
 def _measure_graph(spec: SweepSpec, job) -> list:
@@ -316,12 +317,10 @@ def strictly_increasing(values) -> bool:
 
 @dataclass(frozen=True)
 class DecadeProfile:
-    decade: int                    # weights in [10^decade, 10^(decade+1))
-    count: int
-    mean_degree: float
-    mean_weight: float
+    """One weight decade [10^k, 10^(k+1)), in increasing k."""
+
     ratio: float                   # mean degree / mean weight
-    reliable: bool                 # count >= RELIABLE_DECADE_COUNT
+    reliable: bool                 # vertices >= RELIABLE_DECADE_COUNT
 
 
 def degree_weight_profile(g: Graph) -> list:
@@ -332,11 +331,8 @@ def degree_weight_profile(g: Graph) -> list:
     out = []
     for dec in np.unique(decades):
         sel = decades == dec
-        mean_deg = float(deg[sel].mean())
-        mean_w = float(w[sel].mean())
         out.append(DecadeProfile(
-            decade=int(dec), count=int(sel.sum()), mean_degree=mean_deg,
-            mean_weight=mean_w, ratio=mean_deg / mean_w,
+            ratio=float(deg[sel].mean()) / float(w[sel].mean()),
             reliable=int(sel.sum()) >= calibration.RELIABLE_DECADE_COUNT))
     return out
 
@@ -364,7 +360,8 @@ def tail_exponent_estimate(values, top_fraction: float) -> float:
 
 @dataclass(frozen=True)
 class GiantCurvePoint:
-    n: int
+    """One size of the curve, in the order of the sizes given."""
+
     mean_fraction: float           # largest component / n
     mean_second_fraction: float    # second largest / n (uniqueness proxy)
 
@@ -384,7 +381,7 @@ def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0) -> list:
             comps = components(g)
             fracs.append(len(comps[0]) / g.n)
             seconds.append(len(comps[1]) / g.n if len(comps) > 1 else 0.0)
-        out.append(GiantCurvePoint(n=n, mean_fraction=float(np.mean(fracs)),
+        out.append(GiantCurvePoint(mean_fraction=float(np.mean(fracs)),
                                    mean_second_fraction=float(np.mean(seconds))))
     return out
 
@@ -479,8 +476,8 @@ def direction_criterion(results, batches: int) -> list:
 
 @dataclass(frozen=True)
 class KernelBin:
-    lo: float
-    hi: float
+    """One argument bin, in increasing argument."""
+
     pairs: int
     frequency: float               # empirical edge frequency in the bin
     prediction: float              # mean predicted probability in the bin
@@ -552,7 +549,6 @@ def hrg_kernel_validation(n: int, alpha_H: float, C_H: float, T_H: float,
         else:
             freq = math.nan
             mean_pred = math.nan
-        out.append(KernelBin(lo=float(edges[i]), hi=float(edges[i + 1]),
-                             pairs=int(pair_tot[i]), frequency=float(freq),
+        out.append(KernelBin(pairs=int(pair_tot[i]), frequency=float(freq),
                              prediction=float(mean_pred)))
     return out

@@ -54,7 +54,6 @@ class Annulus:
 
     k: int
     outer_half: float          # half side of Box_k
-    inner_half: float | None   # half side of Box_{k-1} (None for k=0)
     subbox_side: float
     cells_per_axis: int
     anchors: np.ndarray        # (b_k, d) lower corners
@@ -128,7 +127,6 @@ def _enumerate_annulus(window: Window, center: np.ndarray, k: int,
     return Annulus(
         k=k,
         outer_half=outer_half,
-        inner_half=inner_half,
         subbox_side=subbox_side,
         cells_per_axis=cells,
         anchors=lo[cell_ids],

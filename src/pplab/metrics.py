@@ -71,7 +71,6 @@ def _cost_matrix(g: Graph, f, direction: str) -> csr_matrix:
 @dataclass
 class CostSearchResult:
     source: int
-    direction: str
     settled: list                  # [(vertex, distance)] by (distance, id)
     dist: np.ndarray               # per-vertex distance, inf = unreached
     parent: np.ndarray             # search-tree parent, -1 at source/unreached
@@ -94,8 +93,8 @@ def cost_search(g: Graph, f, source: int,
     reached = reached[np.argsort(dist[reached], kind="stable")]
     # scipy marks the source and unreached vertices with -9999
     return CostSearchResult(
-        source=source, direction=direction,
-        settled=list(zip(reached.tolist(), dist[reached].tolist())),
+        source=source, settled=list(zip(reached.tolist(),
+                                        dist[reached].tolist())),
         dist=dist, parent=np.maximum(pred, -1).astype(np.int64))
 
 
@@ -289,7 +288,6 @@ class GreedyPath:
 class GreedyFailure:
     failed_annulus: int            # first annulus with no adjacent good leader
     vertices: list                 # progress before the failure
-    annuli: list
 
 
 def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
@@ -321,8 +319,7 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
         # neighbours are distinct, so the cost never breaks a tie
         best = min((h for h in hops if h[1] in next_good), default=None)
         if best is None:
-            return GreedyFailure(failed_annulus=k + 1, vertices=vertices,
-                                 annuli=annuli)
+            return GreedyFailure(failed_annulus=k + 1, vertices=vertices)
         ell, nxt, cost = best
         hop_lengths.append(ell)
         hop_costs.append(cost)
@@ -336,8 +333,6 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
 
 @dataclass
 class GreedyBoundReport:
-    hop_quantiles: list            # per-hop length quantile q_k
-    hop_bounds: list               # per-hop analytic cost bound term
     applicable: bool               # every hop length <= its quantile
     total_bound: float
     satisfied: bool                # applicable and total_cost <= total_bound
@@ -372,8 +367,7 @@ def greedy_bound_report(b: BoxingSystem, tau: float, f, law,
     total_bound = float(sum(bounds))
     satisfied = applicable and (
         path.total_cost <= total_bound * (1.0 + 1e-12) or not path.hop_costs)
-    return GreedyBoundReport(hop_quantiles=quantiles, hop_bounds=bounds,
-                             applicable=applicable, total_bound=total_bound,
+    return GreedyBoundReport(applicable=applicable, total_bound=total_bound,
                              satisfied=satisfied)
 
 

@@ -1,4 +1,4 @@
-"""No public name in src/pplab exists only for the unit tests to call.
+"""No public name or result field in src/pplab exists only for the unit tests.
 
 Every public top-level function and class of the package, and every public
 method of a public class, must be reachable from somewhere a user can reach
@@ -17,6 +17,11 @@ The same reached code must pass every defaulted parameter of a public
 function or method, by keyword or by position, in some call; a call with
 ``*`` or ``**`` passes every parameter.  A parameter that no such call
 passes is a setting nobody uses, and becomes a constant.
+
+The same reached code must also read every field of a public dataclass:
+load it as an attribute, matched by name as a method is.  A store, a
+constructor keyword or ``dataclasses.replace`` is not a read, so a field
+that only its constructor fills is computed for nobody, and goes.
 """
 from __future__ import annotations
 
@@ -49,11 +54,15 @@ UNPASSED = {
         "in both directions",
 }
 
+# Dataclass fields that reached code never reads, kept for the tests.
+UNREAD: dict = {}
+
 
 @dataclass
 class Refs:
     names: set = field(default_factory=set)    # ast.Name ids, import names
     attrs: set = field(default_factory=set)    # ast.Attribute attrs
+    loads: set = field(default_factory=set)    # the attrs that are read
 
     def add(self, *nodes) -> "Refs":
         for top in nodes:
@@ -62,6 +71,8 @@ class Refs:
                     self.names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     self.attrs.add(node.attr)
+                    if isinstance(node.ctx, ast.Load):
+                        self.loads.add(node.attr)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     for alias in node.names:
                         self.names.update(alias.name.split("."))
@@ -70,6 +81,7 @@ class Refs:
     def update(self, other: "Refs") -> None:
         self.names |= other.names
         self.attrs |= other.attrs
+        self.loads |= other.loads
 
 
 @dataclass
@@ -134,7 +146,8 @@ def _callers() -> list:
     return [ast.parse(p.read_text()) for p in paths]
 
 
-def _unreached() -> list:
+def _reach() -> tuple:
+    """(unreached definitions by dotted name, references of reached code)."""
     defs, reached = _package()
     reached.add(*_callers())
     reached.names |= _script_names()
@@ -149,13 +162,14 @@ def _unreached() -> list:
                 reached.update(d.refs)
                 del pending[dotted]
                 grew = True
-    return sorted(dotted for dotted in pending
-                  if not any(part.startswith("_")
-                             for part in dotted.split(".")[1:]))
+    return pending, reached
 
 
 def test_every_public_name_has_a_caller_outside_the_unit_tests():
-    unused = _unreached()
+    pending, _ = _reach()
+    unused = sorted(dotted for dotted in pending
+                    if not any(part.startswith("_")
+                               for part in dotted.split(".")[1:]))
     assert not unused, ("public names that only the unit tests reach: "
                         + ", ".join(unused))
 
@@ -208,3 +222,31 @@ def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     unused = _unpassed()
     assert not unused, ("defaulted parameters that no call outside the unit "
                         "tests passes: " + ", ".join(unused))
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+
+
+def _fields():
+    """(dotted name, field name) of every field of a public dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any(map(_is_dataclass, node.decorator_list))):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        name = stmt.target.id
+                        yield f"{path.stem}.{node.name}.{name}", name
+
+
+def test_every_dataclass_field_is_read_outside_the_unit_tests():
+    _, reached = _reach()
+    unread = [dotted for dotted, name in _fields()
+              if name not in reached.loads and dotted not in UNREAD]
+    assert not unread, ("dataclass fields that no code outside the unit "
+                        "tests reads: " + ", ".join(unread))

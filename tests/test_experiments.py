@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from pplab.experiments import (
     tail_exponent_estimate,
     trend_slope,
     two_point_distance,
-    _near_critical,
 )
 from pplab.geometry import Window
 from pplab.metrics import distance_matrix, largest_component
@@ -125,20 +125,6 @@ def test_sweep_verdicts_read_the_law_exponents():
     assert [c.verdict for c in phase_sweep(spec)] == ["Conservative"]
 
 
-def test_near_critical_flags_ten_percent_window():
-    assert _near_critical(PROD, 2.5, 0.25)        # beta_c exactly
-    assert _near_critical(PROD, 2.5, 0.26)
-    assert not _near_critical(PROD, 2.5, 0.1)
-    assert not _near_critical(PROD, 2.5, 1.0)
-    # both edges of the window, 0.025 either side of beta_c = 0.25: inside
-    # at 0.02, outside at 0.04 (a 20% window would flag 0.21 and 0.29)
-    assert _near_critical(PROD, 2.5, 0.27) and _near_critical(PROD, 2.5, 0.23)
-    assert not _near_critical(PROD, 2.5, 0.29)
-    assert not _near_critical(PROD, 2.5, 0.21)
-    assert not _near_critical(product_penalty(0.0), 2.5, 0.25)
-    assert not _near_critical(monomial_penalty(1, 0), 1.5, 1.5)
-
-
 def test_sweep_spec_validation():
     base = Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5)
     ok = dict(base=base, f=PROD, law_family=PolyAtZero, beta_grid=(0.1,),
@@ -173,6 +159,18 @@ def test_sweep_spec_refuses_repeated_grid_values_and_bad_seeds():
     SweepSpec(**ok, seed=2**64 - 1)
 
 
+def _measured(spec) -> dict:
+    """(beta, n) -> the (giant fraction, distances, reason) of each graph,
+    in graph order, from _measure_graph: what phase_sweep pools."""
+    out = {}
+    for n in spec.size_grid:
+        for gi in range(spec.graphs_per_cell):
+            for beta, m in zip(spec.beta_grid,
+                               experiments._measure_graph(spec, (n, gi))):
+                out.setdefault((beta, n), []).append(m)
+    return out
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
     spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),
@@ -187,13 +185,16 @@ def test_phase_sweep_cells(small_sweep):
     assert len(cells) == 4
     assert [(c.beta, c.n) for c in cells] == \
         [(0.1, 256), (0.1, 512), (1.0, 256), (1.0, 512)]
+    measured = _measured(spec)
     for c in cells:
         assert c.reason is None
-        assert len(c.distances) == 16
-        assert c.median_d == pytest.approx(float(np.median(c.distances)))
+        # pairs_per_graph x graphs_per_cell distances, pooled
+        pooled = [d for _, dists, _ in measured[c.beta, c.n] for d in dists]
+        assert len(pooled) == 16
+        assert [c.q1, c.median_d, c.q3] == \
+            np.quantile(pooled, [0.25, 0.5, 0.75]).tolist()
         assert c.q1 <= c.median_d <= c.q3
         assert 0.0 < c.giant_frac <= 1.0
-        assert not c.near_critical
         assert c.seed == 424
     assert {c.beta: c.verdict for c in cells} == \
         {0.1: "ExplosiveLengthwise", 1.0: "Conservative"}
@@ -231,9 +232,13 @@ def test_sweep_csv_pinned_with_a_cell_failing_after_its_first_graph():
                      seed=37)
     cells = phase_sweep(spec)
     assert sweep_to_csv(cells) == PINNED_SWEEP_CSV
+    measured = _measured(spec)
     for c in cells:
         assert c.reason == ("giant-too-small" if c.n == 8 else None)
-        assert c.distances.size == (0 if c.n == 8 else 12)
+        reasons = [reason for _, _, reason in measured[c.beta, c.n]]
+        assert reasons[1] == c.reason      # the second graph fails at n = 8
+        if c.n == 48:
+            assert [len(d) for _, d, _ in measured[c.beta, c.n]] == [4] * 3
 
 
 @pytest.fixture
@@ -323,10 +328,29 @@ def test_sweep_empty_cell_reason():
                      seed=1)
     cell = phase_sweep(spec)[0]
     assert cell.reason == "giant-too-small"
-    assert cell.distances.size == 0
     assert math.isnan(cell.median_d)
     row = sweep_to_csv([cell]).strip().split("\n")[1]
     assert row.split(",")[2] == "nan"
+
+
+def test_quartiles_are_exact_next_to_an_overflowing_cost():
+    inf = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")     # numpy's inf - inf would warn
+        assert experiments._quartiles([inf]) == [inf] * 3
+        # fractions 1/2, 0, 1/2: the upper order statistic is +inf
+        assert experiments._quartiles([1.0, inf, inf]) == [inf] * 3
+        # fractions 0: each quartile is an order statistic, finite or not
+        assert experiments._quartiles([1.0, 2.0, 3.0, 4.0, inf]) == \
+            [2.0, 3.0, 4.0]
+        assert experiments._quartiles([1.0, 2.0, 3.0, inf]) == \
+            [1.75, 2.5, inf]
+    assert all(map(math.isnan, experiments._quartiles([])))
+    rng = np.random.default_rng(23)
+    for size in range(1, 40):
+        x = rng.pareto(0.5, size)
+        assert experiments._quartiles(x) == \
+            np.quantile(x, [0.25, 0.5, 0.75]).tolist()
 
 
 def test_trend_helpers():
@@ -351,14 +375,12 @@ def test_trend_helpers():
 def test_degree_weight_profile_decades():
     g = _tiny_graph(4, [(0, 1, 1.0), (0, 2, 1.0)], [1.0, 2.0, 9.0, 15.0])
     prof = degree_weight_profile(g)
-    assert [p.decade for p in prof] == [0, 1]
+    assert len(prof) == 2                   # decades [1, 10) and [10, 100)
     low = prof[0]
-    assert low.count == 3
-    assert low.mean_degree == pytest.approx(4.0 / 3.0)
-    assert low.mean_weight == pytest.approx(4.0)
-    assert low.ratio == pytest.approx(low.mean_degree / low.mean_weight)
+    # three vertices of mean degree 4/3 and mean weight 4
+    assert low.ratio == pytest.approx((4.0 / 3.0) / 4.0)
     assert not low.reliable
-    assert prof[1].count == 1 and prof[1].mean_degree == 0.0
+    assert prof[1].ratio == 0.0             # weight 15, degree 0
 
 
 def test_degree_weight_profile_trivial_cases():
@@ -473,7 +495,7 @@ def test_hrg_mapped_probability_limits():
 
 def test_hrg_kernel_validation_matches_prediction():
     rows = hrg_kernel_validation(2048, 0.75, 1.0, 0.5, 1, seed=314)
-    assert all(r.lo < r.hi for r in rows)
+    assert len(rows) == 24
     busy = [r for r in rows if r.pairs >= calibration.HRG_KERNEL_MIN_PAIRS]
     assert len(busy) >= 5
     for r in busy:

@@ -233,7 +233,7 @@ def test_subboxes_disjoint():
 def test_subboxes_inside_window_and_annulus():
     for b in _random_systems(60, seed=99):
         hw = b.window.side / 2.0
-        for ann in b.annuli:
+        for ann, inner in zip(b.annuli, _inner_halves(b)):
             if ann.count == 0:
                 continue
             lo = ann.anchors
@@ -243,11 +243,16 @@ def test_subboxes_inside_window_and_annulus():
             assert np.all(lo >= b.center - ann.outer_half - 1e-9)
             assert np.all(hi <= b.center + ann.outer_half + 1e-9)
             # not overlapping Box_{k-1}
-            if ann.inner_half is not None:
-                ilo = b.center - ann.inner_half
-                ihi = b.center + ann.inner_half
+            if inner is not None:
+                ilo = b.center - inner
+                ihi = b.center + inner
                 bad = np.all((lo < ihi[None, :]) & (hi > ilo[None, :]), axis=1)
                 assert not bad.any()
+
+
+def _inner_halves(b):
+    """Half side of Box_{k-1} for each annulus k (None for k = 0)."""
+    return [None] + [a.outer_half for a in b.annuli[:-1]]
 
 
 def _clipped_box_volume(center, half, hw, d):
@@ -267,19 +272,19 @@ def test_coverage_bound():
     for b in _random_systems(250, seed=31):
         d = b.window.d
         hw = b.window.side / 2.0
-        for ann in b.annuli:
+        for ann, inner in zip(b.annuli, _inner_halves(b)):
             if ann.subbox_side**d < 1e3:
                 continue
             if math.exp(b.M * (b.D - 1.0) * b.C**ann.k / d) < 8.0:
                 continue
-            if ann.inner_half is not None:
-                thickness = ann.outer_half - ann.inner_half
+            if inner is not None:
+                thickness = ann.outer_half - inner
                 if thickness < 4.0 * ann.subbox_side:
                     continue
             outer_vol = _clipped_box_volume(b.center, ann.outer_half, hw, d)
             inner_vol = (
-                _clipped_box_volume(b.center, ann.inner_half, hw, d)
-                if ann.inner_half is not None
+                _clipped_box_volume(b.center, inner, hw, d)
+                if inner is not None
                 else 0.0
             )
             region = outer_vol - inner_vol

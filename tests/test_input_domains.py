@@ -8,8 +8,10 @@ floats, NaN and infinities included.  The only outcomes allowed are:
 * exit 2, with one "config error:" line that names the field, or
 * exit 0 with finite printed numbers and no warning.  The exceptions are
   ``distance inf`` when no finite-cost path exists (the target is
-  unreachable, or a cost overflows), ``nan`` medians of a sweep cell
-  whose giant has fewer than two vertices (c = 0 draws no edges), and the
+  unreachable, or a cost overflows), ``inf`` quartiles of a sweep cell
+  whose graph has an overflowing cost (tau near 1 draws +inf weights),
+  ``nan`` medians of a sweep cell whose giant has fewer than two
+  vertices (c = 0 draws no edges), and the
   length-law exponents that ``classify`` echoes (``poly:inf`` is a point
   mass at 1, beta = inf).
 
@@ -26,6 +28,8 @@ import io
 import math
 import re
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +39,11 @@ from pplab import cli
 from pplab.cli import parse_penalty, read_graph_text, write_graph_text
 from pplab.domain import ConfigError, check_derived, check_domains
 from pplab.metrics import components
-from pplab.models import IgirgWindow, generate
-from pplab.rng import PolyAtZero
+from pplab.models import IgirgWindow, generate, relength
+from pplab.rng import PolyAtZero, derive_master
 
-BOUNDARY = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.0]
+BOUNDARY = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, -1.0,
+            1.0000000000000002, 1.00001]
 
 CONFIGS = {
     "girg": "model = girg\nn = 50\nd = 1\ntau = 2.5\nalpha = 2.0\n"
@@ -160,14 +165,29 @@ def _argv(case, value, root, graph) -> list:
     return ["generate", "--config", str(cfg), "--out", str(root / "out")]
 
 
+def _overflows(g, f) -> bool:
+    """Some edge of g costs +inf under f."""
+    w = g.vertices.weights
+    with np.errstate(over="ignore"):
+        cost = f(w[g.edges_u], w[g.edges_v])
+    return bool(np.isinf(cost * g.lengths).any())
+
+
 def _unreachable_or_overflowed(graph, penalty, source, target) -> bool:
     g = read_graph_text(graph.read_text())
     if not any(source in c and target in c for c in components(g)):
         return True
-    w = g.vertices.weights
-    with np.errstate(over="ignore"):
-        cost = parse_penalty(penalty)(w[g.edges_u], w[g.edges_v])
-    return bool(np.isinf(cost * g.lengths).any())
+    return _overflows(g, parse_penalty(penalty))
+
+
+def _sweep_overflows(cfg) -> bool:
+    """The one graph of a one-cell sweep config has a +inf cost; it is
+    drawn as the sweep draws it."""
+    spec = cli.sweep_from_config(cli.parse_config(Path(cfg).read_text()))
+    (n,), (beta,) = spec.size_grid, spec.beta_grid
+    base = generate(replace(spec.base, n=n),
+                    derive_master(spec.seed, f"graph:{n}:0"))
+    return _overflows(relength(base, spec.law_family(beta)), spec.f)
 
 
 def _check(case, value, root, graph) -> None:
@@ -198,6 +218,9 @@ def _check(case, value, root, graph) -> None:
             cells = row.split(",")
             if float(cells[5]) * int(cells[1]) < 2:
                 out = out.replace(row, row.replace("nan", ""))
+            elif "inf" in cells[2:5]:
+                assert _sweep_overflows(argv[-1]), seen
+                out = out.replace(row, row.replace("inf", ""))
     for token in re.split(r"[\s=,;:\[\]()]+", out):
         try:
             assert math.isfinite(float(token)), seen

@@ -163,8 +163,8 @@ def _heap_search(g, f, source, direction="outward"):
                 dist[u] = nd
                 parent[u] = v
                 heapq.heappush(heap, (nd, u))
-    return CostSearchResult(source=source, direction=direction,
-                            settled=settled, dist=np.array(dist),
+    return CostSearchResult(source=source, settled=settled,
+                            dist=np.array(dist),
                             parent=np.array(parent, dtype=np.int64))
 
 
@@ -756,15 +756,20 @@ def test_greedy_bound_report_terms_and_applicability():
     path = build_greedy_path(g, b, TAU, f, start)
     law = PolyAtZero(1.0)  # quantile(y) = y
     rep = greedy_bound_report(b, TAU, f, law, path)
-    # recompute one term by hand (hop 0, factor k + 1 = 1, eps defaults to delta)
-    q0 = min(1.0, 1.0 * math.exp(-(1 - b.delta) * b.M * b.C * (b.D - 1)))
-    up0 = b.leader_weight_interval(0, TAU)[1]
-    up1 = b.leader_weight_interval(1, TAU)[1]
-    assert rep.hop_quantiles[0] == pytest.approx(q0)
-    assert rep.hop_bounds[0] == pytest.approx(up0 ** 1.0 * up1 ** 0.5 * q0)
+
+    def term(k):
+        # hop k by hand: factor k + 1, eps defaults to delta
+        q = min(1.0, (k + 1) * math.exp(-(1 - b.delta) * b.M * b.C ** (k + 1)
+                                        * (b.D - 1)))
+        up_from = b.leader_weight_interval(k, TAU)[1]
+        up_to = b.leader_weight_interval(k + 1, TAU)[1]
+        return up_from ** 1.0 * up_to ** 0.5 * q
+
+    assert b.k_star >= 2
     assert rep.applicable       # 1e-8 hops sit below every quantile
     assert rep.satisfied
-    assert rep.total_bound == pytest.approx(sum(rep.hop_bounds))
+    assert rep.total_bound == pytest.approx(
+        sum(term(k) for k in range(b.k_star)))
     # one oversized hop voids the comparison
     edges[1] = (slot[(1, 0)], slot[(2, 0)], 50.0)
     g = _scene_graph(b, vs, slot, edges)
@@ -849,7 +854,13 @@ def test_boxing_output_digest():
             for leader in s.good_leaders:
                 out = build_greedy_path(g, b, TAU, f, leader, scan=scan)
                 completed += isinstance(out, GreedyPath) and len(out.vertices) > 1
-                digest.update(repr(out).encode())
+                text = repr(out)
+                if isinstance(out, GreedyFailure):
+                    # recorded when a failure also listed the annulus of each
+                    # vertex it reached: s.k, s.k + 1, ...
+                    reached = list(range(s.k, s.k + len(out.vertices)))
+                    text = f"{text[:-1]}, annuli={reached})"
+                digest.update(text.encode())
     assert completed > 0
     assert digest.hexdigest() == BOXING_DIGEST
 
