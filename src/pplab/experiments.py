@@ -108,7 +108,7 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
     if len(giant) < 2:
         raise ValueError("largest component has fewer than 2 vertices")
     member = np.zeros(g.n, dtype=bool)
-    member[list(giant)] = True
+    member[giant] = True
 
     counter = 0
 

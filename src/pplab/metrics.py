@@ -127,22 +127,26 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
 
     A landmark bound (Goldberg and Harrelson, SODA 2005) stops each search
     early.  Two full searches from the hub h, the heaviest vertex (ties to
-    the lowest id), give every distance into and out of h.  Source a's
-    bound B_a is the largest fl(to_h[a] + from_h[b]) over its pairs, times
-    1 + 4 n 2^-53 for the rounding of two sums of at most n terms (infinite:
-    a runs unbounded).  Arcs dearer than every B_a are dropped, and a's
-    search stops at B_a.  Exact because scipy's distance is the minimum
-    over paths of the left-to-right rounded cost sum, whatever the heap
-    order; every arc on a minimising path costs at most that distance,
-    which is at most B_a, so the path survives the pruning and the limit.
+    the lowest id), give every distance out of h and, on the other
+    direction's cost matrix (this one's transpose), every distance into h.
+    Source a's bound B_a is the largest fl(to_h[a] + from_h[b]) over its
+    pairs, times 1 + 4 n 2^-53 for the rounding of two sums of at most n
+    terms (infinite: a runs unbounded).  Arcs dearer than every B_a are
+    dropped, and a's search stops at B_a.  Exact because scipy's distance
+    is the minimum over paths of the left-to-right rounded cost sum,
+    whatever the heap order; every arc on a minimising path costs at most
+    that distance, which is at most B_a, so the path survives the pruning
+    and the limit.
     """
-    a, b = _vertex_ids(g.n, pairs, "pair vertex").reshape(-1, 2).T
+    ab = _vertex_ids(g.n, pairs, "pair vertex").reshape(-1, 2)
+    a, b = ab[:, 0], ab[:, 1]
     if a.size == 0:
         return np.zeros(0)
     mat = _cost_matrix(g, f, direction)
     hub = int(np.argmax(g.vertices.weights))
     from_hub = _csgraph_dijkstra(mat, indices=hub)
-    to_hub = _csgraph_dijkstra(mat.T.tocsr(), indices=hub)
+    reverse = "inward" if direction == "outward" else "outward"
+    to_hub = _csgraph_dijkstra(_cost_matrix(g, f, reverse), indices=hub)
     sources, at = np.unique(a, return_inverse=True)
     bound = np.full(sources.size, -np.inf)
     np.maximum.at(bound, at, (to_hub[a] + from_hub[b])
@@ -171,20 +175,27 @@ def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
 
 
 def components(g: Graph) -> list:
-    """Connected components as sorted id lists, largest (then lowest id) first."""
+    """Connected components as sorted id lists, largest (then lowest id) first.
+
+    They are scipy's strong components of the CSR, exact because the CSR
+    holds each edge both ways, and scipy makes no symmetrized copy."""
     if g.n == 0:
         return []
-    adj = csr_matrix((np.ones(g.m), (g.edges_u, g.edges_v)), shape=(g.n, g.n))
-    _, labels = connected_components(adj, directed=False)
+    indptr, nbr, _ = g.csr
+    unit = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
+    _, labels = connected_components(unit, connection="strong")
     order = np.argsort(labels, kind="stable")   # ascending ids within a label
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     return sorted((c.tolist() for c in groups), key=lambda c: (-len(c), c[0]))
 
 
-def largest_component(g: Graph) -> set:
-    """Vertex ids of components(g)[0], computed once per edge set."""
-    return set(g.edge_cached("largest_component",
-                             lambda h: np.asarray(components(h)[0])).tolist())
+def largest_component(g: Graph) -> np.ndarray:
+    """components(g)[0] as a read-only id array, labelled once per edge set."""
+    def build(h: Graph) -> np.ndarray:
+        ids = np.asarray(components(h)[0])
+        ids.flags.writeable = False
+        return ids
+    return g.edge_cached("largest_component", build)
 
 
 # ---------------------------------------------------------------------------

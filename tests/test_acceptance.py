@@ -41,6 +41,7 @@ from pplab.experiments import (SweepSpec, asymmetry_experiment,
                                giant_fraction_curve, hrg_kernel_validation,
                                phase_sweep, strictly_increasing,
                                tail_exponent_estimate, trend_slope)
+from test_metrics import _oracle_distances
 
 # `pytest -m "not acceptance"` runs the unit tests alone
 pytestmark = pytest.mark.acceptance
@@ -48,34 +49,6 @@ pytestmark = pytest.mark.acceptance
 
 # ---------------------------------------------------------------------------
 # criterion 1: search distances vs exhaustive enumeration on small graphs
-
-
-def _oracle_distances(g: Graph, f, source: int, direction: str) -> list:
-    """Minimum cost over every simple path, by brute-force DFS."""
-    w = g.vertices.weights
-    adj: dict = {v: [] for v in range(g.n)}
-    for u, v, L in zip(g.edges_u.tolist(), g.edges_v.tolist(),
-                       g.lengths.tolist()):
-        if direction == "outward":
-            cuv, cvu = L * f(w[u], w[v]), L * f(w[v], w[u])
-        else:
-            cuv, cvu = L * f(w[v], w[u]), L * f(w[u], w[v])
-        adj[u].append((v, cuv))
-        adj[v].append((u, cvu))
-    best = [math.inf] * g.n
-    best[source] = 0.0
-
-    def walk(x: int, acc: float, seen: frozenset) -> None:
-        for y, cst in adj[x]:
-            if y in seen:
-                continue
-            t = acc + cst
-            if t < best[y]:
-                best[y] = t
-            walk(y, t, seen | {y})
-
-    walk(source, 0.0, frozenset({source}))
-    return best
 
 
 def test_criterion_01_search_matches_exhaustive_path_enumeration():

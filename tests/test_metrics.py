@@ -513,7 +513,7 @@ def test_components_edgeless_and_complete():
     assert components(g) == [[0], [1], [2], [3]]
     g = _hand_graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     assert components(g) == [[0, 1, 2]]
-    assert largest_component(g) == {0, 1, 2}
+    assert largest_component(g).tolist() == [0, 1, 2]
 
 
 def test_largest_component_computed_once_per_edge_set(monkeypatch):
@@ -523,15 +523,55 @@ def test_largest_component_computed_once_per_edge_set(monkeypatch):
                         lambda g: calls.append(g) or real(g))
     g = _hand_graph(6, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
     h = g.with_lengths([5.0, 6.0, 7.0])
-    assert largest_component(g) == largest_component(h) == {2, 3, 4}
+    assert largest_component(g).tolist() == largest_component(h).tolist() \
+        == [2, 3, 4]
     assert calls == [g]
     other = _hand_graph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    assert largest_component(other) == {0, 1, 2, 3} and len(calls) == 2
+    assert largest_component(other).tolist() == [0, 1, 2, 3]
+    assert len(calls) == 2
 
 
 def test_components_order_largest_then_lowest_id():
     g = _hand_graph(6, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
     assert components(g) == [[2, 3, 4], [0, 1], [5]]
+
+
+@pytest.mark.parametrize("edges, expected", [
+    ([(1, 2), (2, 3), (0, 5), (5, 6)], [[0, 5, 6], [1, 2, 3], [4]]),
+    ([(3, 6), (4, 6), (1, 5), (2, 5)], [[1, 2, 5], [3, 4, 6], [0]]),
+])
+def test_tied_largest_components_put_the_lowest_id_first(edges, expected):
+    g = _hand_graph(7, [(u, v, 1.0) for u, v in edges])
+    assert components(g) == expected
+    assert largest_component(g).tolist() == expected[0]
+    assert not largest_component(g).flags.writeable
+
+
+def _union_find_components(g):
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):
+        parent[root(u)] = root(v)
+    groups = {}
+    for x in range(g.n):
+        groups.setdefault(root(x), []).append(x)
+    return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_components_match_union_find_on_sparse_girgs(seed):
+    # c = 0.003 leaves 500 to 1,100 components at n = 2^12
+    g = generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=0.003), seed)
+    expected = _union_find_components(g)
+    assert len(expected) > 500
+    assert components(g) == expected
+    assert largest_component(g).tolist() == expected[0]
 
 
 def test_components_match_bfs_oracle():
