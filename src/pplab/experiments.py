@@ -90,7 +90,7 @@ class CellResult:
     giant_frac: float
     verdict: str
     seed: int
-    reason: str | None = None      # None = ok; else failure code
+    reason: str | None = None      # None = ok, or "giant-too-small"
 
 
 def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
@@ -131,38 +131,6 @@ def two_point_distance(g: Graph, f, pairs: int, seed: int) -> list:
     return pair_distances(g, f, chosen, "outward").tolist()
 
 
-class _Cell:
-    """Accumulates one (beta, n) cell over the graphs of its size."""
-
-    def __init__(self, spec: SweepSpec, beta: float, n: int):
-        self.spec, self.beta, self.n = spec, beta, n
-        self.law = spec.law_family(beta)
-        self.dists: list = []
-        self.fracs: list = []
-        self.reason = None
-
-    def add(self, frac, dists: list, reason) -> None:
-        """Merge one graph's measurement; a cell stops at its first failure."""
-        if self.reason is not None:
-            return
-        if frac is not None:
-            self.fracs.append(frac)
-        self.dists.extend(dists)
-        if reason is not None:
-            self.reason = reason
-            self.dists = []
-
-    def result(self) -> CellResult:
-        spec = self.spec
-        q1, med, q3 = _quartiles(self.dists)
-        return CellResult(
-            beta=self.beta, n=self.n, median_d=med, q1=q1, q3=q3,
-            giant_frac=float(np.mean(self.fracs)) if self.fracs else math.nan,
-            verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f,
-                                 self.law),
-            seed=spec.seed, reason=self.reason)
-
-
 def _quartiles(values) -> list:
     """Linearly interpolated quartiles of values (nan when there are none).
 
@@ -184,38 +152,34 @@ def _quartiles(values) -> list:
     return np.where(np.isposinf(x[hi]), exact, q).tolist()
 
 
-def _measure_graph(spec: SweepSpec, job) -> list:
+def _measure_graph(spec: SweepSpec, job) -> tuple:
     """Draw base graph (n, gi) and measure it at every beta of the grid.
 
-    Returns one (giant fraction, distances, failure reason) per beta; the
-    fraction is None when relength itself failed.  Each beta's pairs come
-    from the cell's own seed, so the result does not depend on which
-    process runs the job or in what order.
+    Returns (giant fraction, one distance list per beta), with None for the
+    lists when the giant has fewer than 2 vertices.  The giant is read once,
+    from the base graph: relengthed copies share it through the edge-set
+    cache.  Each beta's pairs come from the cell's own seed, so the result
+    does not depend on which process runs the job or in what order.
     """
     n, gi = job
     base = generate(replace(spec.base, n=n),
                     derive_master(spec.seed, f"graph:{n}:{gi}"))
-    out = []
+    giant = len(largest_component(base))
+    if giant < 2:
+        return giant / base.n, None
+    dists = []
     for beta in spec.beta_grid:
-        frac, dists, reason = None, [], None
-        try:
-            g = relength(base, spec.law_family(beta))
-            frac = len(largest_component(g)) / g.n
-            cell_seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
-            dists = two_point_distance(g, spec.f, spec.pairs_per_graph,
-                                       derive_master(cell_seed, f"pairs:{gi}"))
-        except ValueError as exc:
-            reason = ("giant-too-small" if "largest component" in str(exc)
-                      else f"failed: {exc}")
-        out.append((frac, dists, reason))
-    return out
+        cell_seed = derive_master(spec.seed, f"cell:{beta!r}:{n}")
+        dists.append(two_point_distance(
+            relength(base, spec.law_family(beta)), spec.f,
+            spec.pairs_per_graph, derive_master(cell_seed, f"pairs:{gi}")))
+    return giant / base.n, dists
 
 
 def _available_cpus() -> int:
-    try:
+    if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
+    return os.cpu_count() or 1     # no affinity call on this platform
 
 
 _worker_spec = None                # the sweep a pool worker serves
@@ -226,7 +190,7 @@ def _init_worker(spec: SweepSpec) -> None:
     _worker_spec = spec
 
 
-def _measure_graph_in_worker(job) -> list:
+def _measure_graph_in_worker(job) -> tuple:
     return _measure_graph(_worker_spec, job)
 
 
@@ -258,9 +222,12 @@ def phase_sweep(spec: SweepSpec) -> list:
     and drops it, so each process holds one graph and its CSR at a time.
     Jobs go largest size first to a fork process pool with one worker per
     usable CPU; with one CPU, one job or no fork they run in this process.
-    Either way the per-graph results merge into the cells in (size, graph
-    index) order, and every seed comes from `derive_master`, so the cells
-    are the same bit for bit.
+    Either way the per-graph results pool into the cells in (size, graph
+    index) order, and every seed comes from `derive_master`, so the cells,
+    sorted by (beta, n), are the same bit for bit.  A size's cells stop at
+    its first graph whose giant has fewer than 2 vertices: its fraction
+    still counts, and the cells get nan quartiles and the reason
+    "giant-too-small".  Any other error reaches the caller.
     """
     jobs = [(n, gi) for n in sorted(spec.size_grid, reverse=True)
             for gi in range(spec.graphs_per_cell)]
@@ -272,11 +239,23 @@ def phase_sweep(spec: SweepSpec) -> list:
     by_job = dict(zip(jobs, results))
     cells = []
     for n in spec.size_grid:
-        row = [_Cell(spec, beta, n) for beta in spec.beta_grid]
+        fracs, pooled, reason = [], [[] for _ in spec.beta_grid], None
         for gi in range(spec.graphs_per_cell):
-            for cell, measured in zip(row, by_job[n, gi]):
-                cell.add(*measured)
-        cells.extend(cell.result() for cell in row)
+            frac, dists = by_job[n, gi]
+            fracs.append(frac)
+            if dists is None:
+                reason = "giant-too-small"
+                break
+            for pool, d in zip(pooled, dists):
+                pool.extend(d)
+        for beta, pool in zip(spec.beta_grid, pooled):
+            q1, med, q3 = _quartiles([] if reason else pool)
+            cells.append(CellResult(
+                beta=beta, n=n, median_d=med, q1=q1, q3=q3,
+                giant_frac=float(np.mean(fracs)),
+                verdict=cell_verdict(spec.base.tau, spec.base.alpha, spec.f,
+                                     spec.law_family(beta)),
+                seed=spec.seed, reason=reason))
     cells.sort(key=lambda c: (c.beta, c.n))
     return cells
 
@@ -288,10 +267,10 @@ def _fmt(x) -> str:
 
 
 def sweep_to_csv(cells) -> str:
-    """Serialize cells as CSV (rows sorted by cell key)."""
+    """Serialize cells as CSV, one row per cell in the order given."""
     buf = io.StringIO()
     buf.write(_CSV_HEADER + "\n")
-    for c in sorted(cells, key=lambda c: (c.beta, c.n)):
+    for c in cells:
         row = [c.beta, c.n, c.median_d, c.q1, c.q3, c.giant_frac,
                c.verdict, c.seed]
         buf.write(",".join(_fmt(x) for x in row) + "\n")

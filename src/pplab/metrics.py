@@ -127,8 +127,9 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
 
     A landmark bound (Goldberg and Harrelson, SODA 2005) stops each search
     early.  Two full searches from the hub h, the heaviest vertex (ties to
-    the lowest id), give every distance out of h and, on the other
-    direction's cost matrix (this one's transpose), every distance into h.
+    the lowest id), give every distance out of h and, on the transposed
+    cost matrix, every distance into h.  The transpose is exact: its slot
+    (x, y) holds the very cost of arc y -> x, so no slot is priced twice.
     Source a's bound B_a is the largest fl(to_h[a] + from_h[b]) over its
     pairs, times 1 + 4 n 2^-53 for the rounding of two sums of at most n
     terms (infinite: a runs unbounded).  Arcs dearer than every B_a are
@@ -145,8 +146,7 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
     mat = _cost_matrix(g, f, direction)
     hub = int(np.argmax(g.vertices.weights))
     from_hub = _csgraph_dijkstra(mat, indices=hub)
-    reverse = "inward" if direction == "outward" else "outward"
-    to_hub = _csgraph_dijkstra(_cost_matrix(g, f, reverse), indices=hub)
+    to_hub = _csgraph_dijkstra(mat.T.tocsr(), indices=hub)
     sources, at = np.unique(a, return_inverse=True)
     bound = np.full(sources.size, -np.inf)
     np.maximum.at(bound, at, (to_hub[a] + from_hub[b])

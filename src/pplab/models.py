@@ -506,8 +506,8 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
 #            drawn from it by geometric skipping under pbar, and a
 #            candidate is an edge when its pair coin satisfies
 #            coin * pbar <= p.  Where pbar is 1 (at the base level, when
-#            the radius is exactly a cell side) every pair is a candidate,
-#            and the class is decided by the pairs' own coins.
+#            the radius is exactly a cell side) every skip is 0, so every
+#            pair is a candidate and its own coin decides it.
 # So every pair is an edge with probability p, independently of the others.
 
 # Pairs or skip draws per array pass: a pass's arrays stay in a core's L2
@@ -727,13 +727,16 @@ def _coin_edges(spec, master_seed, axes, w, order, a0, na, b0, nb, same):
 def _skip_candidates(master_seed, labels, begin, end, pbar):
     """Geometric skipping: yields (c, t) arrays in chunks, where each index
     t in [begin[c], end[c]) of space c is a candidate independently with
-    probability pbar[c] (0 < pbar < 1).  Draw number k of space c is the
+    probability pbar[c] (0 < pbar <= 1).  Draw number k of space c is the
     uniform (master_seed, labels[c], k) and skips floor(log U / log(1 -
-    pbar)) indices, so the candidates do not depend on the chunking.
+    pbar)) indices, so the candidates do not depend on the chunking.  At
+    pbar = 1 the divisor is -inf, every gap is 0 and every index is a
+    candidate.
     """
     keys = np.array([stream_key(master_seed, lab) for lab in labels],
                     dtype=np.uint64)
-    log_q = np.log1p(-pbar)
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-pbar)
     drawn = np.zeros(len(labels), dtype=np.int64)
     last = begin - 1
     live = np.flatnonzero(end > begin)
@@ -812,10 +815,6 @@ def _cell_pairs(spec: Girg, master_seed, vs: VertexSet, plan: _CellPlan):
             far = base >= level
             pbar[far] = _type_two_bound(spec, s[far], level)
             far &= pbar > 0.0
-        # a far class whose bound is 1 makes every pair a candidate, so its
-        # coins decide it; the others are drawn by skipping
-        far_coin = far & (pbar >= 1.0)
-        skip = far & ~far_coin
         if not (near.any() or far.any()):
             continue
         coarse = (grid >> (plan.finest - level)) & (m - 1)
@@ -823,20 +822,18 @@ def _cell_pairs(spec: Girg, master_seed, vs: VertexSet, plan: _CellPlan):
         index = _level_index(plan.layer, cell, m**d, np.union1d(
             ci[near | far], cj[near | far]))
         order = index[1]
-        for by_coin, is_far in ((near, False), (far_coin, True)):
-            if by_coin.any():
-                a0, na, b0, nb, _, same = _cell_blocks(
-                    index, m, ci[by_coin], cj[by_coin],
-                    _cell_offsets(level, d, is_far))
-                keys.extend(_coin_edges(spec, master_seed, axes, w, order,
-                                        a0, na, b0, nb, same))
-        if skip.any():
+        if near.any():
+            a0, na, b0, nb, _, same = _cell_blocks(
+                index, m, ci[near], cj[near], _cell_offsets(level, d, False))
+            keys.extend(_coin_edges(spec, master_seed, axes, w, order,
+                                    a0, na, b0, nb, same))
+        if far.any():
             a0, na, b0, nb, cls, _ = _cell_blocks(
-                index, m, ci[skip], cj[skip], _cell_offsets(level, d, True))
+                index, m, ci[far], cj[far], _cell_offsets(level, d, True))
             labels = [f"skip:{i}:{j}:{level}"
-                      for i, j in zip(ci[skip], cj[skip])]
+                      for i, j in zip(ci[far], cj[far])]
             keys.extend(_skip_edges(spec, master_seed, axes, w, order, a0,
-                                    na, b0, nb, cls, labels, pbar[skip]))
+                                    na, b0, nb, cls, labels, pbar[far]))
     edges = np.sort(np.concatenate(keys)) if keys else np.zeros(0, np.int64)
     return edges // n, edges % n
 

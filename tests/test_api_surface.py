@@ -26,6 +26,8 @@ that only its constructor fills is computed for nobody, and goes.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,3 +252,34 @@ def test_every_dataclass_field_is_read_outside_the_unit_tests():
               if name not in reached.loads and dotted not in UNREAD]
     assert not unread, ("dataclass fields that no code outside the unit "
                         "tests reads: " + ", ".join(unread))
+
+
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded under a private name."""
+    spec = importlib.util.spec_from_file_location(
+        f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_probe_installs_on_the_package():
+    # a probed function that is cut or renamed fails here, not first under
+    # perfbench/run.py --trace 1
+    from pplab import models
+
+    probes = _perfbench_module("run")._probes()
+    originals = {(home, attr): getattr(importlib.import_module(home), attr)
+                 for home, attr, _, _ in probes}
+    tracer = _perfbench_module("tracer").Tracer()
+    try:
+        tracer.install(probes)
+        tracer.install_graph_probes(models.Graph)
+        patched = {(getattr(owner, "__name__", None), attr)
+                   for owner, attr, _ in tracer._patched}
+        assert set(originals) <= patched
+        assert {("Graph", "neighbors"), ("Graph", "incident_edges")} <= patched
+    finally:
+        tracer.uninstall()
+    for (home, attr), original in originals.items():
+        assert getattr(importlib.import_module(home), attr) is original

@@ -160,15 +160,11 @@ def test_sweep_spec_refuses_repeated_grid_values_and_bad_seeds():
 
 
 def _measured(spec) -> dict:
-    """(beta, n) -> the (giant fraction, distances, reason) of each graph,
+    """n -> the (giant fraction, per-beta distances or None) of each graph,
     in graph order, from _measure_graph: what phase_sweep pools."""
-    out = {}
-    for n in spec.size_grid:
-        for gi in range(spec.graphs_per_cell):
-            for beta, m in zip(spec.beta_grid,
-                               experiments._measure_graph(spec, (n, gi))):
-                out.setdefault((beta, n), []).append(m)
-    return out
+    return {n: [experiments._measure_graph(spec, (n, gi))
+                for gi in range(spec.graphs_per_cell)]
+            for n in spec.size_grid}
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +185,8 @@ def test_phase_sweep_cells(small_sweep):
     for c in cells:
         assert c.reason is None
         # pairs_per_graph x graphs_per_cell distances, pooled
-        pooled = [d for _, dists, _ in measured[c.beta, c.n] for d in dists]
+        i = spec.beta_grid.index(c.beta)
+        pooled = [d for _, dists in measured[c.n] for d in dists[i]]
         assert len(pooled) == 16
         assert [c.q1, c.median_d, c.q3] == \
             np.quantile(pooled, [0.25, 0.5, 0.75]).tolist()
@@ -235,10 +232,11 @@ def test_sweep_csv_pinned_with_a_cell_failing_after_its_first_graph():
     measured = _measured(spec)
     for c in cells:
         assert c.reason == ("giant-too-small" if c.n == 8 else None)
-        reasons = [reason for _, _, reason in measured[c.beta, c.n]]
-        assert reasons[1] == c.reason      # the second graph fails at n = 8
+        failed = [dists is None for _, dists in measured[c.n]]
+        assert failed[1] == (c.reason is not None)  # graph 2 fails at n = 8
         if c.n == 48:
-            assert [len(d) for _, d, _ in measured[c.beta, c.n]] == [4] * 3
+            i = spec.beta_grid.index(c.beta)
+            assert [len(d[i]) for _, d in measured[c.n]] == [4] * 3
 
 
 @pytest.fixture
@@ -318,6 +316,26 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_survives(
     with pytest.raises(ZeroDivisionError, match="drawn in True"):
         phase_sweep(spec)
     assert pool_calls == [3]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_value_error_in_a_job_reaches_the_caller(monkeypatch, pool_calls,
+                                                   cpus):
+    # only a giant below 2 vertices fails a cell; any other error is a
+    # fault, not a nan row
+    def broken_two_point(*args, **kwargs):
+        raise ValueError("pair draw broke")
+
+    monkeypatch.setattr(experiments, "two_point_distance", broken_two_point)
+    _with_cpus(monkeypatch, cpus)
+    spec = SweepSpec(base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5),
+                     f=PROD, law_family=PolyAtZero, beta_grid=(1.0, 0.1),
+                     size_grid=(64, 128), pairs_per_graph=2,
+                     graphs_per_cell=2, seed=2)
+    with pytest.raises(ValueError, match=r"^pair draw broke$"):
+        phase_sweep(spec)
+    assert pool_calls == ([] if cpus == 1 else [3])
     assert multiprocessing.active_children() == []
 
 

@@ -433,6 +433,26 @@ def test_pair_distances_equal_full_searches_on_generated_graphs():
                 assert np.array_equal(got, want)
 
 
+def test_pair_distances_price_the_slots_once(monkeypatch):
+    # the reverse search runs on the transpose: the other direction's cost
+    # matrix, bit for bit, with no slot priced again
+    base = generate(Girg(n=400, d=2, tau=2.5, alpha=2.0, c=0.5), 1104)
+    g = relength(base, PolyAtZero(0.5))
+    f = monomial_penalty(0.2, 1.5)
+    for direction, reverse in (("outward", "inward"), ("inward", "outward")):
+        got = metrics._cost_matrix(g, f, direction).T.tocsr()
+        want = metrics._cost_matrix(g, f, reverse)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).tobytes() == \
+                getattr(want, part).tobytes()
+    calls = []
+    real = metrics._slot_costs
+    monkeypatch.setattr(metrics, "_slot_costs",
+                        lambda *args: calls.append(args) or real(*args))
+    pair_distances(g, f, [(0, 1), (2, 3)], "inward")
+    assert len(calls) == 1
+
+
 def test_pair_distances_on_zero_and_tied_lengths():
     rng = np.random.default_rng(1103)
     for ell in (0.0, 1.0):
