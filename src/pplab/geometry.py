@@ -1,4 +1,4 @@
-"""Windows, distances, and the multi-scale annulus boxing construction."""
+"""Windows and the multi-scale annulus boxing construction."""
 from __future__ import annotations
 
 import math
@@ -25,19 +25,6 @@ class Window:
         check_domains(vars(self), d="[1, inf)", side="(0, inf)")
         if self.boundary not in ("hard", "torus"):
             raise ValueError("boundary must be 'hard' or 'torus'")
-
-
-def min_image(dx: np.ndarray, side: float) -> np.ndarray:
-    """Wrap coordinate differences into (-side/2, side/2] (torus metric)."""
-    return dx - side * np.round(dx / side)
-
-
-def pair_distance(window: Window, x, y) -> float:
-    """Euclidean distance between two points of the window."""
-    dx = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    if window.boundary == "torus":
-        dx = min_image(dx, window.side)
-    return float(np.sqrt(np.sum(dx * dx)))
 
 
 # ---------------------------------------------------------------------------

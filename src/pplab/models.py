@@ -730,16 +730,20 @@ def _skip_candidates(master_seed, labels, begin, end, pbar):
     probability pbar[c] (0 < pbar <= 1).  Draw number k of space c is the
     uniform (master_seed, labels[c], k) and skips floor(log U / log(1 -
     pbar)) indices, so the candidates do not depend on the chunking.  At
-    pbar = 1 the divisor is -inf, every gap is 0 and every index is a
-    candidate.
+    pbar = 1 every gap would be 0, so such a space yields its whole range
+    and draws nothing.
     """
+    for c in np.flatnonzero((pbar == 1.0) & (end > begin)):
+        for lo in range(begin[c], end[c], _CHUNK):
+            t = np.arange(lo, min(lo + _CHUNK, end[c]))
+            yield np.full(t.size, c), t
     keys = np.array([stream_key(master_seed, lab) for lab in labels],
                     dtype=np.uint64)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):      # -inf at pbar = 1, unread
         log_q = np.log1p(-pbar)
     drawn = np.zeros(len(labels), dtype=np.int64)
     last = begin - 1
-    live = np.flatnonzero(end > begin)
+    live = np.flatnonzero((end > begin) & (pbar < 1.0))
     while live.size:
         mu = (end[live] - 1 - last[live]) * pbar[live]
         want = np.minimum(np.ceil(mu + 4.0 * np.sqrt(mu) + 4.0),

@@ -130,11 +130,6 @@ class WeightLaw:
     def __post_init__(self):
         check_domains(vars(self), tau="(1, inf]")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.where(x >= 1.0, 1.0 - x ** (-(self.tau - 1.0)), 0.0)
-        return out if out.ndim else float(out)
-
 
 def weight_from_uniform(u, law: WeightLaw):
     """Inverse-cdf transform: W = U^{-1/(tau-1)} for U in (0,1]."""
@@ -147,10 +142,11 @@ def weight_from_uniform(u, law: WeightLaw):
 # ---------------------------------------------------------------------------
 # edge-length laws
 #
-# Each law exposes the cdf F_L, the generalised inverse quantile(y) =
-# inf{t : F_L(t) >= y} for y in (0,1), the polynomial lower/upper decay
-# exponents (beta_minus, beta_plus) of F_L at 0, and whether the
-# explosion sum  sum_k quantile(exp(-e^k))  converges.
+# Each law keeps its cdf F_L private (the quantile's repair reads it) and
+# exposes the generalised inverse quantile(y) = inf{t : F_L(t) >= y} for y
+# in (0,1), the polynomial lower/upper decay exponents (beta_minus,
+# beta_plus) of F_L at 0, and whether the explosion sum
+# sum_k quantile(exp(-e^k)) converges.
 
 
 class EdgeLengthLaw:
@@ -159,11 +155,6 @@ class EdgeLengthLaw:
     beta_minus: float
     beta_plus: float
     explosion_sum_converges: bool
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = self._cdf(t)
-        return out if out.ndim else float(out)
 
     def quantile(self, y):
         """Generalised inverse of the cdf; F_L(quantile(y)) >= y up to a cap.

@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from pplab import calibration
 from pplab.cost import (monomial_penalty, power_sum_penalty, product_penalty,
                         solve_boxing_params, PenaltyPolynomial)
@@ -41,7 +42,6 @@ from pplab.experiments import (SweepSpec, asymmetry_experiment,
                                giant_fraction_curve, hrg_kernel_validation,
                                phase_sweep, strictly_increasing,
                                tail_exponent_estimate, trend_slope)
-from test_metrics import _oracle_distances
 
 # `pytest -m "not acceptance"` runs the unit tests alone
 pytestmark = pytest.mark.acceptance
@@ -77,7 +77,8 @@ def test_criterion_01_search_matches_exhaustive_path_enumeration():
         direction = "outward" if trial % 2 == 0 else "inward"
         source = int(rng.integers(0, n))
         got = cost_search(g, f, source, direction).dist
-        want = _oracle_distances(g, f, source, direction)
+        want = oracles.simple_path_distances(n, oracles.step_costs(
+            us, vs, lengths, weights, f, direction), source)
         for v in range(n):
             if math.isinf(want[v]):
                 assert math.isinf(got[v])
@@ -211,23 +212,8 @@ def test_criterion_07_boxing_solver_output_passes_independent_recheck():
             p = solve_boxing_params(tau, mu, nu, bp)
         except ValueError:
             continue
-        d, C, D = p.delta, p.C, p.D
-        lo = 1.0 + (mu + nu) * bp * (1.0 + d) / ((tau - 1.0) * (1.0 - d) ** 2)
-        hi = 2.0 * (1.0 - d) / ((tau - 1.0) * (1.0 + d))
-        assert lo < D < hi
-        assert C == 1.0 + d
-        for s in np.linspace(0.0, 1.0, 101):
-            assert 2.0 * (1.0 - d) / (tau - 1.0) - C**s * D > 0.0
-            assert ((mu + nu * C**s) * (1.0 + d) / (tau - 1.0)
-                    - (D - 1.0) * C**s * (1.0 - d) ** 2 / bp) < 0.0
-        assert (1.0 - d) * (1.0 + C) / (tau - 1.0) - D * C > 0.0
-        xi = (-(mu + nu * C) * (1.0 + d) / (tau - 1.0)
-              + (1.0 - d) ** 2 * C * (D - 1.0) / bp)
-        rho = ((tau - 1.0) / (1.0 - d)
-               * ((1.0 - d) ** 2 * (D - 1.0) / bp
-                  - (mu + C * nu) / (tau - 1.0)))
-        assert p.xi == pytest.approx(xi) and p.xi > 0.0
-        assert p.rho == pytest.approx(rho) and p.rho > 0.0
+        assert not oracles.boxing_param_problems(tau, mu, nu, bp, p.delta,
+                                                 p.C, p.D, p.xi, p.rho)
         accepted += 1
     print(f"criterion 7: 100 solver outputs rechecked "
           f"({attempts} draws, {attempts - accepted} infeasible)")

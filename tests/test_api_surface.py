@@ -22,6 +22,11 @@ The same reached code must also read every field of a public dataclass:
 load it as an attribute, matched by name as a method is.  A store, a
 constructor keyword or ``dataclasses.replace`` is not a read, so a field
 that only its constructor fills is computed for nobody, and goes.
+
+The slow references in tests/oracles.py stand apart from the package: the
+module imports no pplab and names none of the structures its fast paths
+build, no test module imports another, and its docstring table names each
+reference once, with tests that exist.
 """
 from __future__ import annotations
 
@@ -34,19 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pplab"
 
-# Reference implementations kept for the tests that check fast paths; what
-# they call counts as reached.
-KEEP = {
-    "geometry.pair_distance":
-        "scalar window distance; test_models checks the pair sweep's "
-        "vectorised distances against it",
-    "rng.WeightLaw.cdf":
-        "closed-form weight cdf; test_rng's quantile inequality and KS "
-        "test check weight_from_uniform against it",
-    "rng.EdgeLengthLaw.cdf":
-        "closed-form length cdf; test_rng's quantile inequality and KS "
-        "tests check quantile and sample_from_uniform against it",
-}
+# Public names that only the unit tests reach, kept for them.  Slow
+# references live in tests/oracles.py instead.
+KEEP: dict = {}
 
 
 # Defaulted parameters that reached code never passes, kept for the tests.
@@ -283,3 +278,50 @@ def test_every_benchmark_probe_installs_on_the_package():
         tracer.uninstall()
     for (home, attr), original in originals.items():
         assert getattr(importlib.import_module(home), attr) is original
+
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+# what the fast paths build; a reference that read one would move with it
+FAST_PATH_INTERNALS = {"csr", "_slot_costs", "_clause_bounds",
+                       "idelta_interval", "_xi", "_rho"}
+
+
+def test_the_oracles_stand_apart_from_the_code_they_check():
+    # every name, attribute, definition, argument, imported module part and
+    # string constant in oracles.py
+    named = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        for part in ("id", "attr", "name", "arg", "module"):
+            if isinstance(getattr(node, part, None), str):
+                named.update(getattr(node, part).split("."))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    assert not named & (FAST_PATH_INTERNALS | {"pplab"})
+    for path in [*(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or "",
+                           *(alias.name for alias in node.names)]
+                assert not [m for m in modules if m.startswith("test_")], \
+                    path.name
+
+
+def test_the_oracle_table_names_each_reference_once_with_real_tests():
+    # ROADMAP item 10's mutation audit maps each mutant to a reference by
+    # this table; a line with empty first cells adds a test to the row above
+    tree = ast.parse(ORACLES.read_text())
+    table = next(part for part in ast.get_docstring(tree).split("\n\n")
+                 if part.startswith("fast path | reference | tests\n"))
+    rows = [[cell.strip() for cell in line.split("|")]
+            for line in table.splitlines()[1:]]
+    refs = [ref for path, ref, _ in rows if path]
+    assert sorted(refs) == sorted(
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_"))
+    assert len({path for path, _, _ in rows if path}) == len(refs)
+    for module, _, name in (test.partition("::") for *_, test in rows):
+        tests = ast.parse((ROOT / "tests" / f"{module}.py").read_text()).body
+        assert name in {t.name for t in tests
+                        if isinstance(t, ast.FunctionDef)}, (module, name)

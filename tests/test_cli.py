@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from pplab import cli, experiments
 from pplab.cli import (
     ConfigError,
@@ -23,12 +24,7 @@ from pplab.cli import (
     sweep_from_config,
     write_graph_text,
 )
-from pplab.cost import (
-    MaxPenalty,
-    _rho,
-    _xi,
-    idelta_interval,
-)
+from pplab.cost import MaxPenalty
 from pplab.geometry import Window
 from pplab.models import (Girg, Graph, Hrg, IgirgWindow, SfpWindow, VertexSet,
                           generate)
@@ -790,16 +786,9 @@ def test_cmd_params_passes_independent_recheck(capsys):
     rc, out, _ = _run(capsys, "params", "--tau", "2.5", "--mu", "1",
                       "--nu", "1", "--beta", "0.1")
     assert rc == 0
-    vals = dict(kv.split("=") for kv in out.split())
-    delta, C, D = (float(vals[k]) for k in ("delta", "C", "D"))
-    assert C == 1.0 + delta
-    lo, hi = idelta_interval(2.5, 1.0, 1.0, 0.1, delta)
-    assert lo < D < hi
-    assert float(vals["xi"]) == pytest.approx(
-        _xi(2.5, 1.0, 1.0, 0.1, delta, C, D))
-    assert float(vals["rho"]) == pytest.approx(
-        _rho(2.5, 1.0, 1.0, 0.1, delta, C, D))
-    assert float(vals["xi"]) > 0 and float(vals["rho"]) > 0
+    vals = {k: float(x) for k, x in (kv.split("=") for kv in out.split())}
+    assert list(vals) == ["delta", "C", "D", "xi", "rho"]
+    assert not oracles.boxing_param_problems(2.5, 1.0, 1.0, 0.1, **vals)
     rc, _, err = _run(capsys, "params", "--tau", "2.5", "--mu", "10",
                       "--nu", "10", "--beta", "1.0")
     assert rc == 2

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pplab.cost import (
-    BoxingParams,
     MaxPenalty,
     PenaltyPolynomial,
-    _clause_bounds,
     classify,
     idelta_interval,
     monomial_penalty,
@@ -69,13 +68,11 @@ def test_deg_f():
 
 
 def critical_beta(f, tau: float) -> tuple:
-    """(explosive below, conservative above): the outward thresholds that
-    classify reads from _clause_bounds; the max penalty reads its
-    power-sum surrogate's."""
+    """(explosive below, conservative above), outward, from the oracle's
+    reading of the paper; the max penalty takes its power-sum surrogate's."""
     if isinstance(f, MaxPenalty):
         f = f.surrogate()
-    sideways, lengthwise, conservative_above = _clause_bounds(f, tau)
-    return max(sideways, lengthwise), conservative_above
+    return oracles.phase_thresholds(f.terms, tau)
 
 
 def test_critical_beta_examples():
@@ -95,15 +92,16 @@ def test_critical_beta_asymmetric_pair():
 
 
 def test_critical_beta_symmetric_consistency():
+    # classify puts a symmetric penalty of degree 2 mu at (3 - tau)/(2 mu)
     rng = np.random.default_rng(7)
     for _ in range(50):
         tau = rng.uniform(2.0, 3.0)
         mu = rng.uniform(0.1, 3.0)
         dup = PenaltyPolynomial(((1.0, mu, mu), (1.0, mu, mu)))
         want = (3.0 - tau) / (2.0 * mu)
-        assert critical_beta(product_penalty(mu), tau) == \
-            pytest.approx((want, want))
-        assert critical_beta(dup, tau) == pytest.approx((want, want))
+        for f in (product_penalty(mu), dup):
+            assert critical_beta(f, tau) == pytest.approx((want, want))
+            assert classify(f, tau, 2.0, want, want).outcome == "Critical"
         assert critical_beta(MaxPenalty(mu), tau) == pytest.approx(
             critical_beta(power_sum_penalty(mu), tau)
         )
@@ -279,31 +277,11 @@ def test_idelta_interval_empty_and_rejects():
         idelta_interval(2.5, 1.0, 1.0, 0.1, 0.0)
 
 
-def _check_params_independent(tau, mu, nu, beta_plus, p: BoxingParams):
-    """Re-derive every boxing inequality on a fine grid."""
-    d, C, D = p.delta, p.C, p.D
-    lo, hi = idelta_interval(tau, mu, nu, beta_plus, d)
-    assert lo < D < hi
-    assert C == 1.0 + d
-    for s in np.linspace(0.0, 1.0, 101):
-        assert 2.0 * (1.0 - d) / (tau - 1.0) - C**s * D > 0.0
-        assert ((mu + nu * C**s) * (1.0 + d) / (tau - 1.0)
-                - (D - 1.0) * C**s * (1.0 - d) ** 2 / beta_plus) < 0.0
-    assert (1.0 - d) * (1.0 + C) / (tau - 1.0) - D * C > 0.0
-    assert p.xi > 0.0 and p.rho > 0.0
-    xi = (-(mu + nu * C) * (1.0 + d) / (tau - 1.0)
-          + (1.0 - d) ** 2 * C * (D - 1.0) / beta_plus)
-    rho = ((tau - 1.0) / (1.0 - d)
-           * ((1.0 - d) ** 2 * (D - 1.0) / beta_plus - (mu + C * nu) / (tau - 1.0)))
-    assert p.xi == pytest.approx(xi)
-    assert p.rho == pytest.approx(rho)
-
-
 def test_solve_boxing_params_example():
     p = solve_boxing_params(2.5, 1.0, 1.0, 0.1)
     assert p.delta == 0.05
     assert p.C == 1.05
-    _check_params_independent(2.5, 1.0, 1.0, 0.1, p)
+    assert not oracles.boxing_param_problems(2.5, 1.0, 1.0, 0.1, **vars(p))
 
 
 def test_solve_boxing_params_random_draws():
@@ -316,7 +294,8 @@ def test_solve_boxing_params_random_draws():
             mu = 1.0
         beta_plus = float(rng.uniform(0.05, 0.95)) * (3.0 - tau) / (mu + nu)
         p = solve_boxing_params(tau, mu, nu, beta_plus)
-        _check_params_independent(tau, mu, nu, beta_plus, p)
+        assert not oracles.boxing_param_problems(tau, mu, nu, beta_plus,
+                                                 **vars(p))
 
 
 def test_solve_boxing_params_rejects():

@@ -1,31 +1,26 @@
-"""Geometry module: distances, boxing construction, sub-box location."""
+"""Geometry: the window metric's reference, boxing, sub-box location."""
 import math
 
 import numpy as np
 import pytest
 
-from pplab.geometry import (
-    BoxingSystem,
-    Window,
-    build_boxing,
-    locate_subbox,
-    pair_distance,
-)
+import oracles
+from pplab.geometry import Window, build_boxing, locate_subbox
 
 
 def test_distance_zero_at_same_point():
-    w = Window(3, 5.0)
-    assert pair_distance(w, [1.0, 2.0, -1.0], [1.0, 2.0, -1.0]) == 0.0
+    x = [1.0, 2.0, -1.0]
+    assert oracles.window_distance(x, x, 5.0, torus=False) == 0.0
 
 
 def test_distance_hard_345():
-    w = Window(2, 20.0)
-    assert pair_distance(w, [0.0, 0.0], [3.0, 4.0]) == 5.0
+    assert oracles.window_distance([0.0, 0.0], [3.0, 4.0], 20.0,
+                                   torus=False) == 5.0
 
 
 def test_distance_torus_wraps():
-    w = Window(1, 10.0, boundary="torus")
-    assert pair_distance(w, [-4.5], [4.5]) == pytest.approx(1.0, abs=1e-15)
+    assert oracles.window_distance([-4.5], [4.5], 10.0, torus=True) == \
+        pytest.approx(1.0, abs=1e-15)
 
 
 def test_torus_never_exceeds_hard():
@@ -35,8 +30,8 @@ def test_torus_never_exceeds_hard():
         side = float(rng.uniform(1.0, 50.0))
         x = rng.uniform(-side / 2, side / 2, size=d)
         y = rng.uniform(-side / 2, side / 2, size=d)
-        dt = pair_distance(Window(d, side, boundary="torus"), x, y)
-        dh = pair_distance(Window(d, side, boundary="hard"), x, y)
+        dt = oracles.window_distance(x, y, side, torus=True)
+        dh = oracles.window_distance(x, y, side, torus=False)
         assert dt <= dh + 1e-12
 
 
@@ -77,25 +72,10 @@ def _in_window(window: Window, x) -> bool:
     return bool(np.all(np.abs(np.asarray(x)) <= window.side / 2.0))
 
 
-def _linear_scan(b: BoxingSystem, xs):
-    """Independent oracle: test every sub-box extent for containment.
-
-    Returns (k, row) arrays like locate_subbox: the first containing sub-box
-    in annulus order, then anchor order, and -1 where none contains the point.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    k_of = np.full(len(xs), -1, dtype=np.int64)
-    row_of = np.full(len(xs), -1, dtype=np.int64)
-    for ann in b.annuli:
-        if ann.count == 0:
-            continue
-        lo = ann.anchors[None, :, :]
-        inside = np.all((xs[:, None, :] >= lo)
-                        & (xs[:, None, :] < lo + ann.subbox_side), axis=2)
-        first = (k_of < 0) & inside.any(axis=1)
-        k_of[first] = ann.k
-        row_of[first] = inside[first].argmax(axis=1)
-    return k_of, row_of
+def _linear_scan(b, xs):
+    """The oracle's (k, row) of each point: every sub-box extent tested."""
+    return oracles.containing_subbox(
+        xs, [(a.anchors, a.subbox_side) for a in b.annuli])
 
 
 def test_locate_center_point():

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from pplab import metrics, models
 from pplab.cost import (
     MaxPenalty,
@@ -18,7 +18,6 @@ from pplab.cost import (
 )
 from pplab.geometry import Window, build_boxing
 from pplab.metrics import (
-    CostSearchResult,
     GreedyFailure,
     GreedyPath,
     build_greedy_path,
@@ -47,16 +46,13 @@ def _hand_graph(n, edges, weights=None, d=1, side=100.0):
     rng = np.random.default_rng(n * 1000 + len(edges))
     pos = (rng.random((n, d)) - 0.5) * side * 0.9
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    vs = VertexSet(window, pos, w)
-    if edges:
-        eu = np.array([min(a, b) for a, b, _ in edges], dtype=np.int64)
-        ev = np.array([max(a, b) for a, b, _ in edges], dtype=np.int64)
-        ls = np.array([l for _, _, l in edges], dtype=np.float64)
-    else:
-        eu = np.zeros(0, dtype=np.int64)
-        ev = np.zeros(0, dtype=np.int64)
-        ls = np.zeros(0)
-    return Graph(vs, eu, ev, ls)
+    return _graph(VertexSet(window, pos, w), edges)
+
+
+def _graph(vs, edges):
+    """Graph on vs with edges given as (u, v, length) triples."""
+    return Graph(vs, [min(a, b) for a, b, _ in edges],
+                 [max(a, b) for a, b, _ in edges], [l for *_, l in edges])
 
 
 def _random_small_graph(rng, n_max=9, p_edge=0.45, zero_lengths=False):
@@ -83,89 +79,10 @@ def _random_penalty(rng):
     return power_sum_penalty(float(rng.uniform(0.1, 2.0)))
 
 
-def _oracle_distances(g, f, source, direction):
-    """Min directed cost over ALL simple paths, by exhaustive DFS.
-
-    Deliberately shares no reasoning with Dijkstra: no priority queue,
-    no pruning, every simple path from the source is walked in full.
-    """
-    w = g.vertices.weights
-    adj = {v: [] for v in range(g.n)}
-    for e in range(g.m):
-        u, v = int(g.edges_u[e]), int(g.edges_v[e])
-        ell = float(g.lengths[e])
-        c_uv = ell * float(f(w[u], w[v]))
-        c_vu = ell * float(f(w[v], w[u]))
-        if direction == "inward":
-            c_uv, c_vu = c_vu, c_uv
-        adj[u].append((v, c_uv))
-        adj[v].append((u, c_vu))
-    best = [math.inf] * g.n
-    on_path = [False] * g.n
-
-    def walk(x, acc):
-        if acc < best[x]:
-            best[x] = acc
-        on_path[x] = True
-        for y, c in adj[x]:
-            if not on_path[y]:
-                walk(y, acc + c)
-        on_path[x] = False
-
-    walk(source, 0.0)
-    return np.array(best)
-
-
-def _reference_slot_costs(g, f, direction):
-    """Slot costs priced in edge order: each edge both ways, then per slot
-    the orientation whose tail is the slot's row vertex.
-
-    metrics._slot_costs prices slots in slot order instead; the tests hold
-    the two together, and the other references price with this one.
-    """
-    w = g.vertices.weights
-    wu = w[g.edges_u]
-    wv = w[g.edges_v]
-    c_uv = g.lengths * np.asarray(f(wu, wv), dtype=np.float64)
-    c_vu = g.lengths * np.asarray(f(wv, wu), dtype=np.float64)
-    if direction == "inward":
-        c_uv, c_vu = c_vu, c_uv
-    _, nbr, eid = g.csr
-    return np.where(nbr == g.edges_v[eid], c_uv[eid], c_vu[eid])
-
-
-def _heap_search(g, f, source, direction="outward"):
-    """Reference Dijkstra: a Python heap over the per-slot costs.
-
-    Pops by (distance, id), relaxes with a left-to-right float sum and a
-    strict improvement, and settles the whole reachable set.  cost_search
-    runs scipy's compiled search instead; the tests hold the two together.
-    """
-    cost = _reference_slot_costs(g, f, direction)
-    indptr, nbr, _ = g.csr
-    rows = indptr.tolist()
-    # costs are >= 0, so a popped entry above its vertex's distance is stale
-    # and an edge back to a settled vertex never improves it
-    dist = [math.inf] * g.n
-    parent = [-1] * g.n
-    settled = []
-    heap = [(0.0, source)]
-    dist[source] = 0.0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        settled.append((v, d))
-        lo, hi = rows[v], rows[v + 1]
-        for u, step in zip(nbr[lo:hi].tolist(), cost[lo:hi].tolist()):
-            nd = d + step
-            if nd < dist[u]:
-                dist[u] = nd
-                parent[u] = v
-                heapq.heappush(heap, (nd, u))
-    return CostSearchResult(source=source, settled=settled,
-                            dist=np.array(dist),
-                            parent=np.array(parent, dtype=np.int64))
+def _costs(g, f, direction="outward"):
+    """{(x, y): the oracle's cost of the search step x -> y} on g."""
+    return oracles.step_costs(g.edges_u, g.edges_v, g.lengths,
+                              g.vertices.weights, f, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +98,13 @@ def test_slot_costs_equal_the_edge_order_reference_bit_for_bit():
     for k, g in enumerate(graphs):
         f = (MaxPenalty(float(rng.uniform(0.1, 2.0))) if k % 4 == 3
              else _random_penalty(rng))
-        indptr = g.csr[0]
+        indptr, nbr, _ = g.csr
+        rows = np.repeat(np.arange(g.n), np.diff(indptr)).tolist()
         for direction in ("outward", "inward"):
             cost = metrics._slot_costs(g, f, direction)
-            ref = _reference_slot_costs(g, f, direction)
+            steps = _costs(g, f, direction)
+            ref = np.array([steps[x, y] for x, y in zip(rows, nbr.tolist())],
+                           dtype=np.float64)
             assert cost.tobytes() == ref.tobytes(), (k, direction)
             for v in rng.choice(g.n, size=min(g.n, 5), replace=False):
                 row = metrics._slot_costs(g, f, direction, v)
@@ -267,14 +187,6 @@ def test_cost_search_rejects_bad_arguments():
         cost_search(g, ONE, 0, direction="sideways")
 
 
-def _step_cost(g, cost, x, y):
-    """The search's cost of hop x -> y: the one CSR slot of y in x's row."""
-    indptr, nbr, _ = g.csr
-    slot = indptr[x] + np.flatnonzero(nbr[indptr[x]:indptr[x + 1]] == y)
-    assert slot.size == 1, (x, y)
-    return float(cost[slot[0]])
-
-
 def test_cost_search_matches_the_heap_reference():
     rng = np.random.default_rng(1501)
     # continuous lengths: no two paths tie, so every output is the heap's
@@ -284,10 +196,11 @@ def test_cost_search_matches_the_heap_reference():
         source = int(rng.integers(g.n))
         for direction in ("outward", "inward"):
             res = cost_search(g, f, source, direction)
-            ref = _heap_search(g, f, source, direction)
-            assert np.array_equal(res.dist, ref.dist)
-            assert res.settled == ref.settled
-            assert np.array_equal(res.parent, ref.parent)
+            settled, dist, parent = oracles.heap_search(
+                g.n, _costs(g, f, direction), source)
+            assert np.array_equal(res.dist, dist)
+            assert res.settled == settled
+            assert np.array_equal(res.parent, parent)
     # zero and tied lengths: equal distances, and any tree of shortest paths
     tied = 0
     for trial in range(80):
@@ -298,11 +211,12 @@ def test_cost_search_matches_the_heap_reference():
         source = int(rng.integers(g.n))
         for direction in ("outward", "inward"):
             res = cost_search(g, f, source, direction)
-            ref = _heap_search(g, f, source, direction)
-            assert np.array_equal(res.dist, ref.dist)
-            assert res.settled == sorted(ref.settled,
-                                         key=lambda s: (s[1], s[0]))
-            cost = _reference_slot_costs(g, f, direction)
+            cost = _costs(g, f, direction)
+            settled, dist, _ = oracles.heap_search(g.n, cost, source)
+            assert np.array_equal(res.dist, dist)
+            assert np.array_equal(distance_matrix(g, f, [source], direction)[0],
+                                  dist)
+            assert res.settled == sorted(settled, key=lambda s: (s[1], s[0]))
             for t in range(g.n):
                 path = realized_path(res, t)
                 if path is None:
@@ -310,10 +224,10 @@ def test_cost_search_matches_the_heap_reference():
                     continue
                 acc = 0.0
                 for x, y in zip(path, path[1:]):
-                    acc += _step_cost(g, cost, x, y)
+                    acc += cost[x, y]
                 assert acc == res.dist[t], (path, acc, res.dist[t])
-                tight = [u for u in g.neighbors(t).tolist() if res.dist[u]
-                         + _step_cost(g, cost, u, t) == res.dist[t]]
+                tight = [u for (u, y), c in cost.items()
+                         if y == t and res.dist[u] + c == res.dist[t]]
                 tied += len(tight) > 1
     assert tied > 100                    # the loop really met tied paths
 
@@ -321,8 +235,8 @@ def test_cost_search_matches_the_heap_reference():
 # sha256 over the full cost_search's settled list and parent array on two
 # 1024-vertex GIRGs, from three sources per (law, penalty, direction).
 # point:1 ties every length, but the Pareto weights keep the costs apart.
-# The digest was recorded with the heap search (the loop in _heap_search),
-# so it also holds scipy's search to the heap's on these graphs.
+# The digest was recorded with the heap search (oracles.heap_search's
+# loop), so it also holds scipy's search to the heap's on these graphs.
 SEARCH_DIGEST = "4f048a2a03c1f3a1ee04e2752eb5bfc9b5404ac1053365b31101d3ba85d60f0b"
 
 
@@ -343,21 +257,6 @@ def test_search_output_digest():
     assert digest.hexdigest() == SEARCH_DIGEST
 
 
-def test_search_matches_exhaustive_path_oracle():
-    # independent oracle: full simple-path enumeration, both directions
-    rng = np.random.default_rng(2024)
-    for trial in range(60):
-        g = _random_small_graph(rng)
-        f = _random_penalty(rng)
-        source = int(rng.integers(g.n))
-        for direction in ("outward", "inward"):
-            expect = _oracle_distances(g, f, source, direction)
-            got = cost_search(g, f, source, direction).dist
-            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
-            row = distance_matrix(g, f, [source], direction)[0]
-            np.testing.assert_allclose(row, expect, rtol=1e-12, atol=1e-12)
-
-
 def test_distance_matrix_keeps_zero_length_edges():
     # an exactly-zero length is a free hop, not a missing edge
     g = _hand_graph(3, [(0, 1, 0.0), (1, 2, 2.0)], weights=[1.0, 2.0, 1.0])
@@ -366,17 +265,6 @@ def test_distance_matrix_keeps_zero_length_edges():
     np.testing.assert_allclose(row, [0.0, 0.0, 4.0])
     res = cost_search(g, f, 0)
     np.testing.assert_allclose(res.dist, row)
-
-
-def test_distance_matrix_agrees_with_search_on_zero_length_graphs():
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        g = _random_small_graph(rng, zero_lengths=True)
-        f = _random_penalty(rng)
-        s = int(rng.integers(g.n))
-        a = _heap_search(g, f, s).dist
-        b = distance_matrix(g, f, [s])[0]
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_distance_matrix_edgeless():
@@ -394,7 +282,8 @@ def _assert_pair_distances_exact(g, f, pairs, direction):
     """pair_distances == the full scipy search == the heap search, bit for bit."""
     got = pair_distances(g, f, pairs, direction)
     full = [distance_matrix(g, f, [a], direction)[0][b] for a, b in pairs]
-    heap = [_heap_search(g, f, a, direction).dist[b] for a, b in pairs]
+    cost = _costs(g, f, direction)
+    heap = [oracles.heap_search(g.n, cost, a)[1][b] for a, b in pairs]
     assert np.array_equal(got, full), (direction, pairs, got, full)
     assert np.array_equal(got, heap), (direction, pairs, got, heap)
 
@@ -503,19 +392,18 @@ def test_n1t_counts_cheap_incident_edges():
 
 
 def test_n1t_matches_a_count_over_the_search_costs():
-    # n1t prices only v's edges; the search prices every CSR slot
+    # n1t prices only v's edges, the oracle every edge both ways
     rng = np.random.default_rng(1212)
     graphs = [_random_small_graph(rng, n_max=12) for _ in range(30)]
     graphs.append(generate(Girg(n=400, d=1, tau=2.5, alpha=2.0, c=1.0), 8,
                            length_law=PolyAtZero(1.0)))
     ties = 0
     for g in graphs:
-        indptr = g.csr[0]
         f = _random_penalty(rng)
         for direction in ("outward", "inward"):
-            cost = _reference_slot_costs(g, f, direction)
+            cost = _costs(g, f, direction)
             for v in rng.choice(g.n, size=min(g.n, 8), replace=False):
-                mine = cost[indptr[v]:indptr[v + 1]]
+                mine = np.array([c for (x, _), c in cost.items() if x == v])
                 # thresholds at an edge's exact cost tie with it
                 for t in [0.0, 1.0, *mine[:3].tolist()]:
                     ties += int(t in mine)
@@ -567,53 +455,22 @@ def test_tied_largest_components_put_the_lowest_id_first(edges, expected):
     assert not largest_component(g).flags.writeable
 
 
-def _union_find_components(g):
-    parent = list(range(g.n))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(g.edges_u.tolist(), g.edges_v.tolist()):
-        parent[root(u)] = root(v)
-    groups = {}
-    for x in range(g.n):
-        groups.setdefault(root(x), []).append(x)
-    return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 def test_components_match_union_find_on_sparse_girgs(seed):
     # c = 0.003 leaves 500 to 1,100 components at n = 2^12
     g = generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=0.003), seed)
-    expected = _union_find_components(g)
+    expected = oracles.union_find_components(g.n, g.edges_u, g.edges_v)
     assert len(expected) > 500
     assert components(g) == expected
     assert largest_component(g).tolist() == expected[0]
 
 
-def test_components_match_bfs_oracle():
+def test_components_match_union_find_on_small_graphs():
     rng = np.random.default_rng(123)
     for _ in range(30):
         g = _random_small_graph(rng, p_edge=0.25)
-        seen = set()
-        expected = []
-        for s in range(g.n):
-            if s in seen:
-                continue
-            comp, stack = {s}, [s]
-            while stack:
-                x = stack.pop()
-                for y in g.neighbors(x).tolist():
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            expected.append(sorted(comp))
-        expected.sort(key=lambda c: (-len(c), c[0]))
-        assert components(g) == expected
+        assert components(g) == oracles.union_find_components(
+            g.n, g.edges_u, g.edges_v)
 
 
 # ---------------------------------------------------------------------------
@@ -637,17 +494,6 @@ def _boxing_scene():
     return window, b, vs, slot
 
 
-def _scene_graph(b, vs, slot, edges):
-    eu = np.array([min(a, c) for a, c, _ in edges], dtype=np.int64)
-    ev = np.array([max(a, c) for a, c, _ in edges], dtype=np.int64)
-    ls = np.array([l for _, _, l in edges], dtype=np.float64)
-    if not edges:
-        eu = np.zeros(0, dtype=np.int64)
-        ev = np.zeros(0, dtype=np.int64)
-        ls = np.zeros(0)
-    return Graph(vs, eu, ev, ls)
-
-
 def test_delta_good_scan_leaders_and_interval_endpoints():
     window, b, vs, slot = _boxing_scene()
     lo0, hi0 = b.leader_weight_interval(0, TAU)
@@ -660,14 +506,14 @@ def test_delta_good_scan_leaders_and_interval_endpoints():
     # push the (0,1) leader to the exact endpoints: hi is good, lo is not
     w[slot[(0, 1)]] = hi0
     vs2 = VertexSet(window, pos, w)
-    g = _scene_graph(b, vs2, slot, [])
+    g = _graph(vs2, [])
     scan = delta_good_scan(g, b, TAU)
     s0 = scan.scan_for(0)
     assert s0.leader[0] == slot[(0, 0)]
     assert s0.good[0]
     assert s0.leader[1] == slot[(0, 1)] and s0.good[1]  # w == hi: inside
     w[slot[(0, 1)]] = lo0
-    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
+    g = _graph(VertexSet(window, pos, w), [])
     s0 = delta_good_scan(g, b, TAU).scan_for(0)
     assert not s0.good[1]  # w == lo: outside the half-open interval
     assert s0.f1 == (2 * int(s0.good.sum()) >= b.annuli[0].count)
@@ -679,7 +525,7 @@ def test_delta_good_scan_empty_subboxes_and_f1():
     drop = {v for (k, _), v in slot.items() if k == 1}
     keep = [i for i in range(vs.n) if i not in drop]
     vs2 = VertexSet(window, vs.positions[keep], vs.weights[keep])
-    g = _scene_graph(b, vs2, slot, [])
+    g = _graph(vs2, [])
     scan = delta_good_scan(g, b, TAU)
     s1 = scan.scan_for(1)
     assert np.all(s1.leader == -1)
@@ -722,12 +568,12 @@ def test_check_f2_full_and_broken():
     for k in range(b.k_star):
         assert 1.0 < b.leader_count_threshold(k + 1, eps) <= 2.0
         assert b.annuli[k + 1].count >= 2
-    g = _scene_graph(b, vs, slot, _wire_f2(b, slot, [2] * b.k_star))
+    g = _graph(vs, _wire_f2(b, slot, [2] * b.k_star))
     assert check_F2(g, b, TAU, epsilon=eps) == [True] * b.k_star
     # one lone neighbour at k = 2 misses the threshold
     need = [2] * b.k_star
     need[2] = 1
-    g = _scene_graph(b, vs, slot, _wire_f2(b, slot, need))
+    g = _graph(vs, _wire_f2(b, slot, need))
     flags = check_F2(g, b, TAU, epsilon=eps)
     assert flags[2] is False
     assert [f for i, f in enumerate(flags) if i != 2] == [True] * (b.k_star - 1)
@@ -738,7 +584,7 @@ def test_check_f2_vacuous_without_good_leaders():
     w = vs.weights.copy()
     for r in range(b.annuli[0].count):  # make every annulus-0 leader bad
         w[slot[(0, r)]] = b.leader_weight_interval(0, TAU)[1] * 4.0
-    g = _scene_graph(b, VertexSet(window, vs.positions, w), slot, [])
+    g = _graph(VertexSet(window, vs.positions, w), [])
     flags = check_F2(g, b, TAU, epsilon=0.9)
     assert flags[0] is True      # no good leader at 0: nothing to check
     assert flags[1] is False     # good leaders at 1 with no edges at all
@@ -754,7 +600,7 @@ def test_greedy_path_follows_min_length_and_prices_hops():
         (start, slot[(1, 1)], 0.2),
     ] + [(slot[(k, 1 if k == 1 else 0)], slot[(k + 1, 0)], lengths[k - 1])
          for k in range(1, b.k_star)]
-    g = _scene_graph(b, vs, slot, edges)
+    g = _graph(vs, edges)
     path = build_greedy_path(g, b, TAU, f, start)
     assert isinstance(path, GreedyPath)
     assert path.vertices == [start, slot[(1, 1)]] + [
@@ -773,7 +619,7 @@ def test_greedy_path_breaks_length_ties_by_vertex_id():
     window, b, vs, slot = _boxing_scene()
     start = slot[(0, 0)]
     edges = [(start, slot[(1, 1)], 0.4), (start, slot[(1, 0)], 0.4)]
-    g = _scene_graph(b, vs, slot, edges)
+    g = _graph(vs, edges)
     out = build_greedy_path(g, b, TAU, ONE, start)
     assert out.vertices[1] == min(slot[(1, 0)], slot[(1, 1)])
 
@@ -783,7 +629,7 @@ def test_greedy_path_failure_names_first_blocked_annulus():
     start = slot[(0, 0)]
     edges = [(start, slot[(1, 0)], 0.5),
              (slot[(1, 0)], slot[(2, 1)], 0.5)]
-    g = _scene_graph(b, vs, slot, edges)
+    g = _graph(vs, edges)
     out = build_greedy_path(g, b, TAU, ONE, start)
     assert isinstance(out, GreedyFailure)
     assert out.failed_annulus == 3
@@ -792,7 +638,7 @@ def test_greedy_path_failure_names_first_blocked_annulus():
 
 def test_greedy_path_from_top_annulus_is_empty():
     window, b, vs, slot = _boxing_scene()
-    g = _scene_graph(b, vs, slot, [])
+    g = _graph(vs, [])
     path = build_greedy_path(g, b, TAU, ONE, slot[(b.k_star, 0)])
     assert path.vertices == [slot[(b.k_star, 0)]]
     assert path.hop_costs == [] and path.total_cost == 0.0
@@ -802,7 +648,7 @@ def test_greedy_path_rejects_non_leader_start():
     window, b, vs, slot = _boxing_scene()
     pos = np.vstack([vs.positions, vs.positions[slot[(0, 0)]][None, :] + 1e-4])
     w = np.append(vs.weights, 1.0)
-    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
+    g = _graph(VertexSet(window, pos, w), [])
     with pytest.raises(ValueError):
         build_greedy_path(g, b, TAU, ONE, len(w) - 1)
 
@@ -812,7 +658,7 @@ def test_greedy_bound_report_terms_and_applicability():
     f = monomial_penalty(1.0, 0.5)
     start = slot[(0, 0)]
     edges = [(slot[(k, 0)], slot[(k + 1, 0)], 1e-8) for k in range(b.k_star)]
-    g = _scene_graph(b, vs, slot, edges)
+    g = _graph(vs, edges)
     path = build_greedy_path(g, b, TAU, f, start)
     law = PolyAtZero(1.0)  # quantile(y) = y
     rep = greedy_bound_report(b, TAU, f, law, path)
@@ -832,7 +678,7 @@ def test_greedy_bound_report_terms_and_applicability():
         sum(term(k) for k in range(b.k_star)))
     # one oversized hop voids the comparison
     edges[1] = (slot[(1, 0)], slot[(2, 0)], 50.0)
-    g = _scene_graph(b, vs, slot, edges)
+    g = _graph(vs, edges)
     path = build_greedy_path(g, b, TAU, f, start)
     rep = greedy_bound_report(b, TAU, f, law, path)
     assert not rep.applicable and not rep.satisfied
@@ -840,9 +686,8 @@ def test_greedy_bound_report_terms_and_applicability():
 
 def test_greedy_bound_requires_monomial():
     window, b, vs, slot = _boxing_scene()
-    g = _scene_graph(b, vs, slot,
-                     [(slot[(k, 0)], slot[(k + 1, 0)], 0.1)
-                      for k in range(b.k_star)])
+    g = _graph(vs, [(slot[(k, 0)], slot[(k + 1, 0)], 0.1)
+                    for k in range(b.k_star)])
     path = build_greedy_path(g, b, TAU, power_sum_penalty(1.0), slot[(0, 0)])
     with pytest.raises(ValueError):
         greedy_bound_report(b, TAU, power_sum_penalty(1.0), PolyAtZero(1.0),
@@ -887,7 +732,7 @@ def _boxing_windows():
         yield g, build_boxing(g.vertices.window, [0.0, 0.0], 1.0, 1.2, 2.5,
                               0.2)
     _, b, vs, slot = _boxing_scene()
-    yield _scene_graph(b, vs, slot, _wire_f2(b, slot, [2] * b.k_star)), b
+    yield _graph(vs, _wire_f2(b, slot, [2] * b.k_star)), b
 
 
 # sha256 over every boxing output on _boxing_windows(): annulus counts and
@@ -925,29 +770,6 @@ def test_boxing_output_digest():
     assert digest.hexdigest() == BOXING_DIGEST
 
 
-def _oracle_scan(g, b):
-    """Per-vertex leaders in id order; a sub-box is found by containment.
-
-    Also counts the vertices that tie with their sub-box's leader so far.
-    """
-    leader = [np.full(a.count, -1, dtype=np.int64) for a in b.annuli]
-    ties = 0
-    pos, w = g.vertices.positions, g.vertices.weights
-    for v in range(g.n):
-        for i, a in enumerate(b.annuli):
-            hit = np.flatnonzero(np.all((pos[v] >= a.anchors)
-                                        & (pos[v] < a.anchors + a.subbox_side),
-                                        axis=1))
-            if len(hit):
-                row = hit[0]
-                if leader[i][row] < 0 or w[v] > w[leader[i][row]]:
-                    leader[i][row] = v
-                elif w[v] == w[leader[i][row]]:
-                    ties += 1
-                break
-    return leader, ties
-
-
 def test_delta_good_scan_matches_per_vertex_oracle():
     law = PolyAtZero(0.1)
     cases = [(IgirgWindow(lam=1.0, d=1, side=400.0, tau=TAU, alpha=2.0, c=1.0),
@@ -961,8 +783,12 @@ def test_delta_good_scan_matches_per_vertex_oracle():
             b = build_boxing(g.vertices.window, center, *params)
             scan = delta_good_scan(g, b, TAU)
             w = g.vertices.weights
-            leaders, ties = _oracle_scan(g, b)
-            tied += ties
+            k, row = oracles.containing_subbox(
+                g.vertices.positions,
+                [(a.anchors, a.subbox_side) for a in b.annuli])
+            leaders = oracles.subbox_leaders(k, row, w, b.counts())
+            tied += sum(v != leaders[i][r] and w[v] == w[leaders[i][r]]
+                        for v, (i, r) in enumerate(zip(k, row)) if i >= 0)
             for i, (s, want) in enumerate(zip(scan.annuli, leaders)):
                 np.testing.assert_array_equal(s.leader, want)
                 lo, hi = b.leader_weight_interval(i, TAU)
@@ -970,24 +796,6 @@ def test_delta_good_scan_matches_per_vertex_oracle():
                 np.testing.assert_array_equal(s.good, (lw > lo) & (lw <= hi))
                 assert s.f1 == (2 * int(s.good.sum()) >= b.annuli[i].count)
     assert tied > 100  # heavy vertices sit at the cap, tied with their leader
-
-
-def test_delta_good_scan_ties_go_to_the_lowest_id():
-    window, b, vs, slot = _boxing_scene()
-    v = slot[(0, 0)]
-    twin_pos = vs.positions[v] + 1e-3
-    twin_w = vs.weights[v]
-    # the twin appended after every scene vertex: the scene vertex keeps the lead
-    pos = np.vstack([vs.positions, twin_pos[None, :]])
-    w = np.append(vs.weights, twin_w)
-    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
-    assert delta_good_scan(g, b, TAU).scan_for(0).leader[0] == v
-    # the twin placed first, as vertex 0: it takes the lead
-    pos = np.vstack([twin_pos[None, :], vs.positions])
-    w = np.insert(vs.weights, 0, twin_w)
-    g = _scene_graph(b, VertexSet(window, pos, w), slot, [])
-    s0 = delta_good_scan(g, b, TAU).scan_for(0)
-    assert s0.leader[0] == 0 and s0.good[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from pplab import models
 from pplab.cli import write_graph_text
-from pplab.geometry import Window, pair_distance
+from pplab.geometry import Window
 from pplab.models import (
     Girg,
     Graph,
@@ -74,22 +75,6 @@ def test_connect_prob_symmetric():
             assert connect_prob(spec, w1, w2, dist) == connect_prob(spec, w2, w1, dist)
 
 
-def _closed_form_kernel(spec, w_u, w_v, dist):
-    """The power kernel in plain floats, sharing no code with models:
-    1{dist = 0} at c = 0, 1{c w_u w_v >= scale dist^d} at alpha = inf,
-    else min(1, c (w_u w_v / (scale dist^d))^alpha); scale is n on the
-    Girg torus and 1 in a window."""
-    scale = spec.n if isinstance(spec, Girg) else 1
-    dist_d = dist * dist if spec.d == 2 else dist
-    if spec.c == 0:
-        return 1.0 if dist == 0 else 0.0
-    if math.isinf(spec.alpha):
-        return 1.0 if spec.c * (w_u * w_v) >= scale * dist_d else 0.0
-    if dist == 0:
-        return 1.0
-    return min(1.0, spec.c * (w_u * w_v / (scale * dist_d)) ** spec.alpha)
-
-
 @pytest.mark.parametrize("model", ["girg", "igirg"])
 def test_connect_prob_matches_the_closed_form(model):
     rng = np.random.default_rng(17)
@@ -109,7 +94,7 @@ def test_connect_prob_matches_the_closed_form(model):
             if rng.random() < 0.05:
                 dist = 0.0
             got = connect_prob(spec, w_u, w_v, dist)
-            want = _closed_form_kernel(spec, w_u, w_v, dist)
+            want = oracles.power_kernel(w_u, w_v, dist, d, alpha, c, scale)
             if c == 0 or math.isinf(alpha):          # the 0/1 branches
                 assert got == want, (spec, w_u, w_v, dist)
             else:
@@ -193,7 +178,7 @@ def test_hrg_mapped_weight_tail():
     r = hrg_radius_from_uniform(u, spec)
     assert np.all((r >= 0.0) & (r <= spec.R_n + 1e-9))
     _, w = hrg_to_girg_coords(np.zeros_like(r), r, spec)
-    stat = stats.kstest(w, lambda t: 1.0 - t**-1.5).statistic
+    stat = stats.kstest(w, lambda t: oracles.weight_cdf(t, 2.5)).statistic
     assert stat <= 0.03
 
 
@@ -214,37 +199,6 @@ def test_generate_girg_no_edges_when_c_zero():
     g = generate(Girg(n=50, d=2, tau=2.5, alpha=2.0, c=0.0), 7)
     assert g.m == 0
     assert g.n == 50
-
-
-def test_generate_pair_resampling():
-    g = generate(FIG1, 99, PolyAtZero(1.0))
-    present = set(zip(g.edges_u.tolist(), g.edges_v.tolist()))
-    window = FIG1.window
-    rng = np.random.default_rng(5)
-    checked_present = 0
-    for _ in range(100):
-        u, v = sorted(rng.choice(g.n, size=2, replace=False).tolist())
-        dist = pair_distance(window, g.vertices.positions[u],
-                             g.vertices.positions[v])
-        p = connect_prob(FIG1, g.vertices.weights[u], g.vertices.weights[v], dist)
-        if p >= 1.0:
-            coin_says_edge = True
-        elif p <= 0.0:
-            coin_says_edge = False
-        else:
-            coin = uniform_array(99, "edges",
-                                 np.array([u * g.n + v], dtype=np.int64))[0]
-            coin_says_edge = coin <= p
-        assert coin_says_edge == ((u, v) in present)
-        checked_present += (u, v) in present
-    # also re-check every actual edge the same way
-    for u, v in list(present)[:200]:
-        dist = pair_distance(window, g.vertices.positions[u],
-                             g.vertices.positions[v])
-        p = connect_prob(FIG1, g.vertices.weights[u], g.vertices.weights[v], dist)
-        coin = uniform_array(99, "edges",
-                             np.array([u * g.n + v], dtype=np.int64))[0]
-        assert p >= 1.0 or coin <= p
 
 
 def test_lengths_coupled_across_laws():
@@ -565,31 +519,16 @@ def test_csr_matches_edge_scan():
         rng.shuffle(pairs)                               # Graph sorts them
         graphs.append(_line_graph(n, pairs))
     for g in graphs:
-        indptr, nbr, eid = g.csr
-        assert indptr.shape == (g.n + 1,) and nbr.shape == eid.shape == (2 * g.m,)
+        indptr, nbr, eid = oracles.reference_csr(g.n, g.edges_u, g.edges_v)
         for x in range(g.n):
-            brute = sorted((int(g.edges_v[e]) if g.edges_u[e] == x
-                            else int(g.edges_u[e]), e)
-                           for e in range(g.m) if x in (g.edges_u[e], g.edges_v[e]))
-            assert g.neighbors(x).tolist() == [y for y, _ in brute]
-            assert g.incident_edges(x).tolist() == [e for _, e in brute]
+            row = slice(indptr[x], indptr[x + 1])
+            assert g.neighbors(x).tolist() == nbr[row].tolist()
+            assert g.incident_edges(x).tolist() == eid[row].tolist()
         assert g.degrees().tolist() == np.diff(indptr).tolist()
         with pytest.raises(ValueError):
-            nbr[:1] = 0                                  # shared, so read-only
+            g.csr[1][:1] = 0                             # shared, so read-only
         h = g.with_lengths(np.ones(g.m))
         assert h.csr is g.csr
-
-
-def _reference_csr(g):
-    """CSR by a stable argsort: half-edges to smaller neighbours (v -> u)
-    precede those to larger ones, each block in (u, v) order, so a stable
-    sort by source sorts each row."""
-    src = np.concatenate([g.edges_v, g.edges_u])
-    order = np.argsort(src, kind="stable")
-    nbr = np.concatenate([g.edges_u, g.edges_v])[order]
-    eid = order % max(g.m, 1)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=g.n))])
-    return indptr, nbr, eid
 
 
 def test_csr_matches_argsort_reference():
@@ -598,7 +537,8 @@ def test_csr_matches_argsort_reference():
                _line_graph(1, []), _line_graph(5, []),
                _line_graph(6, [(1, 4), (2, 4)])]      # 0, 3 and 5 isolated
     for g in graphs:
-        for got, want in zip(g.csr, _reference_csr(g), strict=True):
+        for got, want in zip(g.csr, oracles.reference_csr(
+                g.n, g.edges_u, g.edges_v), strict=True):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
@@ -640,7 +580,7 @@ def test_pairwise_sweep_emits_edges_in_pair_order(threads):
             assert np.array_equal(v, runs[0][1]), name
 
 
-# the slow reference: every pair u < v decided on its own
+# oracles.pair_sweep, the slow reference, decides every pair u < v on its own
 SWEEP_SPECS = {
     "girg-d1-alpha2-c1": Girg(n=1, d=1, tau=2.5, alpha=2.0, c=1.0),
     "girg-d2-alpha2-c0": Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.0),
@@ -676,28 +616,6 @@ def _sweep_vertices(spec, n, seed):
                      origin_index=origin)
 
 
-def _reference_pairs(spec, seed, vs, chunk=1 << 18):
-    """Edges u < v in (u, v) order: a pair is an edge when
-    uniform_array(seed, "edges", [u*n + v]) <= connect_prob(spec, w_u, w_v,
-    dist), with dist accumulated axis by axis as the sweep does."""
-    n, win, w = vs.n, vs.window, vs.weights
-    iu, iv = np.triu_indices(n, 1)
-    keep = np.zeros(iu.size, dtype=bool)
-    for s in range(0, iu.size, chunk):
-        u, v = iu[s:s + chunk], iv[s:s + chunk]
-        sq = np.zeros(u.size)
-        for x in vs.positions.T:
-            dx = np.abs(x[u] - x[v])
-            if win.boundary == "torus":
-                dx = np.minimum(dx, win.side - dx)
-            sq += dx * dx
-        dist = dx if win.d == 1 else np.sqrt(sq)
-        with np.errstate(divide="ignore", over="ignore"):
-            p = connect_prob(spec, w[u], w[v], dist)
-        keep[s:s + chunk] = uniform_array(seed, "edges", u * n + v) <= p
-    return iu[keep], iv[keep]
-
-
 @pytest.mark.parametrize("name", list(SWEEP_SPECS))
 def test_pairwise_sweep_matches_pair_by_pair_reference(name):
     spec = SWEEP_SPECS[name]
@@ -706,7 +624,11 @@ def test_pairwise_sweep_matches_pair_by_pair_reference(name):
             spec = replace(spec, n=n)
         vs = _sweep_vertices(spec, n, 11)
         u, v = models._pairwise_pairs(spec, 11, vs)
-        ru, rv = _reference_pairs(spec, 11, vs)
+        ru, rv = oracles.pair_sweep(
+            vs.positions, vs.weights, vs.window.side,
+            vs.window.boundary == "torus",
+            lambda w_u, w_v, dist: connect_prob(spec, w_u, w_v, dist),
+            lambda keys: uniform_array(11, "edges", keys))
         assert u.dtype == v.dtype == np.int64, (name, n)
         assert np.array_equal(u, ru) and np.array_equal(v, rv), (name, n)
         if n > models._TILE:            # the c = 0 power kernel has no edges
@@ -726,14 +648,8 @@ EQUIV_SPECS = {
 EQUIV_SEEDS = range(24)
 
 
-def _vertices(spec, seed):
-    pos = models._uniform_positions(seed, spec.n, spec.d, 1.0)
-    return VertexSet(spec.window, pos,
-                     models._pareto_weights(seed, spec.n, spec.tau))
-
-
 def _cell_and_pairwise(spec, seed):
-    vs = _vertices(spec, seed)
+    vs = _sweep_vertices(spec, spec.n, seed)
     plan = models._cell_plan(spec, vs.weights)
     return (vs, plan, models._cell_pairs(spec, seed, vs, plan),
             models._pairwise_pairs(spec, seed, vs))
@@ -756,12 +672,9 @@ def _pair_classes(spec, vs, plan):
     n = spec.n
     iu, iv = np.triu_indices(n, 1)
     axes = [np.ascontiguousarray(x) for x in vs.positions.T]
-    sq = 0.0
-    for x in axes:
-        dx = np.abs(x[iu] - x[iv])
-        sq = sq + np.minimum(dx, 1.0 - dx) ** 2
-    p = np.asarray(connect_prob(spec, vs.weights[iu], vs.weights[iv],
-                                np.sqrt(sq)))
+    dist = oracles.window_distance(vs.positions[iu], vs.positions[iv], 1.0,
+                                   torus=True)
+    p = np.asarray(connect_prob(spec, vs.weights[iu], vs.weights[iv], dist))
     base = plan.base[plan.layer[iu] + plan.layer[iv]]
     level = np.full(iu.size, -1)
     for lev in range(int(base.max()), 0, -1):
@@ -857,6 +770,22 @@ def test_cell_sampler_matches_pairwise_in_distribution(name):
     for got in (obs, ref):
         z = (got[live] - mean[live]) / np.sqrt(var[live])
         assert (np.abs(z) < 4.0).all(), z
+
+
+def test_skipping_at_pbar_one_takes_the_whole_space_and_draws_nothing(
+        monkeypatch):
+    hashed, real = [], models._mix64_np
+    monkeypatch.setattr(models, "_mix64_np",
+                        lambda *args: hashed.append(args) or real(*args))
+    begin = np.array([0, 7, 7], dtype=np.int64)
+    end = np.array([7, 7, 7 + 2 * models._CHUNK + 3], dtype=np.int64)
+    out = list(models._skip_candidates(5, ["a", "b", "c"], begin, end,
+                                       np.ones(3)))
+    c, t = (np.concatenate(x) for x in zip(*out))
+    assert np.array_equal(c, np.repeat([0, 2], [7, 2 * models._CHUNK + 3]))
+    assert np.array_equal(t, np.arange(end[-1]))
+    assert max(x.size for x, _ in out) <= models._CHUNK
+    assert hashed == []
 
 
 def test_cell_sampler_threshold_kernel_equals_pairwise():
