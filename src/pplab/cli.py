@@ -274,7 +274,7 @@ def model_from_config(cfg: dict):
     return _build(_MODELS[model], cfg)
 
 
-def sweep_from_config(cfg: dict, seed_override=None) -> SweepSpec:
+def sweep_from_config(cfg: dict, seed_override) -> SweepSpec:
     if _require(cfg, "model") != "girg":
         raise ConfigError("sweeps run on girg models; set model = girg")
     if "n" in cfg:

@@ -345,7 +345,7 @@ class GiantCurvePoint:
     mean_second_fraction: float    # second largest / n (uniqueness proxy)
 
 
-def giant_fraction_curve(make_spec, sizes, reps: int, seed: int = 0) -> list:
+def giant_fraction_curve(make_spec, sizes, reps: int, seed: int) -> list:
     """Mean largest- and second-largest-component fractions per size.
 
     Components do not depend on edge lengths, so the graphs carry unit ones.
@@ -378,7 +378,7 @@ class AsymmetrySideResult:
 
 
 def asymmetry_experiment(f, sides, t: float, reps: int, *,
-                         seed: int = 0) -> list:
+                         seed: int) -> list:
     """Outward vs inward cheap-edge counts at a pinned origin, per side.
 
     Each repetition draws a fresh windowed-IGIRG cloud (lam = 1, d = 1,
@@ -475,7 +475,7 @@ def hrg_mapped_probability(arg, T_H: float):
 
 
 def hrg_kernel_validation(n: int, alpha_H: float, C_H: float, T_H: float,
-                          reps: int, *, seed: int = 0) -> list:
+                          reps: int, *, seed: int) -> list:
     """Empirical vs predicted connection frequency, binned by mapped argument.
 
     Each repetition subsamples 200,000 vertex pairs uniformly; the edge

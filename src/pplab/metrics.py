@@ -109,8 +109,8 @@ def realized_path(res: CostSearchResult, target: int):
     return path[::-1]
 
 
-def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndarray:
-    """Bulk exact distances from each source (rows) to every vertex.
+def distance_matrix(g: Graph, f, sources) -> np.ndarray:
+    """Bulk exact outward distances from each source (rows) to every vertex.
 
     Each row is cost_search's dist from that source, from the same scipy
     dijkstra on the same cost matrix.  Explicit zero costs stay in the
@@ -118,12 +118,12 @@ def distance_matrix(g: Graph, f, sources, direction: str = "outward") -> np.ndar
     needs only some (source, target) pairs gets the same numbers faster
     from pair_distances.
     """
-    return _csgraph_dijkstra(_cost_matrix(g, f, direction),
+    return _csgraph_dijkstra(_cost_matrix(g, f, "outward"),
                              indices=_vertex_ids(g.n, sources, "source"))
 
 
-def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray:
-    """Distance of each (a, b) pair, bit for bit distance_matrix's [a][b].
+def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
+    """Each (a, b) pair's cost_search(g, f, a, direction).dist[b], bit for bit.
 
     A landmark bound (Goldberg and Harrelson, SODA 2005) stops each search
     early.  Two full searches from the hub h, the heaviest vertex (ties to
@@ -164,7 +164,7 @@ def pair_distances(g: Graph, f, pairs, direction: str = "outward") -> np.ndarray
 # explosion diagnostics
 
 
-def n1t(g: Graph, f, v: int, t: float, direction: str = "outward") -> int:
+def n1t(g: Graph, f, v: int, t: float, direction: str) -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
     check_domains(locals(), t="[0, inf]")
     return int(np.count_nonzero(_slot_costs(g, f, direction, v) <= t))
@@ -261,7 +261,7 @@ def delta_good_scan(g: Graph, b: BoxingSystem, tau: float) -> DeltaGoodScan:
 
 
 def check_F2(g: Graph, b: BoxingSystem, tau: float, epsilon: float | None = None,
-             scan: DeltaGoodScan | None = None) -> list:
+             *, scan: DeltaGoodScan) -> list:
     """Per-annulus F2 flags for k = 0..k_star-1.
 
     F2 at k: every delta-good leader of Gamma_k has at least
@@ -270,8 +270,6 @@ def check_F2(g: Graph, b: BoxingSystem, tau: float, epsilon: float | None = None
     """
     eps = b.delta if epsilon is None else epsilon
     check_domains(locals(), eps="(0, 1)")
-    if scan is None:
-        scan = delta_good_scan(g, b, tau)
     flags = []
     for k in range(b.k_star):      # annuli are ordered k = 0..k_star
         threshold = b.leader_count_threshold(k + 1, eps)
@@ -302,8 +300,7 @@ class GreedyFailure:
 
 
 def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
-                      start_leader: int,
-                      scan: DeltaGoodScan | None = None):
+                      start_leader: int, *, scan: DeltaGoodScan):
     """Hop annulus by annulus to k_star along minimal-L edges to good leaders.
 
     Hop choice follows the raw edge length L (ties to lowest id); hop costs
@@ -311,8 +308,6 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
     Returns a GreedyPath, or a GreedyFailure naming the first annulus that
     offers no adjacent delta-good leader (an expected outcome, not an error).
     """
-    if scan is None:
-        scan = delta_good_scan(g, b, tau)
     k0 = next((s.k for s in scan.annuli if start_leader in s.good_leaders),
               None)
     if k0 is None:

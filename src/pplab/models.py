@@ -505,9 +505,10 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
 #            II pairs of (i, j, l) form one flat index space; candidates are
 #            drawn from it by geometric skipping under pbar, and a
 #            candidate is an edge when its pair coin satisfies
-#            coin * pbar <= p.  Where pbar is 1 (at the base level, when
-#            the radius is exactly a cell side) every skip is 0, so every
-#            pair is a candidate and its own coin decides it.
+#            coin * pbar <= p.  A class whose pbar is 1 (at the base
+#            level, when the radius is exactly a cell side) has nothing to
+#            skip: each of its pairs is decided by its own coin, as type I
+#            pairs are.
 # So every pair is an edge with probability p, independently of the others.
 
 # Pairs or skip draws per array pass: a pass's arrays stay in a core's L2
@@ -727,23 +728,16 @@ def _coin_edges(spec, master_seed, axes, w, order, a0, na, b0, nb, same):
 def _skip_candidates(master_seed, labels, begin, end, pbar):
     """Geometric skipping: yields (c, t) arrays in chunks, where each index
     t in [begin[c], end[c]) of space c is a candidate independently with
-    probability pbar[c] (0 < pbar <= 1).  Draw number k of space c is the
+    probability pbar[c] (0 < pbar < 1).  Draw number k of space c is the
     uniform (master_seed, labels[c], k) and skips floor(log U / log(1 -
-    pbar)) indices, so the candidates do not depend on the chunking.  At
-    pbar = 1 every gap would be 0, so such a space yields its whole range
-    and draws nothing.
+    pbar)) indices, so the candidates do not depend on the chunking.
     """
-    for c in np.flatnonzero((pbar == 1.0) & (end > begin)):
-        for lo in range(begin[c], end[c], _CHUNK):
-            t = np.arange(lo, min(lo + _CHUNK, end[c]))
-            yield np.full(t.size, c), t
     keys = np.array([stream_key(master_seed, lab) for lab in labels],
                     dtype=np.uint64)
-    with np.errstate(divide="ignore"):      # -inf at pbar = 1, unread
-        log_q = np.log1p(-pbar)
+    log_q = np.log1p(-pbar)
     drawn = np.zeros(len(labels), dtype=np.int64)
     last = begin - 1
-    live = np.flatnonzero((end > begin) & (pbar < 1.0))
+    live = np.flatnonzero(end > begin)
     while live.size:
         mu = (end[live] - 1 - last[live]) * pbar[live]
         want = np.minimum(np.ceil(mu + 4.0 * np.sqrt(mu) + 4.0),
@@ -814,30 +808,34 @@ def _cell_pairs(spec: Girg, master_seed, vs: VertexSet, plan: _CellPlan):
         m = 1 << level
         near = base == level
         pbar = np.zeros(s.size)
-        far = np.zeros(s.size, dtype=bool)
         if level >= 2:
             far = base >= level
             pbar[far] = _type_two_bound(spec, s[far], level)
-            far &= pbar > 0.0
-        if not (near.any() or far.any()):
+        # a far class with bound 1 is coined pair by pair like the near
+        # classes; a far class with a bound below 1 is skipped
+        whole, skip = pbar == 1.0, (pbar > 0.0) & (pbar < 1.0)
+        live = near | whole | skip
+        if not live.any():
             continue
         coarse = (grid >> (plan.finest - level)) & (m - 1)
         cell = sum(coarse[:, k] * m**k for k in range(d))
-        index = _level_index(plan.layer, cell, m**d, np.union1d(
-            ci[near | far], cj[near | far]))
+        index = _level_index(plan.layer, cell, m**d,
+                             np.union1d(ci[live], cj[live]))
         order = index[1]
-        if near.any():
-            a0, na, b0, nb, _, same = _cell_blocks(
-                index, m, ci[near], cj[near], _cell_offsets(level, d, False))
-            keys.extend(_coin_edges(spec, master_seed, axes, w, order,
-                                    a0, na, b0, nb, same))
-        if far.any():
+        for coined, far_offsets in ((near, False), (whole, True)):
+            if coined.any():
+                a0, na, b0, nb, _, same = _cell_blocks(
+                    index, m, ci[coined], cj[coined],
+                    _cell_offsets(level, d, far_offsets))
+                keys.extend(_coin_edges(spec, master_seed, axes, w, order,
+                                        a0, na, b0, nb, same))
+        if skip.any():
             a0, na, b0, nb, cls, _ = _cell_blocks(
-                index, m, ci[far], cj[far], _cell_offsets(level, d, True))
+                index, m, ci[skip], cj[skip], _cell_offsets(level, d, True))
             labels = [f"skip:{i}:{j}:{level}"
-                      for i, j in zip(ci[far], cj[far])]
+                      for i, j in zip(ci[skip], cj[skip])]
             keys.extend(_skip_edges(spec, master_seed, axes, w, order, a0,
-                                    na, b0, nb, cls, labels, pbar[far]))
+                                    na, b0, nb, cls, labels, pbar[skip]))
     edges = np.sort(np.concatenate(keys)) if keys else np.zeros(0, np.int64)
     return edges // n, edges % n
 

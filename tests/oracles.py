@@ -27,6 +27,8 @@ cost.solve_boxing_params, pplab params | boxing_param_problems | test_cost::test
 models.connect_prob (power kernel) | power_kernel | test_models::test_connect_prob_matches_the_closed_form
 models.Graph.csr | reference_csr | test_models::test_csr_matches_argsort_reference
 models._pairwise_pairs | pair_sweep | test_models::test_pairwise_sweep_matches_pair_by_pair_reference
+models._cell_pairs (each pair's class) | cell_classes | test_models::test_cell_sampler_decides_each_pair_by_its_class
+ | | test_models::test_cell_sampler_coins_every_class_at_bound_one
 the sweeps' window metric | window_distance | test_models::test_cell_sampler_decides_each_pair_by_its_class
 rng.weight_from_uniform, the Hrg weight map | weight_cdf | test_rng::test_weight_ks_statistic
  | | test_models::test_hrg_mapped_weight_tail
@@ -35,7 +37,8 @@ EdgeLengthLaw.quantile, sample_from_uniform | length_cdf | test_rng::test_quanti
 Out of scope: perfbench/reference.py keeps its own Dijkstra, leaders,
 threshold and boxing flags, which check each timed run's output (a graph
 file's text, a sweep CSV) and change only with the benchmark; the Girg cell
-sampler is held to the all-pairs sweep, still in src (ROADMAP item 4).
+sampler's graphs are also held to the all-pairs sweep, still in src
+(ROADMAP item 4).
 """
 from __future__ import annotations
 
@@ -263,6 +266,56 @@ def pair_sweep(positions, weights, side, torus, kernel, coins) -> tuple:
             keep[s:s + (1 << 18)] = coins(u * len(w) + v) <= kernel(
                 w[u], w[v], dist)
     return iu[keep], iv[keep]
+
+
+def cell_classes(positions, weights, n, d, kernel) -> tuple:
+    """(iu, iv, p, level, pbar) of every pair u < v on the unit torus
+    [-1/2, 1/2)^d under the cell sampler's class rule.
+
+    Vertex u sits in layer floor(log2 w_u).  Level l cuts each axis into
+    2^l cells, down to the finest level with 2^(l d) <= n.  The base level
+    of a layer sum s is the finest level whose cell side 2^-l is at least
+    the connection radius at weight product 2^(s+2): the kernel is below 1
+    just beyond that side (level 0 if no level's is).  From the first sum
+    whose base level is at most 1 on, the layers merge into one; no class
+    moves, as levels 0 and 1 cut no pair apart.  A pair whose cells at base
+    level are neighbours (at most one cell apart on every axis, cyclically)
+    is of type I: level -1 and pbar 1.  Any other pair's level is the
+    coarsest level where its cells are not neighbours, and its pbar is
+    kernel(2^(s+2), 1, 2^-level).  p is the pair's own kernel.
+    """
+    pos, w = np.asarray(positions, np.float64), np.asarray(weights, np.float64)
+    finest = 0
+    while 2 ** ((finest + 1) * d) <= n:
+        finest += 1
+    layer = np.floor(np.log2(w)).astype(np.int64)
+
+    def covers(s, lev):            # side 2^-lev >= radius at 2^(s+2)
+        beyond = np.nextafter(2.0 ** -lev, 2.0)
+        return float(kernel(2.0 ** (s + 2), 1.0, beyond)) < 1.0
+
+    base = [max([lev for lev in range(finest + 1) if covers(s, lev)],
+                default=0) for s in range(2 * int(layer.max()) + 1)]
+    top = next((s for s, b in enumerate(base) if b <= 1), None)
+    if top is not None:
+        layer = np.minimum(layer, top)
+    iu, iv = np.triu_indices(n, 1)
+    s = layer[iu] + layer[iv]
+    pair_base = np.asarray(base)[s]
+    level = np.full(iu.size, -1)
+    for lev in range(max(base), 1, -1):
+        apart = np.zeros(iu.size, dtype=bool)
+        for k in range(d):
+            cell = np.floor((pos[:, k] + 0.5) * 2**lev).astype(np.int64) % 2**lev
+            gap = np.abs(cell[iu] - cell[iv])
+            apart |= np.minimum(gap, 2**lev - gap) > 1
+        level[apart & (lev <= pair_base)] = lev
+    p = np.asarray(kernel(w[iu], w[iv], window_distance(
+        pos[iu], pos[iv], 1.0, torus=True)), np.float64)
+    pbar = np.asarray(kernel(np.ldexp(1.0, s + 2), 1.0,
+                             np.ldexp(1.0, -np.maximum(level, 0))), np.float64)
+    pbar[level < 0] = 1.0
+    return iu, iv, p, level, pbar
 
 
 def reference_csr(n, edges_u, edges_v) -> tuple:

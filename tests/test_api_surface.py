@@ -16,7 +16,10 @@ that shares its name with an attribute in use therefore counts as reached.
 The same reached code must pass every defaulted parameter of a public
 function or method, by keyword or by position, in some call; a call with
 ``*`` or ``**`` passes every parameter.  A parameter that no such call
-passes is a setting nobody uses, and becomes a constant.
+passes is a setting nobody uses, and becomes a constant.  Some such call
+must also leave each defaulted parameter out: a default that no call
+relies on is a value every caller states anyway, so the parameter becomes
+required.
 
 The same reached code must also read every field of a public dataclass:
 load it as an attribute, matched by name as a method is.  A store, a
@@ -45,11 +48,7 @@ KEEP: dict = {}
 
 
 # Defaulted parameters that reached code never passes, kept for the tests.
-UNPASSED = {
-    "metrics.distance_matrix.direction":
-        "the reference that test_metrics compares pair_distances against, "
-        "in both directions",
-}
+UNPASSED: dict = {}
 
 # Dataclass fields that reached code never reads, kept for the tests.
 UNREAD: dict = {}
@@ -187,7 +186,9 @@ def _public_functions():
                         yield f"{path.stem}.{node.name}.{m.name}", m, 1
 
 
-def _unpassed() -> list:
+def _defaulted_calls():
+    """(dotted name, defaulted parameter, whether each call of the function
+    in reached code passes it) for every public function and method."""
     calls = {}                     # bare callee name -> [ast.Call]
     trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
     for tree in trees + _callers():
@@ -197,7 +198,6 @@ def _unpassed() -> list:
                 name = (func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute) else None)
                 calls.setdefault(name, []).append(node)
-    out = []
     for dotted, fn, skip in _public_functions():
         a = fn.args
         positional = a.posonlyargs + a.args
@@ -207,18 +207,27 @@ def _unpassed() -> list:
                                                    a.kw_defaults)
                       if d is not None]
         for param, pos in defaulted:
-            if not any(any(isinstance(x, ast.Starred) for x in c.args)
-                       or any(k.arg in (None, param) for k in c.keywords)
-                       or (pos is not None and len(c.args) > pos)
-                       for c in calls.get(fn.name, ())):
-                out.append(f"{dotted}.{param}")
-    return sorted(p for p in out if p not in UNPASSED)
+            yield dotted, param, [
+                any(isinstance(x, ast.Starred) for x in c.args)
+                or any(k.arg in (None, param) for k in c.keywords)
+                or (pos is not None and len(c.args) > pos)
+                for c in calls.get(fn.name, ())]
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
-    unused = _unpassed()
+    unused = sorted(f"{dotted}.{param}"
+                    for dotted, param, passes in _defaulted_calls()
+                    if not any(passes) and f"{dotted}.{param}" not in UNPASSED)
     assert not unused, ("defaulted parameters that no call outside the unit "
                         "tests passes: " + ", ".join(unused))
+
+
+def test_every_default_is_relied_on_outside_the_unit_tests():
+    always = sorted(f"{dotted}.{param}"
+                    for dotted, param, passes in _defaulted_calls()
+                    if all(passes))
+    assert not always, ("defaulted parameters that every call outside the "
+                        "unit tests passes: " + ", ".join(always))
 
 
 def _is_dataclass(decorator) -> bool:
@@ -284,7 +293,7 @@ def test_every_benchmark_probe_installs_on_the_package():
 ORACLES = ROOT / "tests" / "oracles.py"
 # what the fast paths build; a reference that read one would move with it
 FAST_PATH_INTERNALS = {"csr", "_slot_costs", "_clause_bounds",
-                       "idelta_interval", "_xi", "_rho"}
+                       "idelta_interval", "_xi", "_rho", "_cell_plan"}
 
 
 def test_the_oracles_stand_apart_from_the_code_they_check():

@@ -167,19 +167,20 @@ def test_model_from_config_all_models():
 def test_sweep_from_config_guards():
     base = ("model = girg\nd = 2\ntau = 2.5\nalpha = 2.0\nc = 0.5\n"
             "penalty = prod:1\nbeta_grid = 0.1\nsize_grid = 64\n")
-    spec = sweep_from_config(parse_config(base + "law_family = poly\n"))
+    spec = sweep_from_config(parse_config(base + "law_family = poly\n"), None)
     assert spec.law_family is PolyAtZero
     assert spec.pairs_per_graph == 30 and spec.graphs_per_cell == 5
     with pytest.raises(ConfigError, match="flat penalties"):
-        sweep_from_config(parse_config(base + "law_family = exp\n"))
+        sweep_from_config(parse_config(base + "law_family = exp\n"), None)
     flat = base.replace("penalty = prod:1", "penalty = prod:0")
-    fpp = sweep_from_config(parse_config(flat + "law_family = exp\n"))
+    fpp = sweep_from_config(parse_config(flat + "law_family = exp\n"), None)
     assert fpp.law_family is Exponential
     with pytest.raises(ConfigError, match="drop the n key"):
-        sweep_from_config(parse_config(base + "law_family = poly\nn = 8\n"))
+        sweep_from_config(parse_config(base + "law_family = poly\nn = 8\n"),
+                          None)
     with pytest.raises(ConfigError, match="model = girg"):
         sweep_from_config(parse_config(
-            "model = hrg\nn = 8\nalpha_h = 0.75\nc_h = 1.0\n"))
+            "model = hrg\nn = 8\nalpha_h = 0.75\nc_h = 1.0\n"), None)
 
 
 @pytest.mark.parametrize("extra", [
@@ -203,7 +204,7 @@ def test_sweep_refuses_keys_it_does_not_read(extra):
             f"size_grid = 64\n{extra}\n")
     key = extra.split()[0]
     with pytest.raises(ConfigError) as exc:
-        sweep_from_config(parse_config(text))
+        sweep_from_config(parse_config(text), None)
     assert str(exc.value) == (f"config key {key!r} is not read by sweep "
                               "with model = girg")
 
@@ -220,7 +221,7 @@ def test_optional_keys_fall_back_to_the_dataclass_defaults():
     base = ("model = girg\nd = 2\ntau = 2.5\nalpha = 2.0\nc = 0.5\n"
             "penalty = prod:1\nlaw_family = poly\nbeta_grid = 0.1\n"
             "size_grid = 64\n")
-    spec = sweep_from_config(parse_config(base))
+    spec = sweep_from_config(parse_config(base), None)
     assert spec == experiments.SweepSpec(
         base=Girg(n=1, d=2, tau=2.5, alpha=2.0, c=0.5), f=spec.f,
         law_family=PolyAtZero, beta_grid=(0.1,), size_grid=(64,))

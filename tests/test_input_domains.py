@@ -183,7 +183,8 @@ def _unreachable_or_overflowed(graph, penalty, source, target) -> bool:
 def _sweep_overflows(cfg) -> bool:
     """The one graph of a one-cell sweep config has a +inf cost; it is
     drawn as the sweep draws it."""
-    spec = cli.sweep_from_config(cli.parse_config(Path(cfg).read_text()))
+    spec = cli.sweep_from_config(cli.parse_config(Path(cfg).read_text()),
+                                 None)
     (n,), (beta,) = spec.size_grid, spec.beta_grid
     base = generate(replace(spec.base, n=n),
                     derive_master(spec.seed, f"graph:{n}:0"))

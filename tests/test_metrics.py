@@ -121,9 +121,9 @@ def _girg200():
 @pytest.mark.parametrize("call", [
     lambda g, x: cost_search(g, ONE, x),
     lambda g, x: distance_matrix(g, ONE, [0, x]),
-    lambda g, x: pair_distances(g, ONE, [(0, 1), (x, 5)]),
-    lambda g, x: pair_distances(g, ONE, [(5, x)]),
-    lambda g, x: n1t(g, ONE, x, 100.0),
+    lambda g, x: pair_distances(g, ONE, [(0, 1), (x, 5)], "outward"),
+    lambda g, x: pair_distances(g, ONE, [(5, x)], "outward"),
+    lambda g, x: n1t(g, ONE, x, 100.0, "outward"),
     lambda g, x: n1t(g, ONE, x, 100.0, "inward"),
     lambda g, x: saw_path_count(g, x, 2),
     lambda g, x: realized_path(cost_search(g, ONE, 0), x),
@@ -173,8 +173,8 @@ def test_directionality_of_asymmetric_costs():
     g = _hand_graph(2, [(0, 1, 1.0)], weights=[2.0, 3.0])
     assert cost_search(g, f, 0, "outward").dist[1] == pytest.approx(2.0)
     assert cost_search(g, f, 0, "inward").dist[1] == pytest.approx(3.0)
-    out = distance_matrix(g, f, [0], "outward")[0]
-    inw = distance_matrix(g, f, [0], "inward")[0]
+    out = distance_matrix(g, f, [0])[0]
+    inw = oracles.heap_search(2, _costs(g, f, "inward"), 0)[1]
     assert out[1] == pytest.approx(2.0)
     assert inw[1] == pytest.approx(3.0)
 
@@ -214,8 +214,8 @@ def test_cost_search_matches_the_heap_reference():
             cost = _costs(g, f, direction)
             settled, dist, _ = oracles.heap_search(g.n, cost, source)
             assert np.array_equal(res.dist, dist)
-            assert np.array_equal(distance_matrix(g, f, [source], direction)[0],
-                                  dist)
+            if direction == "outward":
+                assert np.array_equal(distance_matrix(g, f, [source])[0], dist)
             assert res.settled == sorted(settled, key=lambda s: (s[1], s[0]))
             for t in range(g.n):
                 path = realized_path(res, t)
@@ -281,7 +281,7 @@ def test_distance_matrix_edgeless():
 def _assert_pair_distances_exact(g, f, pairs, direction):
     """pair_distances == the full scipy search == the heap search, bit for bit."""
     got = pair_distances(g, f, pairs, direction)
-    full = [distance_matrix(g, f, [a], direction)[0][b] for a, b in pairs]
+    full = [cost_search(g, f, a, direction).dist[b] for a, b in pairs]
     cost = _costs(g, f, direction)
     heap = [oracles.heap_search(g.n, cost, a)[1][b] for a, b in pairs]
     assert np.array_equal(got, full), (direction, pairs, got, full)
@@ -317,8 +317,8 @@ def test_pair_distances_equal_full_searches_on_generated_graphs():
             pairs = _repeating_pairs(rng, g.n, 24)
             for direction in ("outward", "inward"):
                 got = pair_distances(g, f, pairs, direction)
-                full = distance_matrix(g, f, [a for a, _ in pairs], direction)
-                want = full[np.arange(len(pairs)), [b for _, b in pairs]]
+                want = [cost_search(g, f, a, direction).dist[b]
+                        for a, b in pairs]
                 assert np.array_equal(got, want)
 
 
@@ -363,9 +363,9 @@ def test_pair_distances_with_the_hub_outside_the_pairs_component():
     pairs = [(0, 3), (3, 0), (1, 3), (0, 0), (0, 4), (4, 5), (4, 0)]
     for direction in ("outward", "inward"):
         _assert_pair_distances_exact(g, f, pairs, direction)
-    got = pair_distances(g, f, pairs)
+    got = pair_distances(g, f, pairs, "outward")
     assert got[3] == 0.0 and math.isinf(got[4]) and math.isinf(got[6])
-    assert pair_distances(g, f, []).shape == (0,)
+    assert pair_distances(g, f, [], "outward").shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +377,16 @@ def test_n1t_counts_cheap_incident_edges():
     g = _hand_graph(4, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 0.0)],
                     weights=[2.0, 1.0, 1.0, 1.0])
     # outward costs from 0: 2, 4, 0
-    assert n1t(g, f, 0, 0.0) == 1
-    assert n1t(g, f, 0, 2.0) == 2
-    assert n1t(g, f, 0, 100.0) == 3
+    assert n1t(g, f, 0, 0.0, "outward") == 1
+    assert n1t(g, f, 0, 2.0, "outward") == 2
+    assert n1t(g, f, 0, 100.0, "outward") == 3
     # into 0 the same edges price the leaf weight instead: 1, 2, 0
     assert n1t(g, f, 0, 1.0, "inward") == 2
-    assert n1t(g, f, 1, 1.0) == 1
+    assert n1t(g, f, 1, 1.0, "outward") == 1
     with pytest.raises(ValueError):
-        n1t(g, f, 0, -1.0)
+        n1t(g, f, 0, -1.0, "outward")
     with pytest.raises(ValueError):
-        n1t(g, f, 0, math.nan)
+        n1t(g, f, 0, math.nan, "outward")
     with pytest.raises(ValueError):
         n1t(g, f, 0, 1.0, "sideways")
 
@@ -569,12 +569,14 @@ def test_check_f2_full_and_broken():
         assert 1.0 < b.leader_count_threshold(k + 1, eps) <= 2.0
         assert b.annuli[k + 1].count >= 2
     g = _graph(vs, _wire_f2(b, slot, [2] * b.k_star))
-    assert check_F2(g, b, TAU, epsilon=eps) == [True] * b.k_star
+    assert check_F2(g, b, TAU, epsilon=eps,
+                    scan=delta_good_scan(g, b, TAU)) == [True] * b.k_star
     # one lone neighbour at k = 2 misses the threshold
     need = [2] * b.k_star
     need[2] = 1
     g = _graph(vs, _wire_f2(b, slot, need))
-    flags = check_F2(g, b, TAU, epsilon=eps)
+    flags = check_F2(g, b, TAU, epsilon=eps,
+                     scan=delta_good_scan(g, b, TAU))
     assert flags[2] is False
     assert [f for i, f in enumerate(flags) if i != 2] == [True] * (b.k_star - 1)
 
@@ -585,7 +587,8 @@ def test_check_f2_vacuous_without_good_leaders():
     for r in range(b.annuli[0].count):  # make every annulus-0 leader bad
         w[slot[(0, r)]] = b.leader_weight_interval(0, TAU)[1] * 4.0
     g = _graph(VertexSet(window, vs.positions, w), [])
-    flags = check_F2(g, b, TAU, epsilon=0.9)
+    flags = check_F2(g, b, TAU, epsilon=0.9,
+                     scan=delta_good_scan(g, b, TAU))
     assert flags[0] is True      # no good leader at 0: nothing to check
     assert flags[1] is False     # good leaders at 1 with no edges at all
 
@@ -601,7 +604,8 @@ def test_greedy_path_follows_min_length_and_prices_hops():
     ] + [(slot[(k, 1 if k == 1 else 0)], slot[(k + 1, 0)], lengths[k - 1])
          for k in range(1, b.k_star)]
     g = _graph(vs, edges)
-    path = build_greedy_path(g, b, TAU, f, start)
+    path = build_greedy_path(g, b, TAU, f, start,
+                             scan=delta_good_scan(g, b, TAU))
     assert isinstance(path, GreedyPath)
     assert path.vertices == [start, slot[(1, 1)]] + [
         slot[(k, 0)] for k in range(2, b.k_star + 1)]
@@ -620,7 +624,8 @@ def test_greedy_path_breaks_length_ties_by_vertex_id():
     start = slot[(0, 0)]
     edges = [(start, slot[(1, 1)], 0.4), (start, slot[(1, 0)], 0.4)]
     g = _graph(vs, edges)
-    out = build_greedy_path(g, b, TAU, ONE, start)
+    out = build_greedy_path(g, b, TAU, ONE, start,
+                            scan=delta_good_scan(g, b, TAU))
     assert out.vertices[1] == min(slot[(1, 0)], slot[(1, 1)])
 
 
@@ -630,7 +635,8 @@ def test_greedy_path_failure_names_first_blocked_annulus():
     edges = [(start, slot[(1, 0)], 0.5),
              (slot[(1, 0)], slot[(2, 1)], 0.5)]
     g = _graph(vs, edges)
-    out = build_greedy_path(g, b, TAU, ONE, start)
+    out = build_greedy_path(g, b, TAU, ONE, start,
+                            scan=delta_good_scan(g, b, TAU))
     assert isinstance(out, GreedyFailure)
     assert out.failed_annulus == 3
     assert out.vertices == [start, slot[(1, 0)], slot[(2, 1)]]
@@ -639,7 +645,8 @@ def test_greedy_path_failure_names_first_blocked_annulus():
 def test_greedy_path_from_top_annulus_is_empty():
     window, b, vs, slot = _boxing_scene()
     g = _graph(vs, [])
-    path = build_greedy_path(g, b, TAU, ONE, slot[(b.k_star, 0)])
+    path = build_greedy_path(g, b, TAU, ONE, slot[(b.k_star, 0)],
+                             scan=delta_good_scan(g, b, TAU))
     assert path.vertices == [slot[(b.k_star, 0)]]
     assert path.hop_costs == [] and path.total_cost == 0.0
 
@@ -649,8 +656,9 @@ def test_greedy_path_rejects_non_leader_start():
     pos = np.vstack([vs.positions, vs.positions[slot[(0, 0)]][None, :] + 1e-4])
     w = np.append(vs.weights, 1.0)
     g = _graph(VertexSet(window, pos, w), [])
+    scan = delta_good_scan(g, b, TAU)
     with pytest.raises(ValueError):
-        build_greedy_path(g, b, TAU, ONE, len(w) - 1)
+        build_greedy_path(g, b, TAU, ONE, len(w) - 1, scan=scan)
 
 
 def test_greedy_bound_report_terms_and_applicability():
@@ -659,7 +667,8 @@ def test_greedy_bound_report_terms_and_applicability():
     start = slot[(0, 0)]
     edges = [(slot[(k, 0)], slot[(k + 1, 0)], 1e-8) for k in range(b.k_star)]
     g = _graph(vs, edges)
-    path = build_greedy_path(g, b, TAU, f, start)
+    path = build_greedy_path(g, b, TAU, f, start,
+                             scan=delta_good_scan(g, b, TAU))
     law = PolyAtZero(1.0)  # quantile(y) = y
     rep = greedy_bound_report(b, TAU, f, law, path)
 
@@ -679,7 +688,8 @@ def test_greedy_bound_report_terms_and_applicability():
     # one oversized hop voids the comparison
     edges[1] = (slot[(1, 0)], slot[(2, 0)], 50.0)
     g = _graph(vs, edges)
-    path = build_greedy_path(g, b, TAU, f, start)
+    path = build_greedy_path(g, b, TAU, f, start,
+                             scan=delta_good_scan(g, b, TAU))
     rep = greedy_bound_report(b, TAU, f, law, path)
     assert not rep.applicable and not rep.satisfied
 
@@ -688,7 +698,8 @@ def test_greedy_bound_requires_monomial():
     window, b, vs, slot = _boxing_scene()
     g = _graph(vs, [(slot[(k, 0)], slot[(k + 1, 0)], 0.1)
                     for k in range(b.k_star)])
-    path = build_greedy_path(g, b, TAU, power_sum_penalty(1.0), slot[(0, 0)])
+    path = build_greedy_path(g, b, TAU, power_sum_penalty(1.0), slot[(0, 0)],
+                             scan=delta_good_scan(g, b, TAU))
     with pytest.raises(ValueError):
         greedy_bound_report(b, TAU, power_sum_penalty(1.0), PolyAtZero(1.0),
                             path)
@@ -879,7 +890,8 @@ def test_symmetric_penalty_gives_symmetric_distance(girg_graph):
     d = distance_matrix(g, f, sources)[:, :30]
     np.testing.assert_allclose(d, d.T, rtol=1e-10, atol=1e-12)
     # and inward == outward when the penalty is symmetric
-    d_in = distance_matrix(g, f, sources, "inward")[:, :30]
+    d_in = np.array([cost_search(g, f, s, "inward").dist[:30]
+                     for s in sources])
     np.testing.assert_allclose(d, d_in, rtol=1e-10, atol=1e-12)
 
 

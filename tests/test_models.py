@@ -666,27 +666,12 @@ def _same_graph(a, b, n):
     return np.array_equal(_edge_set(*a, n), _edge_set(*b, n))
 
 
-def _pair_classes(spec, vs, plan):
-    """Independent classification of every pair u < v: (iu, iv, p, level),
-    level -1 for a type I pair, else the level of its type II class."""
-    n = spec.n
-    iu, iv = np.triu_indices(n, 1)
-    axes = [np.ascontiguousarray(x) for x in vs.positions.T]
-    dist = oracles.window_distance(vs.positions[iu], vs.positions[iv], 1.0,
-                                   torus=True)
-    p = np.asarray(connect_prob(spec, vs.weights[iu], vs.weights[iv], dist))
-    base = plan.base[plan.layer[iu] + plan.layer[iv]]
-    level = np.full(iu.size, -1)
-    for lev in range(int(base.max()), 0, -1):
-        m = 2**lev
-        apart = np.zeros(iu.size, dtype=bool)
-        for x in axes:
-            cell = np.floor((x + 0.5) * m).astype(np.int64) % m
-            gap = np.abs(cell[iu] - cell[iv])
-            apart |= np.minimum(gap, m - gap) > 1
-        # the coarsest level at or below base where the cells part
-        level[apart & (lev <= base)] = lev
-    return iu, iv, p, level
+def _pair_classes(spec, vs):
+    """oracles.cell_classes of every pair u < v: (iu, iv, p, level, pbar),
+    level -1 and pbar 1 for a type I pair."""
+    return oracles.cell_classes(
+        vs.positions, vs.weights, spec.n, spec.d,
+        lambda w_u, w_v, dist: connect_prob(spec, w_u, w_v, dist))
 
 
 @pytest.mark.parametrize("name", sorted(EQUIV_SPECS))
@@ -694,29 +679,25 @@ def test_cell_sampler_decides_each_pair_by_its_class(name):
     spec = EQUIV_SPECS[name]
     far_edges = 0
     for seed in range(3):
-        vs, plan, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
+        vs, _, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
         cell = np.zeros(spec.n * spec.n, dtype=bool)
         cell[_edge_set(u, v, spec.n)] = True
         pair = np.zeros(spec.n * spec.n, dtype=bool)
         pair[_edge_set(pu, pv, spec.n)] = True
-        iu, iv, p, level = _pair_classes(spec, vs, plan)
+        iu, iv, p, level, pbar = _pair_classes(spec, vs)
         keys = iu * spec.n + iv
         coins = uniform_array(seed, "edges", keys)
         near = level < 0
-        # type I: the pair's own coin, as in the sweep
-        assert np.array_equal(cell[keys[near]], coins[near] <= p[near])
-        assert np.array_equal(pair[keys[near]], cell[keys[near]])
-        # type II: an edge only when coin * pbar <= p, pbar the class bound
-        s = plan.layer[iu] + plan.layer[iv]
-        pbar = np.minimum(1.0, spec.c * (2.0 ** (s + 2) / (
-            spec.n * 2.0 ** (-level * spec.d))) ** spec.alpha)
-        hit = ~near & cell[keys]
+        # bound 1 (type I, or a far class at pbar = 1): the pair's own coin,
+        # as in the sweep
+        every = pbar == 1.0
+        assert np.array_equal(cell[keys[every]], coins[every] <= p[every])
+        assert np.array_equal(pair[keys[every]], cell[keys[every]])
+        # bound below 1: an edge only when coin * pbar <= p
+        hit = ~every & cell[keys]
         assert (coins[hit] * pbar[hit] <= p[hit]).all()
         assert (p[hit] <= pbar[hit]).all()
-        # a class with pbar = 1 makes every pair a candidate: its own coin
-        every = ~near & (pbar >= 1.0)
-        assert np.array_equal(cell[keys[every]], coins[every] <= p[every])
-        far_edges += int(hit.sum())
+        far_edges += int((~near & cell[keys]).sum())
         assert (~near).sum() > 0.5 * keys.size      # most pairs are far
     assert far_edges >= 3
 
@@ -731,7 +712,7 @@ def test_cell_sampler_matches_pairwise_in_distribution(name):
     mean = np.zeros(bins.size + 1)
     var = np.zeros(bins.size + 1)
     for seed in EQUIV_SEEDS:
-        vs, plan, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
+        vs, _, (u, v), (pu, pv) = _cell_and_pairwise(spec, seed)
         diffs.append(u.size - pu.size)
         # degree by weight decade: cell minus pairwise, per decade
         dec = np.floor(np.log10(vs.weights)).astype(np.int64)
@@ -740,7 +721,7 @@ def test_cell_sampler_matches_pairwise_in_distribution(name):
                 + np.bincount(pv, minlength=spec.n))
         deg_diffs.append([(deg - pdeg)[dec == k].sum() for k in range(3)])
         # kernel-bin frequencies over the far (type II) pairs
-        iu, iv, p, level = _pair_classes(spec, vs, plan)
+        iu, iv, p, level, _ = _pair_classes(spec, vs)
         far = level >= 0
         which = np.digitize(p[far], bins)
         keys = (iu * spec.n + iv)[far]
@@ -772,30 +753,61 @@ def test_cell_sampler_matches_pairwise_in_distribution(name):
         assert (np.abs(z) < 4.0).all(), z
 
 
-def test_skipping_at_pbar_one_takes_the_whole_space_and_draws_nothing(
-        monkeypatch):
-    hashed, real = [], models._mix64_np
-    monkeypatch.setattr(models, "_mix64_np",
-                        lambda *args: hashed.append(args) or real(*args))
-    begin = np.array([0, 7, 7], dtype=np.int64)
-    end = np.array([7, 7, 7 + 2 * models._CHUNK + 3], dtype=np.int64)
-    out = list(models._skip_candidates(5, ["a", "b", "c"], begin, end,
-                                       np.ones(3)))
-    c, t = (np.concatenate(x) for x in zip(*out))
-    assert np.array_equal(c, np.repeat([0, 2], [7, 2 * models._CHUNK + 3]))
-    assert np.array_equal(t, np.arange(end[-1]))
-    assert max(x.size for x, _ in out) <= models._CHUNK
-    assert hashed == []
+def _far_classes_at_bound_one(spec, plan) -> int:
+    """Number of (layer pair, level) far classes whose bound pbar is 1."""
+    present = np.unique(plan.layer)
+    i, j = np.triu_indices(present.size)
+    s = present[i] + present[j]
+    base = plan.base[s]
+    return sum(int((models._type_two_bound(spec, s[base >= lev], lev)
+                    == 1.0).sum()) for lev in range(2, int(base.max()) + 1))
+
+
+@pytest.mark.parametrize("spec", [
+    Girg(n=1024, d=2, tau=2.5, alpha=math.inf, c=1.0),
+    EQUIV_SPECS["pbar1-d1"],
+])
+def test_cell_sampler_coins_every_class_at_bound_one(spec, monkeypatch):
+    # a far class at pbar = 1 goes through _coin_edges pair by pair, and
+    # _skip_candidates only ever skips under a bound below 1
+    coined, bounds = [], []
+    real_coin, real_skip = models._coin_edges, models._skip_candidates
+
+    def coin_spy(spec_, seed, axes, w, order, a0, na, b0, nb, same):
+        for k in range(na.size):
+            a = order[a0[k]:a0[k] + na[k]]
+            b = order[b0[k]:b0[k] + nb[k]]
+            lo, hi = np.minimum.outer(a, b), np.maximum.outer(a, b)
+            coined.append((lo * spec.n + hi)[lo < hi])
+        return real_coin(spec_, seed, axes, w, order, a0, na, b0, nb, same)
+
+    def skip_spy(seed, labels, begin, end, pbar):
+        bounds.append(pbar.copy())
+        return real_skip(seed, labels, begin, end, pbar)
+
+    monkeypatch.setattr(models, "_coin_edges", coin_spy)
+    monkeypatch.setattr(models, "_skip_candidates", skip_spy)
+    vs = _sweep_vertices(spec, spec.n, 3)
+    models._cell_pairs(spec, 3, vs, models._cell_plan(spec, vs.weights))
+    iu, iv, _, level, pbar = _pair_classes(spec, vs)
+    whole = (iu * spec.n + iv)[(level >= 0) & (pbar == 1.0)]
+    assert whole.size > 1000
+    assert np.isin(whole, np.concatenate(coined)).all()
+    bounds = np.concatenate(bounds or [np.zeros(0)])
+    assert ((bounds > 0.0) & (bounds < 1.0)).all()
 
 
 def test_cell_sampler_threshold_kernel_equals_pairwise():
-    # pbar is 0 or 1 under the threshold kernel, so every far candidate is
-    # decided by its coin as well: same graph, type II levels included
-    spec = Girg(n=2048, d=1, tau=2.5, alpha=math.inf, c=1.0)
-    for seed in range(5):
-        vs, plan, cell, pair = _cell_and_pairwise(spec, seed)
-        assert plan.base.max() >= 2
-        assert _same_graph(cell, pair, spec.n)
+    # pbar is 0 or 1 under the threshold kernel, so every far pair that
+    # can connect is decided by its own coin: same graph, far levels
+    # included.  No golden case has a far class at pbar = 1; the d = 2
+    # graphs have 10 each.
+    for spec, seeds in ((Girg(n=2048, d=1, tau=2.5, alpha=math.inf, c=1.0), 5),
+                        (Girg(n=4096, d=2, tau=2.5, alpha=math.inf, c=1.0), 2)):
+        for seed in range(seeds):
+            vs, plan, cell, pair = _cell_and_pairwise(spec, seed)
+            assert _far_classes_at_bound_one(spec, plan) > 0
+            assert _same_graph(cell, pair, spec.n)
 
 
 @pytest.mark.parametrize("spec", [
