@@ -497,7 +497,7 @@ def hrg_kernel_validation(n: int, alpha_H: float, C_H: float, T_H: float,
     scale = math.exp(C_H / 2.0) * math.pi * n
     for rep in range(reps):
         g = generate(spec, derive_master(seed, f"hrgval:{rep}"))
-        key_sorted = g.edges_u.astype(np.int64) * n + g.edges_v
+        edge_keys = g.edges_u * n + g.edges_v
         rng = np.random.default_rng(derive_master(seed, f"hrgpairs:{rep}"))
         u = rng.integers(0, n, size=pairs_per_rep)
         v = rng.integers(0, n, size=pairs_per_rep)
@@ -510,10 +510,7 @@ def hrg_kernel_validation(n: int, alpha_H: float, C_H: float, T_H: float,
         dx = np.abs(x[lo] - x[hi])
         dx = np.minimum(dx, 1.0 - dx)
         arg = scale * dx / (w[lo] * w[hi])
-        is_edge = np.searchsorted(key_sorted, lo * n + hi)
-        found = np.zeros(lo.size, dtype=bool)
-        inb = is_edge < key_sorted.size
-        found[inb] = key_sorted[is_edge[inb]] == (lo * n + hi)[inb]
+        found = np.isin(lo * n + hi, edge_keys)
         pred = hrg_mapped_probability(arg, T_H)
         which = np.digitize(arg, edges) - 1
         ok = (which >= 0) & (which < nb)

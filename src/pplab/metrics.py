@@ -55,9 +55,11 @@ def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
         nbr, eid = nbr[row], eid[row]
         w_row = np.full(nbr.size, w[v])
     pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
-    with np.errstate(over="ignore"):    # an overflowing cost is +inf
-        cost = np.asarray(f(*pair), dtype=np.float64)
-    cost *= g.lengths[eid]         # in place: no second slot-sized array
+    ell = g.lengths[eid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = np.asarray(f(*pair), dtype=np.float64)   # overflow is +inf
+        cost *= ell                # in place: no second slot-sized array
+    cost[ell == 0.0] = 0.0         # a free hop, not 0 * inf = nan
     return cost
 
 

@@ -673,9 +673,9 @@ def _cell_blocks(index, m: int, ci, cj, offsets):
 
 def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar=None):
     """Keys u * n + v of the pairs u < v that are edges: coin <= p, or
-    coin * pbar <= p for candidates drawn under the bound pbar.  p and the
-    coin uniform_array(master_seed, "edges", u * n + v) are computed as in
-    the all-pairs sweep, bit for bit."""
+    coin * pbar <= p for candidates drawn under the bound pbar.  p is
+    computed as in the all-pairs sweep, bit for bit, and the coin is its
+    uniform_array(master_seed, "edges", u * n + v)."""
     n = w.shape[0]
     dist = tmp = None
     for k, x in enumerate(axes):
@@ -697,11 +697,7 @@ def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar=None):
     p = _power_kernel(spec, wprod, _dist_pow(dist, spec.d, out=dist), dist)
     keys = u * n
     keys += v
-    words = keys.astype(np.uint64)
-    words *= _NP_GOLDEN
-    words += np.uint64(stream_key(master_seed, "edges"))
-    coins = _uniform_from_words(_mix64_np(words, tmp.view(np.uint64)),
-                                out=wprod)
+    coins = uniform_array(master_seed, "edges", keys)
     if pbar is not None:
         coins *= pbar
     return keys[coins <= p]

@@ -100,9 +100,10 @@ def _uniform_from_words(words: np.ndarray, out: np.ndarray | None = None):
 
 def uniform_array(master_seed: int, stream_label: str, counters) -> np.ndarray:
     """Vectorised uniform(0,1] draws; bit-identical to scalar uniform()."""
-    key = np.uint64(stream_key(master_seed, stream_label))
-    c = np.asarray(counters, dtype=np.uint64)
-    return _uniform_from_words(_mix64_np(np.asarray(key + c * _NP_GOLDEN)))
+    words = np.array(counters, dtype=np.uint64)     # a copy, mixed in place
+    words *= _NP_GOLDEN
+    words += np.uint64(stream_key(master_seed, stream_label))
+    return _uniform_from_words(_mix64_np(words))
 
 
 def derive_master(master_seed: int, text: str) -> int:

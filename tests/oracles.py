@@ -55,18 +55,23 @@ import numpy as np
 def step_costs(edges_u, edges_v, lengths, weights, penalty, direction) -> dict:
     """{(x, y): cost of the search step x -> y}, both ends of every edge.
 
-    Edges are priced in edge order, length * penalty(w_tail, w_head).
+    Edges are priced in edge order, C_e = L_e * penalty(w_tail, w_head),
+    and a zero length is a free hop even where a weight overflowed to +inf.
     Inward the search runs against the direction of travel, so its step
     x -> y is travelled y -> x.
     """
     u, v = np.asarray(edges_u, np.int64), np.asarray(edges_v, np.int64)
     ell, w = np.asarray(lengths, np.float64), np.asarray(weights, np.float64)
-    fwd = (ell * np.asarray(penalty(w[u], w[v]), np.float64)).tolist()
-    back = (ell * np.asarray(penalty(w[v], w[u]), np.float64)).tolist()
+    fwd = np.asarray(penalty(w[u], w[v]), np.float64).tolist()
+    back = np.asarray(penalty(w[v], w[u]), np.float64).tolist()
     if direction == "inward":
         fwd, back = back, fwd
     costs = {}
-    for a, b, c_ab, c_ba in zip(u.tolist(), v.tolist(), fwd, back):
+    for a, b, length, f_ab, f_ba in zip(u.tolist(), v.tolist(),
+                                        ell.tolist(), fwd, back):
+        # a zero length is a free hop: 0 * inf would be nan
+        c_ab, c_ba = ((length * f_ab, length * f_ba) if length
+                      else (0.0, 0.0))
         costs[a, b], costs[b, a] = c_ab, c_ba
     return costs
 

@@ -10,8 +10,9 @@ single box is good with decent probability, and the solver-admissible
 delta caps near 0.05 for these inputs; inside a side-10^3 window M cannot
 exceed ln(10^3)/(D*C) ~ 5.6, so the per-box success probability sits near
 0.2 and the all-annuli rate lands around 0.1-0.5, far from the 0.9 the
-check demands (that bar needs window sides beyond e^17).  The assert is
-kept faithful rather than loosened; see README for the full argument.
+check demands.  ROADMAP item 14's exact law gives 0.364 at side 10^3 and
+first passes 0.9 between sides 10^10 (0.762) and 10^11 (0.951).  The assert
+is kept faithful rather than loosened; see README for the full argument.
 
 Two clauses pass vacuously.  Criterion 2's flat arm compares an absolute
 slope against NONGROWING_SLOPE_BUDGET = 0.1, about 10^10 times its

@@ -30,6 +30,9 @@ The slow references in tests/oracles.py stand apart from the package: the
 module imports no pplab and names none of the structures its fast paths
 build, no test module imports another, and its docstring table names each
 reference once, with tests that exist.
+
+Every ``pytest.raises(ValueError)`` or ``pytest.raises(ConfigError)`` in the
+tests names what it refuses, by ``match=`` or by binding the exception.
 """
 from __future__ import annotations
 
@@ -334,3 +337,20 @@ def test_the_oracle_table_names_each_reference_once_with_real_tests():
         tests = ast.parse((ROOT / "tests" / f"{module}.py").read_text()).body
         assert name in {t.name for t in tests
                         if isinstance(t, ast.FunctionDef)}, (module, name)
+
+
+def test_every_refusal_check_names_what_it_refuses():
+    # ConfigError subclasses ValueError, so a bare check passes for any
+    # refusal, including one that names the wrong field
+    bare = []
+    for path in (ROOT / "tests").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bound = {id(item.context_expr) for node in ast.walk(tree)
+                 for item in getattr(node, "items", ()) if item.optional_vars}
+        bare += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "pytest.raises"
+                 and ast.unparse(node.args[0]) in ("ValueError", "ConfigError")
+                 and "match" not in {k.arg for k in node.keywords}
+                 and id(node) not in bound]
+    assert not bare, "pytest.raises without match=: " + ", ".join(bare)

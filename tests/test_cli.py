@@ -24,46 +24,14 @@ from pplab.cli import (
     sweep_from_config,
     write_graph_text,
 )
-from pplab.cost import MaxPenalty
 from pplab.geometry import Window
 from pplab.models import (Girg, Graph, Hrg, IgirgWindow, SfpWindow, VertexSet,
                           generate)
-from pplab.rng import DoubleExpFlat, Exponential, PointMass, PolyAtZero
+from pplab.rng import Exponential, PolyAtZero
 
 
 # ---------------------------------------------------------------------------
 # mini-grammars
-
-
-def test_penalty_grammar():
-    assert parse_penalty("prod:1").terms == ((1.0, 1.0, 1.0),)
-    assert parse_penalty("mono:2,0.5").terms == ((1.0, 2.0, 0.5),)
-    assert parse_penalty("sum:1.5").terms == \
-        ((1.0, 1.5, 0.0), (1.0, 0.0, 1.5))
-    mx = parse_penalty("max:2")
-    assert isinstance(mx, MaxPenalty) and mx.mu == 2.0
-    two = parse_penalty("poly:1,1.75,0;1,0,0.75")
-    assert two.terms == ((1.0, 1.75, 0.0), (1.0, 0.0, 0.75))
-    assert parse_penalty(" prod:0 ").deg == 0.0
-
-
-@pytest.mark.parametrize("bad", [
-    "prod", "prod:", "prod:x", "mono:1", "mono:1,2,3", "frob:1",
-    "poly:1,-1,0", "poly:0,1,1", "max:0", "poly:",
-])
-def test_penalty_grammar_rejects(bad):
-    with pytest.raises(ConfigError):
-        parse_penalty(bad)
-
-
-def test_length_law_grammar():
-    assert parse_length_law("poly:0.5") == PolyAtZero(0.5)
-    assert parse_length_law("exp:2") == Exponential(2.0)
-    assert parse_length_law("dexp:2,1,1") == DoubleExpFlat(2.0, 1.0, 1.0)
-    assert parse_length_law("point:3") == PointMass(3.0)
-    for bad in ("poly:0", "exp:-1", "dexp:1,1", "gauss:1", "poly"):
-        with pytest.raises(ConfigError):
-            parse_length_law(bad)
 
 
 GRAMMAR_PENALTIES = [
@@ -132,11 +100,11 @@ def test_config_rejections():
         parse_config("n = 1\nn = 2\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("just some words\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="expected an integer"):
         parse_config("n = 2.5\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="expected true or false"):
         parse_config("pin_origin = maybe\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown penalty kind"):
         parse_config("penalty = frob:1\n")
 
 
@@ -159,7 +127,8 @@ def test_model_from_config_all_models():
     assert hrg == Hrg(n=100, alpha_H=0.75, C_H=1.0, T_H=0.5)
     with pytest.raises(ConfigError, match="missing required"):
         model_from_config(parse_config("model = girg\nn = 10\n"))
-    with pytest.raises(ConfigError):  # dataclass domain check surfaces
+    # the dataclass domain check surfaces
+    with pytest.raises(ConfigError, match="^tau must exceed 1"):
         model_from_config(parse_config(
             "model = girg\nn = 10\nd = 2\ntau = 1.0\nalpha = 2.0\nc = 0.5\n"))
 
@@ -289,7 +258,8 @@ def test_graph_file_rejects_malformed():
     with pytest.raises(ValueError, match="u < v"):
         read_graph_text("#format pplab-graph 1\n#model girg\n#d 1\n#n 2\n"
                         "#side 1.0\nv 0 0.1 1.0\nv 1 0.2 1.0\ne 1 0 1.0\n")
-    with pytest.raises(ValueError):   # weights below 1 are not a VertexSet
+    # weights below 1 are not a VertexSet
+    with pytest.raises(ValueError, match="^weights must be >= 1"):
         read_graph_text("#format pplab-graph 1\n#model girg\n#d 1\n#n 1\n"
                         "#side 1.0\nv 0 0.1 0.5\n")
 
@@ -564,35 +534,6 @@ def test_cmd_generate_edge_count_matches_pair_oracle(tmp_path, capsys):
     sd = math.sqrt(n_pairs * float((p * (1.0 - p)).mean()))
     mc_err = n_pairs * float(p.std()) / math.sqrt(reps)
     assert abs(edges - mean) <= 3.0 * (sd + mc_err)
-
-
-def test_cmd_classify_lines(capsys):
-    rc, out, _ = _run(capsys, "classify", "--tau", "2.5", "--alpha", "2",
-                      "--penalty", "prod:1", "--law", "poly:0.1")
-    assert rc == 0 and out.startswith("ExplosiveLengthwise ")
-    assert out.count("\n") == 1
-    rc, out, _ = _run(capsys, "classify", "--tau", "2.5", "--alpha", "0.5",
-                      "--penalty", "prod:1", "--law", "poly:0.1")
-    assert rc == 0 and out.startswith("ExplosiveSideways ")
-    rc, out, _ = _run(capsys, "classify", "--tau", "1.5", "--alpha", "2",
-                      "--penalty", "poly:1,1.75,0;1,0,0.75", "--law",
-                      "poly:1")
-    assert rc == 0 and out.startswith("Inconclusive ")
-    rc, out, _ = _run(capsys, "classify", "--tau", "2.5", "--alpha", "2",
-                      "--penalty", "prod:0", "--law", "exp:1")
-    assert rc == 0 and out.startswith("FppExplosive ")
-    rc, out, _ = _run(capsys, "classify", "--tau", "2.5", "--alpha", "2",
-                      "--penalty", "prod:0", "--law", "dexp:2,1,1")
-    assert rc == 0 and out.startswith("FppConservative ")
-    rc, _, err = _run(capsys, "classify", "--tau", "0.5", "--alpha", "2",
-                      "--penalty", "prod:1", "--law", "poly:1")
-    assert rc == 2 and "tau" in err
-    rc, _, err = _run(capsys, "classify", "--tau", "0.5", "--alpha", "-1",
-                      "--penalty", "prod:0", "--law", "exp:1")
-    assert rc == 2 and "tau" in err
-    rc, _, err = _run(capsys, "classify", "--tau", "2.5", "--alpha", "-1",
-                      "--penalty", "prod:0", "--law", "exp:1")
-    assert rc == 2 and "alpha" in err
 
 
 CLASSIFY_TAUS = ["0.5", "1", "1.05", "1.5", "2", "2.5", "2.95", "3", "3.5"]

@@ -32,13 +32,13 @@ def test_eval_penalty_vectorized():
 
 
 def test_penalty_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one term"):
         PenaltyPolynomial(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a must lie"):
         PenaltyPolynomial(((0.0, 1.0, 1.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mu must lie"):
         PenaltyPolynomial(((1.0, -0.5, 1.0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mu must lie"):
         MaxPenalty(0.0)
 
 
@@ -201,13 +201,13 @@ def test_classify_max_penalty():
 
 def test_classify_rejects():
     f = product_penalty(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= beta-"):
         classify(f, 2.5, 2.0, 0.5, 0.1)   # beta- > beta+
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^direction must be"):
         classify(f, 2.5, 2.0, 0.1, 0.1, direction="up")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="FPP reduction"):
         classify(PenaltyPolynomial(((1.0, 0.0, 0.0),)), 2.5, 2.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau must exceed 1"):
         classify(f, 1.0, 2.0, 0.1, 0.1)
     nan = math.nan
     for args, match in [((nan, 2.0, 0.1, 0.1), "tau"),
@@ -269,11 +269,11 @@ def test_idelta_interval_small_delta_limit():
 def test_idelta_interval_empty_and_rejects():
     lo, hi = idelta_interval(2.5, 1.0, 1.0, 0.1, 0.2)
     assert lo >= hi
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be below 3 - tau"):
         idelta_interval(2.5, 1.0, 1.0, 0.3, 0.01)   # (mu+nu) beta+ >= 3 - tau
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau must lie"):
         idelta_interval(3.0, 1.0, 1.0, 0.1, 0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta must lie"):
         idelta_interval(2.5, 1.0, 1.0, 0.1, 0.0)
 
 
@@ -301,7 +301,7 @@ def test_solve_boxing_params_random_draws():
 def test_solve_boxing_params_rejects():
     with pytest.raises(ValueError, match="3 - tau"):
         solve_boxing_params(2.5, 1.0, 1.0, 0.3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beta_plus must lie"):
         solve_boxing_params(2.5, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tau must lie"):
         solve_boxing_params(3.0, 1.0, 1.0, 0.1)

@@ -41,7 +41,7 @@ def test_torus_never_exceeds_hard():
 
 def test_build_boxing_rejects_small_window():
     # e^{M D / d} = e^{3} ~ 20.1 > side
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no boxing exists"):
         build_boxing(Window(1, 15.0), [0.0], M=2.0, C=1.1, D=1.5, delta=0.1)
 
 

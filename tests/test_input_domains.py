@@ -93,7 +93,8 @@ def test_check_domains_ends_nan_and_arrays(domain, inside, outside, message):
     for x in outside + [math.nan]:
         with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
             check_domains({"x": x}, x=domain)
-        with pytest.raises(ConfigError):       # one bad entry is enough
+        # one bad entry is enough
+        with pytest.raises(ConfigError, match=re.escape(message)):
             check_domains({"x": np.array(inside + [x])}, x=domain)
 
 

@@ -143,30 +143,6 @@ def test_entry_points_refuse_vertex_ids_outside_the_graph(call):
 # searches
 
 
-def test_cost_search_on_a_path():
-    g = _hand_graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)])
-    res = cost_search(g, ONE, 0)
-    np.testing.assert_allclose(res.dist, [0.0, 1.0, 3.0, 7.0])
-    assert res.settled == [(0, 0.0), (1, 1.0), (2, 3.0), (3, 7.0)]
-    assert list(res.parent) == [-1, 0, 1, 2]
-    assert realized_path(res, 3) == [0, 1, 2, 3]
-    assert realized_path(res, 0) == [0]
-
-
-def test_cost_search_disconnected_is_exhausted():
-    g = _hand_graph(3, [(0, 1, 1.0)])
-    res = cost_search(g, ONE, 0)
-    assert res.settled == [(0, 0.0), (1, 1.0)]
-    assert math.isinf(res.dist[2])
-    assert realized_path(res, 2) is None
-
-
-def test_cost_search_equal_distance_ties_settle_by_id():
-    g = _hand_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-    res = cost_search(g, ONE, 0)
-    assert [v for v, _ in res.settled] == [0, 1, 2, 3]
-
-
 def test_directionality_of_asymmetric_costs():
     # f(w1, w2) = w1: stepping out of 0 prices weight 2, into 0 weight 3
     f = monomial_penalty(1.0, 0.0)
@@ -181,9 +157,9 @@ def test_directionality_of_asymmetric_costs():
 
 def test_cost_search_rejects_bad_arguments():
     g = _hand_graph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^source must lie"):
         cost_search(g, ONE, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^direction must be"):
         cost_search(g, ONE, 0, direction="sideways")
 
 
@@ -202,7 +178,7 @@ def test_cost_search_matches_the_heap_reference():
             assert res.settled == settled
             assert np.array_equal(res.parent, parent)
     # zero and tied lengths: equal distances, and any tree of shortest paths
-    tied = 0
+    tied = unreached = 0
     for trial in range(80):
         g = _random_small_graph(rng, n_max=14, zero_lengths=True)
         if trial % 2 == 0:
@@ -221,6 +197,7 @@ def test_cost_search_matches_the_heap_reference():
                 path = realized_path(res, t)
                 if path is None:
                     assert math.isinf(res.dist[t])
+                    unreached += 1
                     continue
                 acc = 0.0
                 for x, y in zip(path, path[1:]):
@@ -230,6 +207,7 @@ def test_cost_search_matches_the_heap_reference():
                          if y == t and res.dist[u] + c == res.dist[t]]
                 tied += len(tight) > 1
     assert tied > 100                    # the loop really met tied paths
+    assert unreached > 20                # and vertices that no path reaches
 
 
 # sha256 over the full cost_search's settled list and parent array on two
@@ -257,14 +235,18 @@ def test_search_output_digest():
     assert digest.hexdigest() == SEARCH_DIGEST
 
 
+@pytest.mark.filterwarnings("error")
 def test_distance_matrix_keeps_zero_length_edges():
-    # an exactly-zero length is a free hop, not a missing edge
-    g = _hand_graph(3, [(0, 1, 0.0), (1, 2, 2.0)], weights=[1.0, 2.0, 1.0])
+    # an exactly-zero length is a free hop, not a missing edge, also at a
+    # weight that overflowed to +inf
+    g = _hand_graph(4, [(0, 1, 0.0), (1, 2, 2.0), (2, 3, 0.0)],
+                    weights=[1.0, 2.0, 1.0, math.inf])
     f = product_penalty(1.0)
     row = distance_matrix(g, f, [0])[0]
-    np.testing.assert_allclose(row, [0.0, 0.0, 4.0])
+    np.testing.assert_allclose(row, [0.0, 0.0, 4.0, 4.0])
     res = cost_search(g, f, 0)
     np.testing.assert_allclose(res.dist, row)
+    assert oracles.heap_search(4, _costs(g, f), 0)[1].tolist() == row.tolist()
 
 
 def test_distance_matrix_edgeless():
@@ -383,11 +365,11 @@ def test_n1t_counts_cheap_incident_edges():
     # into 0 the same edges price the leaf weight instead: 1, 2, 0
     assert n1t(g, f, 0, 1.0, "inward") == 2
     assert n1t(g, f, 1, 1.0, "outward") == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t must be non-negative"):
         n1t(g, f, 0, -1.0, "outward")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t must be non-negative"):
         n1t(g, f, 0, math.nan, "outward")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^direction must be"):
         n1t(g, f, 0, 1.0, "sideways")
 
 
@@ -546,7 +528,7 @@ def test_delta_good_scan_rejects_window_mismatch():
     vs = VertexSet(other, np.zeros((1, 1)), np.ones(1))
     g = Graph(vs, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
               np.zeros(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different windows"):
         delta_good_scan(g, b, TAU)
 
 
@@ -657,7 +639,7 @@ def test_greedy_path_rejects_non_leader_start():
     w = np.append(vs.weights, 1.0)
     g = _graph(VertexSet(window, pos, w), [])
     scan = delta_good_scan(g, b, TAU)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a delta-good leader"):
         build_greedy_path(g, b, TAU, ONE, len(w) - 1, scan=scan)
 
 
@@ -700,7 +682,7 @@ def test_greedy_bound_requires_monomial():
                     for k in range(b.k_star)])
     path = build_greedy_path(g, b, TAU, power_sum_penalty(1.0), slot[(0, 0)],
                              scan=delta_good_scan(g, b, TAU))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="monomial penalties"):
         greedy_bound_report(b, TAU, power_sum_penalty(1.0), PolyAtZero(1.0),
                             path)
 
@@ -841,9 +823,9 @@ def test_saw_path_counts():
     assert saw_path_count(tri, 0, 2) == 2
     lone = _hand_graph(2, [])
     assert saw_path_count(lone, 0, 1) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must lie"):
         saw_path_count(path, 0, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must lie"):
         saw_path_count(path, 0, -1)
 
 

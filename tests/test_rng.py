@@ -123,9 +123,9 @@ def test_quantile_examples():
 
 
 def test_quantile_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^y must lie"):
         PolyAtZero(1.0).quantile(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^y must lie"):
         PolyAtZero(1.0).quantile(1.5)
 
 
@@ -241,5 +241,5 @@ def test_poisson_moments():
 
 
 def test_negative_mean_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mean must lie"):
         sample_poisson(1, "p", -1.0)
