@@ -7,8 +7,11 @@ measures into it (the same search on the cost-reversed graph).  Every
 search is scipy's compiled dijkstra on one view of the graph: its CSR with
 each slot's directed cost (_cost_matrix).  cost_search, distance_matrix
 and pair_distances differ only in which sources they run and where they
-may stop.  _slot_costs is the only code here that applies the penalty:
-n1t, the greedy hop costs and cost_subgraph read its prices too.
+may stop.  pair_distances stops at exact landmark bounds: the heaviest
+vertex's, and, for a penalty symmetric bit for bit, those of the sources
+it has already searched.  _slot_costs is the only code here that applies
+the penalty: n1t, the greedy hop costs and cost_subgraph read its prices
+too.
 
 The boxing half of the module (delta_good_scan, check_F2, greedy paths)
 operationalises the annulus events behind the explosive-path
@@ -124,6 +127,19 @@ def distance_matrix(g: Graph, f, sources) -> np.ndarray:
                              indices=_vertex_ids(g.n, sources, "source"))
 
 
+def _symmetric(f) -> bool:
+    """Whether f(x, y) == f(y, x) bit for bit, read from f's form.
+
+    A polynomial whose every term has a = 1 and mu = nu qualifies: each term
+    is the float product x^mu * y^mu, which commutes exactly, and the terms
+    are summed in one order either way.  (A factor a != 1 would round
+    (a x^mu) y^mu and (a y^mu) x^mu differently.)
+    """
+    terms = getattr(f, "terms", None)
+    return terms is not None and all(a == 1.0 and mu == nu
+                                     for a, mu, nu in terms)
+
+
 def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
     """Each (a, b) pair's cost_search(g, f, a, direction).dist[b], bit for bit.
 
@@ -132,14 +148,22 @@ def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
     the lowest id), give every distance out of h and, on the transposed
     cost matrix, every distance into h.  The transpose is exact: its slot
     (x, y) holds the very cost of arc y -> x, so no slot is priced twice.
-    Source a's bound B_a is the largest fl(to_h[a] + from_h[b]) over its
-    pairs, times 1 + 4 n 2^-53 for the rounding of two sums of at most n
-    terms (infinite: a runs unbounded).  Arcs dearer than every B_a are
-    dropped, and a's search stops at B_a.  Exact because scipy's distance
-    is the minimum over paths of the left-to-right rounded cost sum,
-    whatever the heap order; every arc on a minimising path costs at most
-    that distance, which is at most B_a, so the path survives the pruning
-    and the limit.
+    Pair (a, b)'s bound is fl(to_h[a] + from_h[b]) times 1 + 4 n 2^-53 for
+    the rounding of two sums of at most n terms (infinite when h is out of
+    reach), and source a's limit B_a is the largest bound over its pairs.
+    Arcs dearer than every B_a are dropped, and a's search stops at B_a.
+    Exact because scipy's distance is the minimum over paths of the
+    left-to-right rounded cost sum, whatever the heap order; every arc on
+    a minimising path costs at most that distance, which is at most B_a,
+    so the path survives the pruning and the limit.
+
+    When f is _symmetric, the cost matrix is its own transpose: one hub
+    search serves both ways, and each finished source s is a landmark too.
+    Its row is the search into s as well, so fl(row_s[a] + row_s[b]),
+    widened alike, bounds each later pair by the hub's argument.  Its
+    finite entries are exact despite the pruning and the limit, by the
+    same argument, and an entry past the limit is infinite and bounds
+    nothing.  Only each pair's least bound is kept, never a whole row.
     """
     ab = _vertex_ids(g.n, pairs, "pair vertex").reshape(-1, 2)
     a, b = ab[:, 0], ab[:, 1]
@@ -147,19 +171,25 @@ def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
         return np.zeros(0)
     mat = _cost_matrix(g, f, direction)
     hub = int(np.argmax(g.vertices.weights))
+    symmetric = _symmetric(f)
     from_hub = _csgraph_dijkstra(mat, indices=hub)
-    to_hub = _csgraph_dijkstra(mat.T.tocsr(), indices=hub)
-    sources, at = np.unique(a, return_inverse=True)
-    bound = np.full(sources.size, -np.inf)
-    np.maximum.at(bound, at, (to_hub[a] + from_hub[b])
-                  * (1.0 + 4.0 * g.n * 2.0**-53))
+    to_hub = (from_hub if symmetric
+              else _csgraph_dijkstra(mat.T.tocsr(), indices=hub))
+    margin = 1.0 + 4.0 * g.n * 2.0**-53
+    bound = (to_hub[a] + from_hub[b]) * margin
     keep = mat.data <= bound.max()
     kept_before = np.concatenate([[0], np.cumsum(keep)])
     pruned = csr_matrix((mat.data[keep], mat.indices[keep],
                          kept_before[mat.indptr]), shape=mat.shape)
-    rows = [_csgraph_dijkstra(pruned, indices=s, limit=limit)
-            for s, limit in zip(sources.tolist(), bound.tolist())]
-    return np.array([rows[i][t] for i, t in zip(at.tolist(), b.tolist())])
+    sources, at = np.unique(a, return_inverse=True)
+    out = np.empty(a.size)
+    for i, s in enumerate(sources.tolist()):
+        mine = at == i
+        row = _csgraph_dijkstra(pruned, indices=s, limit=bound[mine].max())
+        out[mine] = row[b[mine]]
+        if symmetric:
+            np.minimum(bound, (row[a] + row[b]) * margin, out=bound)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from pplab import metrics, models
+from pplab.cli import parse_penalty
 from pplab.cost import (
     MaxPenalty,
     monomial_penalty,
@@ -290,18 +291,41 @@ def test_pair_distances_equal_full_searches_on_random_graphs():
             _assert_pair_distances_exact(g, f, pairs, direction)
 
 
-def test_pair_distances_equal_full_searches_on_generated_graphs():
+def test_pair_distances_equal_full_searches_on_generated_graphs(monkeypatch):
+    # the symmetric penalty runs one hub search, and at beta = 1 finished
+    # sources tighten some later source's limit below its hub bound; the
+    # asymmetric one runs two and keeps every hub bound
     rng = np.random.default_rng(1102)
     base = generate(Girg(n=400, d=2, tau=2.5, alpha=2.0, c=0.5), 1102)
+    calls = []
+    real = metrics._csgraph_dijkstra
+    monkeypatch.setattr(metrics, "_csgraph_dijkstra", lambda *args, **kw:
+                        calls.append(kw) or real(*args, **kw))
+    hub = int(np.argmax(base.vertices.weights))
+    reverse = {"outward": "inward", "inward": "outward"}
     for beta in (0.1, 1.0):
         g = relength(base, PolyAtZero(beta))
-        for f in (product_penalty(1.0), monomial_penalty(0.2, 1.5)):
+        for f, symmetric in ((product_penalty(1.0), True),
+                             (monomial_penalty(0.2, 1.5), False)):
             pairs = _repeating_pairs(rng, g.n, 24)
             for direction in ("outward", "inward"):
+                calls.clear()
                 got = pair_distances(g, f, pairs, direction)
+                limits = {kw["indices"]: kw["limit"] for kw in calls
+                          if "limit" in kw}
+                assert len(calls) - len(limits) == (1 if symmetric else 2)
                 want = [cost_search(g, f, a, direction).dist[b]
                         for a, b in pairs]
                 assert np.array_equal(got, want)
+                from_hub = cost_search(g, f, hub, direction).dist
+                to_hub = cost_search(g, f, hub, reverse[direction]).dist
+                hub_bound = dict.fromkeys(limits, -math.inf)
+                for a, b in pairs:
+                    hub_bound[a] = max(hub_bound[a], (to_hub[a] + from_hub[b])
+                                       * (1.0 + 4.0 * g.n * 2.0**-53))
+                tighter = [s for s in limits if limits[s] < hub_bound[s]]
+                if beta == 1.0 or not symmetric:
+                    assert bool(tighter) == symmetric
 
 
 def test_pair_distances_price_the_slots_once(monkeypatch):
@@ -310,12 +334,25 @@ def test_pair_distances_price_the_slots_once(monkeypatch):
     base = generate(Girg(n=400, d=2, tau=2.5, alpha=2.0, c=0.5), 1104)
     g = relength(base, PolyAtZero(0.5))
     f = monomial_penalty(0.2, 1.5)
-    for direction, reverse in (("outward", "inward"), ("inward", "outward")):
-        got = metrics._cost_matrix(g, f, direction).T.tocsr()
-        want = metrics._cost_matrix(g, f, reverse)
+
+    def assert_same_bytes(got, want):
         for part in ("indptr", "indices", "data"):
             assert getattr(got, part).tobytes() == \
                 getattr(want, part).tobytes()
+
+    for direction, reverse in (("outward", "inward"), ("inward", "outward")):
+        assert_same_bytes(metrics._cost_matrix(g, f, direction).T.tocsr(),
+                          metrics._cost_matrix(g, f, reverse))
+    # a penalty the symmetry rule admits runs one hub search: its cost
+    # matrix must be its own transpose, bit for bit, either way
+    specs = ["prod:1", "prod:0.5", "mono:1,1", "mono:0.2,1.5", "sum:1",
+             "max:2", "poly:2,1,1"]
+    admitted = [s for s in specs if metrics._symmetric(parse_penalty(s))]
+    assert admitted == ["prod:1", "prod:0.5", "mono:1,1"]
+    for spec in admitted:
+        for direction in ("outward", "inward"):
+            mat = metrics._cost_matrix(g, parse_penalty(spec), direction)
+            assert_same_bytes(mat.T.tocsr(), mat)
     calls = []
     real = metrics._slot_costs
     monkeypatch.setattr(metrics, "_slot_costs",

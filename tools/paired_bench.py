@@ -9,9 +9,19 @@ pairs of 30 s runs (WORKLOADS, PAIRS, SECONDS).  Pair i runs
 in each checkout, with S = S0 + i on both sides.  Pick an S0 that no run
 has used while building.  The parent runs first in even pairs and the
 change first in odd ones, so a drift of the machine loads both sides
-alike.  Each checkout runs its own, unmodified perfbench.  For every end-to-end metric the output holds both
-sides' medians and quartiles, change / parent, and the number of pairs in
-which the change came out lower.
+alike.  Each checkout runs its own, unmodified perfbench.  For every
+end-to-end metric the output holds both sides' medians and quartiles,
+change / parent, the number of pairs in which the change came out lower,
+and the acceptance rule's verdict, with the metric's bound read from the
+parent's BENCHMARK.json (lower is better):
+
+    gain        the change is lower in at least 9 of 10 pairs, and the
+                parent median minus the change median exceeds the parent's
+                q3 - q1
+    worse       change / parent exceeds 1 + bound
+    unresolved  the change's median is above the parent's q3, inside the
+                bound
+    unchanged   otherwise
 
 After the pairs, each checkout runs ``pplab sweep`` twice with the sweep
 workload's config, each time in a fresh interpreter.  It reports its own
@@ -115,8 +125,23 @@ def sweep_probe(checkout: Path, seed: int, tmp: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: list) -> dict:
-    """Per metric: medians, quartiles, change / parent and change wins."""
+def verdict(cell: dict, bound: float) -> str:
+    """The acceptance rule's word for one metric's summary cell."""
+    parent, change = cell["parent"], cell["change"]
+    if cell["change_over_parent"] > 1.0 + bound:
+        return "worse"
+    if (10 * cell["change_lower_in"] >= 9 * cell["pairs"]
+            and parent["median"] - change["median"]
+            > parent["q3"] - parent["q1"]):
+        return "gain"
+    if change["median"] > parent["q3"]:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarize(runs: list, bounds: dict) -> dict:
+    """Per metric: medians, quartiles, change / parent, change wins and the
+    verdict against the metric's bound."""
     out = {}
     for name in METRICS:
         by_pair = {}
@@ -134,6 +159,7 @@ def summarize(runs: list) -> dict:
         cell["change_over_parent"] = (cell["change"]["median"]
                                       / cell["parent"]["median"])
         cell["change_lower_in"] = sum(p["change"] < p["parent"] for p in both)
+        cell["verdict"] = verdict(cell, bounds[name])
         out[name] = cell
     return out
 
@@ -152,6 +178,9 @@ def main(argv=None) -> int:
             print(f"error: {side} {root} has no perfbench/run.py",
                   file=sys.stderr)
             return 2
+    declared = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]
+              if m["better"] == "lower"}
 
     record = {
         "tool": ("python3 tools/paired_bench.py --parent P --change C "
@@ -184,7 +213,8 @@ def main(argv=None) -> int:
                       f"op_p50_ms {row.get('op_p50_ms')} correct "
                       f"{row['correct']} ({time.perf_counter() - t0:.0f} s)",
                       file=sys.stderr, flush=True)
-                record["workloads"][workload]["summary"] = summarize(runs)
+                record["workloads"][workload]["summary"] = summarize(
+                    runs, bounds)
                 save()
 
     probes = []
