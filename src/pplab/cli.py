@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 config error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import MISSING, fields
@@ -330,11 +331,44 @@ def write_graph_text(g: Graph) -> str:
 # A vertex or edge line is its tag and numbers, split by single spaces.
 _EDGE_DTYPE = np.dtype([("tag", "U2"), ("u", np.int64), ("v", np.int64),
                         ("len", np.float64)])
+# The vertex and edge blocks are parsed a piece of text at a time, each cut
+# after the first newline from this many characters on, so that no list of
+# every line and no file-sized structured array is ever built.
+_CHUNK = 1 << 16
+# the line breaks of str.splitlines other than "\n"
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _vertex_dtype(d: int) -> np.dtype:
     return np.dtype([("tag", "U2"), ("id", np.int64),
                      ("x", np.float64, (d,)), ("w", np.float64)])
+
+
+def _chunks(text: str, start: int):
+    """text[start:] in pieces of about _CHUNK characters, each cut after a
+    newline.  A newline always ends a line, so the pieces split into
+    text's own lines."""
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _numbered_lines(text: str, start: int, first: int):
+    """(number, lines) of each piece of text[start:]: its lines, and the
+    0-based line number of the first, text[start:] starting at `first`."""
+    for piece in _chunks(text, start):
+        lines = piece.splitlines()
+        yield first, lines
+        first += len(lines)
+
+
+def _count_lines(text: str, start: int) -> int:
+    """len(text[start:].splitlines()), with start at a line's beginning."""
+    if any(c in text for c in _OTHER_BREAKS):
+        return sum(len(piece.splitlines()) for piece in _chunks(text, start))
+    return text.count("\n", start) + (start < len(text)
+                                      and not text.endswith("\n"))
 
 
 def _parse_lines(lines: list, dtype: np.dtype, tag: str):
@@ -352,9 +386,9 @@ def _parse_lines(lines: list, dtype: np.dtype, tag: str):
 
 
 def _read_block(lines: list, first: int, what: str, dtype: np.dtype):
-    """Rows of a block of `what` lines, the first at 0-based line `first`.
+    """Rows of a run of `what` lines, the first at 0-based line `first`.
 
-    A malformed block is bisected for its first bad line, whose number the
+    A malformed run is bisected for its first bad line, whose number the
     error names.
     """
     rows = _parse_lines(lines, dtype, what[0])
@@ -371,17 +405,19 @@ def _read_block(lines: list, first: int, what: str, dtype: np.dtype):
 
 
 def read_graph_text(text: str) -> Graph:
-    lines = text.splitlines()
+    end = 0                        # where the leading '#' lines end
+    while text.startswith("#", end):
+        piece = text[end:text.find("\n", end) + 1 or len(text)]
+        end += len(piece.splitlines(keepends=True)[0])
+    lines = text[:end].splitlines()
     if not lines or lines[0] != "#format pplab-graph 1":
         raise ValueError("not a pplab-graph file (bad or missing #format line)")
     headers = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        key, _, value = lines[i][1:].partition(" ")
+    for line in lines[1:]:
+        key, _, value = line[1:].partition(" ")
         if key in headers:
             raise ValueError(f"duplicate header #{key}")
         headers[key] = value
-        i += 1
     for key in ("model", "d", "n", "side"):
         if key not in headers:
             raise ValueError(f"missing header #{key}")
@@ -395,16 +431,36 @@ def read_graph_text(text: str) -> Graph:
     window = Window(d, side,
                     boundary="torus" if model in _TORUS_MODELS else "hard")
 
-    vrows = _read_block(lines[i:i + n], i, "vertex", _vertex_dtype(d))
-    if vrows.shape[0] < n:
-        raise ValueError(f"expected {n} vertex lines, found {vrows.shape[0]}")
-    jumps = np.flatnonzero(vrows["id"] != np.arange(n))
+    # the next n lines are the vertex block, the rest the edge block
+    first, vertex_dtype = len(lines), _vertex_dtype(d)
+    pieces = _numbered_lines(text, end, first)
+    ids, x, w = np.empty(n, np.int64), np.empty((n, d)), np.empty(n)
+    got, rest = 0, []
+    for at, lines in pieces:
+        k = min(n - got, len(lines))
+        rows = _read_block(lines[:k], at, "vertex", vertex_dtype)
+        ids[got:got + k], x[got:got + k], w[got:got + k] = (
+            rows["id"], rows["x"], rows["w"])
+        got += k
+        if got == n:
+            rest = [(at + k, lines[k:])]
+            break
+    if got < n:
+        raise ValueError(f"expected {n} vertex lines, found {got}")
+    jumps = np.flatnonzero(ids != np.arange(n))
     if jumps.size:
-        raise ValueError(f"line {i + jumps[0] + 1}: vertex ids must be "
+        raise ValueError(f"line {first + jumps[0] + 1}: vertex ids must be "
                          "consecutive from 0")
-    erows = _read_block(lines[i + n:], i + n, "edge", _EDGE_DTYPE)
-    vs = VertexSet(window, vrows["x"], vrows["w"])
-    return Graph(vs, erows["u"], erows["v"], erows["len"], spec=model)
+    m = _count_lines(text, end) - n
+    u, v, ell = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+    got = 0
+    for at, lines in itertools.chain(rest, pieces):
+        rows = _read_block(lines, at, "edge", _EDGE_DTYPE)
+        k = rows.shape[0]
+        u[got:got + k], v[got:got + k], ell[got:got + k] = (
+            rows["u"], rows["v"], rows["len"])
+        got += k
+    return Graph(VertexSet(window, x, w), u, v, ell, spec=model)
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,19 @@ class PenaltyPolynomial:
         return PenaltyPolynomial(tuple((a, nu, mu) for a, mu, nu in self.terms))
 
     def __call__(self, w1, w2):
-        w1 = np.asarray(w1, dtype=np.float64)
-        w2 = np.asarray(w2, dtype=np.float64)
-        out = np.zeros(np.broadcast(w1, w2).shape)
-        for a, mu, nu in self.terms:
-            out += a * w1**mu * w2**nu
+        # views of the output's shape, so that each term is one new buffer
+        w1, w2 = np.broadcast_arrays(np.asarray(w1, dtype=np.float64),
+                                     np.asarray(w2, dtype=np.float64))
+        out = None
+        for a, mu, nu in self.terms:   # each (a w1^mu) w2^nu, summed in order
+            term = w1**mu
+            if a != 1.0:
+                term *= a
+            term *= w2**nu
+            if out is None:
+                out = term
+            else:
+                out += term
         return out if out.ndim else float(out)
 
 

@@ -28,6 +28,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
+from .cost import MaxPenalty
 from .domain import check_domains
 from .geometry import BoxingSystem, locate_subbox
 from .models import Graph
@@ -58,9 +59,11 @@ def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
         nbr, eid = nbr[row], eid[row]
         w_row = np.full(nbr.size, w[v])
     pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
-    ell = g.lengths[eid]
     with np.errstate(over="ignore", invalid="ignore"):
         cost = np.asarray(f(*pair), dtype=np.float64)   # overflow is +inf
+        # into w_row's buffer; eid is in range, and mode "raise" would
+        # gather into a temporary first
+        ell = np.take(g.lengths, eid, out=w_row, mode="clip")
         cost *= ell                # in place: no second slot-sized array
     cost[ell == 0.0] = 0.0         # a free hop, not 0 * inf = nan
     return cost
@@ -130,14 +133,19 @@ def distance_matrix(g: Graph, f, sources) -> np.ndarray:
 def _symmetric(f) -> bool:
     """Whether f(x, y) == f(y, x) bit for bit, read from f's form.
 
-    A polynomial whose every term has a = 1 and mu = nu qualifies: each term
-    is the float product x^mu * y^mu, which commutes exactly, and the terms
-    are summed in one order either way.  (A factor a != 1 would round
-    (a x^mu) y^mu and (a y^mu) x^mu differently.)
+    max(x, y)^mu qualifies: max commutes exactly.  So does a polynomial
+    whose terms all have a = 1 when swapping x and y maps its terms onto
+    themselves, in order or with the first two exchanged (sum:mu's two).
+    Each term is the float product x^mu * y^nu, which commutes exactly, and
+    so does the one addition that joins the first two.  (A factor a != 1
+    would round (a x^mu) y^nu and (a y^nu) x^mu differently.)
     """
-    terms = getattr(f, "terms", None)
-    return terms is not None and all(a == 1.0 and mu == nu
-                                     for a, mu, nu in terms)
+    if isinstance(f, MaxPenalty):
+        return True
+    terms = list(getattr(f, "terms", ()))
+    swapped = [(a, nu, mu) for a, mu, nu in terms]
+    return (bool(terms) and all(a == 1.0 for a, _, _ in terms)
+            and terms in (swapped, swapped[1::-1] + swapped[2:]))
 
 
 def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:

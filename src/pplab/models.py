@@ -167,9 +167,11 @@ def _check_lengths(ell) -> None:
 def _build_csr(g: Graph) -> tuple:
     # Every row's neighbours are distinct, so its ascending order is unique;
     # scipy's COO -> CSR conversion returns rows in that (canonical) order.
-    a = coo_array((np.tile(np.arange(g.m, dtype=np.int64), 2),
-                   (np.concatenate([g.edges_v, g.edges_u]),
-                    np.concatenate([g.edges_u, g.edges_v]))),
+    # Its index arrays arrive in the dtype scipy would convert them to.
+    idx = np.int32 if max(g.n, 2 * g.m) <= np.iinfo(np.int32).max else np.int64
+    a = coo_array((np.tile(np.arange(g.m, dtype=idx), 2),
+                   (np.concatenate([g.edges_v, g.edges_u], dtype=idx),
+                    np.concatenate([g.edges_u, g.edges_v], dtype=idx))),
                   shape=(g.n, g.n)).tocsr()
     indptr, nbr, eid = (x.astype(np.int64, copy=False)
                         for x in (a.indptr, a.indices, a.data))

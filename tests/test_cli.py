@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -313,6 +314,78 @@ def test_graph_file_round_trips_extreme_reals():
                      (h.lengths, graph.lengths)):
             assert a.tobytes() == b.tobytes()
         assert write_graph_text(h) == text
+
+
+# chunk sizes for the reader: a line per piece, and pieces of a few lines
+SMALL_CHUNKS = [1, 40]
+
+
+@pytest.mark.parametrize("chars", SMALL_CHUNKS)
+def test_graph_file_reads_alike_in_small_chunks(monkeypatch, chars):
+    monkeypatch.setattr(cli, "_CHUNK", chars)
+    test_graph_file_round_trip_girg()
+    test_graph_file_round_trip_keeps_model_name()
+    test_graph_file_rejects_malformed()
+    test_graph_file_names_the_malformed_line()
+    test_graph_file_round_trips_extreme_reals()
+
+
+@pytest.mark.parametrize("chars", [None] + SMALL_CHUNKS)
+def test_graph_file_reads_any_line_break(monkeypatch, chars):
+    # str.splitlines' breaks: CRLF, the old CR, a form feed in between, and
+    # no break after the last line
+    if chars is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chars)
+    g = generate(Girg(n=30, d=2, tau=2.5, alpha=2.0, c=0.5), 3,
+                 PolyAtZero(1.0))
+    text = write_graph_text(g)
+    lines = text.splitlines()
+    for other in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
+                  "\f".join(lines), "\r\n".join(lines), "\n".join(lines)):
+        assert write_graph_text(read_graph_text(other)) == text
+
+
+@pytest.mark.parametrize("chars", SMALL_CHUNKS)
+def test_graph_file_names_a_bad_line_at_a_chunk_edge(monkeypatch, chars):
+    # every block line in turn is blanked or given the wrong tag; among them
+    # are lines that open a piece and lines that close one
+    monkeypatch.setattr(cli, "_CHUNK", chars)
+    lines = write_graph_text(generate(Girg(n=6, d=1, tau=2.5, alpha=2.0,
+                                           c=2.0), 4,
+                                      PolyAtZero(1.0))).splitlines()
+    first = 5                      # the header's lines
+    seen = set()
+    for j in range(first, len(lines)):
+        what = "vertex" if j < first + 6 else "edge"
+        for bad in ("", "w" + lines[j][1:]):
+            broken = "".join(line + "\n" for line in
+                             lines[:j] + [bad] + lines[j + 1:])
+            at = 0
+            for piece in cli._chunks(broken, 0):
+                count = len(piece.splitlines())
+                seen |= {edge for edge, k in (("opens", at),
+                                              ("closes", at + count - 1))
+                         if k == j}
+                at += count
+            with pytest.raises(ValueError) as exc:
+                read_graph_text(broken)
+            assert str(exc.value) == f"line {j + 1}: malformed {what} line"
+    assert seen == {"opens", "closes"}
+
+
+def test_graph_file_reads_in_bounded_memory():
+    # the query workload's graph, read a piece at a time: the new arrays
+    # and the Graph's checks stay below 2.5 times the text, which a list of
+    # every line would pass on its own
+    text = write_graph_text(generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0,
+                                          c=0.5), 1, PolyAtZero(1.0)))
+    tracemalloc.start()
+    try:
+        read_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text), peak / len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ def test_slot_costs_equal_the_edge_order_reference_bit_for_bit():
                 assert row.tobytes() == \
                     cost[indptr[v]:indptr[v + 1]].tobytes()
     assert sum(int((g.lengths == 0).any()) for g in graphs) > 10
+
+
+def test_cost_matrix_prices_the_slots_in_bounded_memory():
+    # on the query workload's graph, at most four slot-sized float arrays
+    # are alive at once: the penalty's two weight inputs, its output and
+    # one factor (the lengths reuse an input's buffer); 8 KiB covers the
+    # call's small objects
+    g = generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=0.5), 1,
+                 length_law=PolyAtZero(1.0))
+    slots = g.csr[1].size
+    tracemalloc.start()
+    try:
+        for spec in ("prod:1", "mono:2,0.5"):
+            for direction in ("outward", "inward"):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                metrics._cost_matrix(g, parse_penalty(spec), direction)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= 32 * slots + 8192, (spec, direction,
+                                                    peak / slots)
+    finally:
+        tracemalloc.stop()
 
 
 def _girg200():
@@ -292,7 +315,7 @@ def test_pair_distances_equal_full_searches_on_random_graphs():
 
 
 def test_pair_distances_equal_full_searches_on_generated_graphs(monkeypatch):
-    # the symmetric penalty runs one hub search, and at beta = 1 finished
+    # a symmetric penalty runs one hub search, and at beta = 1 finished
     # sources tighten some later source's limit below its hub bound; the
     # asymmetric one runs two and keeps every hub bound
     rng = np.random.default_rng(1102)
@@ -306,6 +329,8 @@ def test_pair_distances_equal_full_searches_on_generated_graphs(monkeypatch):
     for beta in (0.1, 1.0):
         g = relength(base, PolyAtZero(beta))
         for f, symmetric in ((product_penalty(1.0), True),
+                             (power_sum_penalty(1.0), True),
+                             (MaxPenalty(2.0), True),
                              (monomial_penalty(0.2, 1.5), False)):
             pairs = _repeating_pairs(rng, g.n, 24)
             for direction in ("outward", "inward"):
@@ -346,9 +371,11 @@ def test_pair_distances_price_the_slots_once(monkeypatch):
     # a penalty the symmetry rule admits runs one hub search: its cost
     # matrix must be its own transpose, bit for bit, either way
     specs = ["prod:1", "prod:0.5", "mono:1,1", "mono:0.2,1.5", "sum:1",
-             "max:2", "poly:2,1,1"]
+             "max:2", "poly:3,0.5,0.5",
+             "poly:1,2,0.5;1,0.5,2;1,1,1", "poly:1,1,1;1,2,0.5;1,0.5,2"]
     admitted = [s for s in specs if metrics._symmetric(parse_penalty(s))]
-    assert admitted == ["prod:1", "prod:0.5", "mono:1,1"]
+    assert admitted == ["prod:1", "prod:0.5", "mono:1,1", "sum:1", "max:2",
+                        "poly:1,2,0.5;1,0.5,2;1,1,1"]
     for spec in admitted:
         for direction in ("outward", "inward"):
             mat = metrics._cost_matrix(g, parse_penalty(spec), direction)

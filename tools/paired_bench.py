@@ -27,7 +27,11 @@ After the pairs, each checkout runs ``pplab sweep`` twice with the sweep
 workload's config, each time in a fresh interpreter.  It reports its own
 peak RSS (``RUSAGE_SELF``, all the benchmark's ``peak_rss_mb`` sees), that
 of its largest sweep worker (``RUSAGE_CHILDREN``) and the sha256 of the
-CSV, so the two sides' CSVs can be compared.
+CSV, so the two sides' CSVs can be compared.  Then each checkout runs
+``pplab distance`` twice, each time in a fresh interpreter, on one 2^14
+Girg file with the query workload's spec, written once by the parent.  It
+reports the rise of its peak RSS over ``import pplab.cli``, its wall time
+and the lines it printed, which must be equal on both sides.
 
 The JSON is rewritten after every run, so an interrupted batch keeps what
 it measured.  Progress goes to stderr.
@@ -75,6 +79,38 @@ print(json.dumps({
     "children_cpu_s": kids.ru_utime + kids.ru_stime,
     "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()}))
 """
+DISTANCE_N = 2**14
+# The distance probe's graph, written once: argv = checkout, graph path.
+_GRAPH_WRITER = """\
+import sys
+from pathlib import Path
+root, graph, n = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+from pplab import cli
+from workloads import QUERY_CONFIG, QUERY_GRAPH_SEED, QUERY_N
+cfg = graph.with_suffix(".cfg")
+cfg.write_text(QUERY_CONFIG.replace(f"n = {QUERY_N}\\n", f"n = {n}\\n"))
+sys.exit(cli.main(["generate", "--config", str(cfg), "--out", str(graph),
+                   "--seed", str(QUERY_GRAPH_SEED)]))
+"""
+# One query in a fresh interpreter: argv = checkout, graph path.
+_DISTANCE_PROBE = """\
+import contextlib, io, json, resource, sys, time
+root, graph = sys.argv[1], sys.argv[2]
+sys.path[:0] = [root + "/src"]
+from pplab import cli
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+out = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["distance", "--graph", graph, "--penalty", "prod:1",
+                     "--source", "0", "--target", "1"])
+wall = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"exit": code, "wall_s": wall,
+                  "rss_rise_mb": (peak - base) / 1024.0,
+                  "lines": out.getvalue().splitlines()}))
+"""
 
 
 def machine() -> dict:
@@ -120,6 +156,15 @@ def sweep_probe(checkout: Path, seed: int, tmp: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _SWEEP_PROBE, str(checkout), str(seed),
          str(tmp)], capture_output=True, text=True)
+    if proc.returncode:
+        return {"exit": proc.returncode, "error": proc.stderr.strip()[-500:]}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def distance_probe(checkout: Path, graph: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISTANCE_PROBE, str(checkout), str(graph)],
+        capture_output=True, text=True)
     if proc.returncode:
         return {"exit": proc.returncode, "error": proc.stderr.strip()[-500:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -231,6 +276,29 @@ def main(argv=None) -> int:
             save()
     shas = {p.get("csv_sha256") for p in probes}
     record["sweep_probe"]["csv_identical"] = len(shas) == 1 and None not in shas
+    save()
+
+    queries = []
+    record["distance_probe"] = {
+        "what": (f"`pplab distance` (prod:1, 0 -> 1) on one {DISTANCE_N}-"
+                 "vertex Girg file with the query workload's spec, in a fresh "
+                 "interpreter, twice per checkout in alternating order; "
+                 "rss_rise_mb is the peak RSS above that after "
+                 "`import pplab.cli`"),
+        "runs": queries}
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "distance.graph"
+        subprocess.run([sys.executable, "-c", _GRAPH_WRITER,
+                        str(checkouts["parent"]), str(graph), str(DISTANCE_N)],
+                       check=True, capture_output=True)
+        record["distance_probe"]["graph_bytes"] = graph.stat().st_size
+        for side in SIDES + SIDES[::-1]:
+            queries.append(dict(distance_probe(checkouts[side], graph),
+                                side=side))
+            save()
+    printed = {json.dumps(q.get("lines")) for q in queries}
+    record["distance_probe"]["lines_identical"] = (
+        len(printed) == 1 and all(q.get("exit") == 0 for q in queries))
     save()
     return 0
 
