@@ -61,9 +61,11 @@ def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
     pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
     with np.errstate(over="ignore", invalid="ignore"):
         cost = np.asarray(f(*pair), dtype=np.float64)   # overflow is +inf
-        # into w_row's buffer; eid is in range, and mode "raise" would
-        # gather into a temporary first
-        ell = np.take(g.lengths, eid, out=w_row, mode="clip")
+        # into w_row's buffer, unless f's result is (a view of) that weight;
+        # eid is in range, and mode "raise" would gather into a temporary
+        # first
+        free = None if np.may_share_memory(cost, w_row) else w_row
+        ell = np.take(g.lengths, eid, out=free, mode="clip")
         cost *= ell                # in place: no second slot-sized array
     cost[ell == 0.0] = 0.0         # a free hop, not 0 * inf = nan
     return cost

@@ -112,6 +112,15 @@ def test_slot_costs_equal_the_edge_order_reference_bit_for_bit():
                 row = metrics._slot_costs(g, f, direction, v)
                 assert row.tobytes() == \
                     cost[indptr[v]:indptr[v + 1]].tobytes()
+    # a penalty that hands back one of its inputs as is
+    for k, g in enumerate(graphs[:20] + graphs[-1:]):
+        for f in (lambda x, y: x, lambda x, y: y):
+            for direction in ("outward", "inward"):
+                steps = _costs(g, f, direction)
+                indptr, nbr, _ = g.csr
+                rows = np.repeat(np.arange(g.n), np.diff(indptr)).tolist()
+                ref = [steps[x, y] for x, y in zip(rows, nbr.tolist())]
+                assert metrics._slot_costs(g, f, direction).tolist() == ref, k
     assert sum(int((g.lengths == 0).any()) for g in graphs) > 10
 
 

@@ -80,7 +80,7 @@ print(json.dumps({
     "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()}))
 """
 DISTANCE_N = 2**14
-# The distance probe's graph, written once: argv = checkout, graph path.
+# The distance probe's graph, written once: argv = checkout, graph path, n.
 _GRAPH_WRITER = """\
 import sys
 from pathlib import Path
@@ -89,7 +89,10 @@ sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from pplab import cli
 from workloads import QUERY_CONFIG, QUERY_GRAPH_SEED, QUERY_N
 cfg = graph.with_suffix(".cfg")
-cfg.write_text(QUERY_CONFIG.replace(f"n = {QUERY_N}\\n", f"n = {n}\\n"))
+line = f"n = {QUERY_N}\\n"
+if QUERY_CONFIG.count(line) != 1:
+    sys.exit(f"the query config holds {line!r} not exactly once")
+cfg.write_text(QUERY_CONFIG.replace(line, f"n = {n}\\n"))
 sys.exit(cli.main(["generate", "--config", str(cfg), "--out", str(graph),
                    "--seed", str(QUERY_GRAPH_SEED)]))
 """
