@@ -41,8 +41,8 @@ def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
     return ids
 
 
-def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
-    """Directed cost of each CSR slot (of v's row alone if v is given).
+def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
+    """Directed cost of each CSR slot.
 
     A slot of row x and neighbour y costs L * f(W_x, W_y) outward and
     L * f(W_y, W_x) inward: paths into the source search the reversed graph.
@@ -51,13 +51,7 @@ def _slot_costs(g: Graph, f, direction: str, v=None) -> np.ndarray:
         raise ValueError("direction must be 'outward' or 'inward'")
     indptr, nbr, eid = g.csr
     w = g.vertices.weights
-    if v is None:
-        w_row = np.repeat(w, np.diff(indptr))
-    else:
-        _vertex_ids(g.n, v, "vertex")
-        row = slice(indptr[v], indptr[v + 1])
-        nbr, eid = nbr[row], eid[row]
-        w_row = np.full(nbr.size, w[v])
+    w_row = np.repeat(w, np.diff(indptr))
     pair = (w_row, w[nbr]) if direction == "outward" else (w[nbr], w_row)
     with np.errstate(over="ignore", invalid="ignore"):
         cost = np.asarray(f(*pair), dtype=np.float64)   # overflow is +inf
@@ -209,7 +203,10 @@ def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
 def n1t(g: Graph, f, v: int, t: float, direction: str) -> int:
     """Count of incident edges whose one-hop cost from (or into) v is <= t."""
     check_domains(locals(), t="[0, inf]")
-    return int(np.count_nonzero(_slot_costs(g, f, direction, v) <= t))
+    _vertex_ids(g.n, v, "vertex")
+    indptr = g.csr[0]
+    row = _slot_costs(g, f, direction)[indptr[v]:indptr[v + 1]]
+    return int(np.count_nonzero(row <= t))
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +356,12 @@ def build_greedy_path(g: Graph, b: BoxingSystem, tau: float, f,
     hop_lengths: list = []
     hop_costs: list = []
     cur = start_leader
+    indptr, slot_cost = g.csr[0], _slot_costs(g, f, "outward")
     for k in range(k0, b.k_star):
         next_good = set(scan.scan_for(k + 1).good_leaders)
         hops = zip(g.lengths[g.incident_edges(cur)].tolist(),
                    g.neighbors(cur).tolist(),
-                   _slot_costs(g, f, "outward", cur).tolist())
+                   slot_cost[indptr[cur]:indptr[cur + 1]].tolist())
         # neighbours are distinct, so the cost never breaks a tie
         best = min((h for h in hops if h[1] in next_good), default=None)
         if best is None:

@@ -127,7 +127,9 @@ class Graph:
     @property
     def csr(self) -> tuple:
         """Read-only CSR adjacency (indptr, nbr, eid): slots indptr[v]:
-        indptr[v+1] hold v's neighbours, ascending, and those edges' ids."""
+        indptr[v+1] hold v's neighbours, ascending, and those edges' ids.
+        The arrays are int32 when n and 2m fit, as scipy keeps its own
+        indices, so its views of them copy nothing; int64 otherwise."""
         return self.edge_cached("csr", _build_csr)
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -173,8 +175,7 @@ def _build_csr(g: Graph) -> tuple:
                    (np.concatenate([g.edges_v, g.edges_u], dtype=idx),
                     np.concatenate([g.edges_u, g.edges_v], dtype=idx))),
                   shape=(g.n, g.n)).tocsr()
-    indptr, nbr, eid = (x.astype(np.int64, copy=False)
-                        for x in (a.indptr, a.indices, a.data))
+    indptr, nbr, eid = a.indptr, a.indices, a.data
     indptr.flags.writeable = nbr.flags.writeable = eid.flags.writeable = False
     return indptr, nbr, eid
 

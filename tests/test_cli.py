@@ -333,16 +333,21 @@ def test_graph_file_reads_alike_in_small_chunks(monkeypatch, chars):
 @pytest.mark.parametrize("chars", [None] + SMALL_CHUNKS)
 def test_graph_file_reads_any_line_break(monkeypatch, chars):
     # str.splitlines' breaks: CRLF, the old CR, a form feed in between, and
-    # no break after the last line
+    # no break after the last line; on a graph, on its vertices alone (the
+    # file ends after the vertex block) and on no vertices (after the
+    # headers)
     if chars is not None:
         monkeypatch.setattr(cli, "_CHUNK", chars)
     g = generate(Girg(n=30, d=2, tau=2.5, alpha=2.0, c=0.5), 3,
                  PolyAtZero(1.0))
-    text = write_graph_text(g)
-    lines = text.splitlines()
-    for other in (text.replace("\n", "\r\n"), text.replace("\n", "\r"),
-                  "\f".join(lines), "\r\n".join(lines), "\n".join(lines)):
-        assert write_graph_text(read_graph_text(other)) == text
+    empty = VertexSet(g.vertices.window, np.zeros((0, 2)), np.zeros(0))
+    for h in (g, Graph(g.vertices, [], [], []), Graph(empty, [], [], [])):
+        text = write_graph_text(h)
+        lines = text.splitlines()
+        for other in (text, text.replace("\n", "\r\n"),
+                      text.replace("\n", "\r"), "\f".join(lines),
+                      "\r\n".join(lines), "\n".join(lines)):
+            assert write_graph_text(read_graph_text(other)) == text
 
 
 @pytest.mark.parametrize("chars", SMALL_CHUNKS)
@@ -360,13 +365,10 @@ def test_graph_file_names_a_bad_line_at_a_chunk_edge(monkeypatch, chars):
         for bad in ("", "w" + lines[j][1:]):
             broken = "".join(line + "\n" for line in
                              lines[:j] + [bad] + lines[j + 1:])
-            at = 0
-            for piece in cli._chunks(broken, 0):
-                count = len(piece.splitlines())
+            for at, piece in cli._numbered_lines(broken, 0, 0):
                 seen |= {edge for edge, k in (("opens", at),
-                                              ("closes", at + count - 1))
+                                              ("closes", at + len(piece) - 1))
                          if k == j}
-                at += count
             with pytest.raises(ValueError) as exc:
                 read_graph_text(broken)
             assert str(exc.value) == f"line {j + 1}: malformed {what} line"

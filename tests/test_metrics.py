@@ -108,10 +108,6 @@ def test_slot_costs_equal_the_edge_order_reference_bit_for_bit():
             ref = np.array([steps[x, y] for x, y in zip(rows, nbr.tolist())],
                            dtype=np.float64)
             assert cost.tobytes() == ref.tobytes(), (k, direction)
-            for v in rng.choice(g.n, size=min(g.n, 5), replace=False):
-                row = metrics._slot_costs(g, f, direction, v)
-                assert row.tobytes() == \
-                    cost[indptr[v]:indptr[v + 1]].tobytes()
     # a penalty that hands back one of its inputs as is
     for k, g in enumerate(graphs[:20] + graphs[-1:]):
         for f in (lambda x, y: x, lambda x, y: y):

@@ -27,11 +27,12 @@ After the pairs, each checkout runs ``pplab sweep`` twice with the sweep
 workload's config, each time in a fresh interpreter.  It reports its own
 peak RSS (``RUSAGE_SELF``, all the benchmark's ``peak_rss_mb`` sees), that
 of its largest sweep worker (``RUSAGE_CHILDREN``) and the sha256 of the
-CSV, so the two sides' CSVs can be compared.  Then each checkout runs
-``pplab distance`` twice, each time in a fresh interpreter, on one 2^14
-Girg file with the query workload's spec, written once by the parent.  It
-reports the rise of its peak RSS over ``import pplab.cli``, its wall time
-and the lines it printed, which must be equal on both sides.
+CSV, so the two sides' CSVs can be compared.  Then, at each size of
+DISTANCE_NS (2^14 and 2^16), each checkout runs ``pplab distance`` twice,
+each time in a fresh interpreter, on one Girg file with the query
+workload's spec, written once by the parent.  It reports the rise of its
+peak RSS over ``import pplab.cli``, its wall time and the lines it
+printed, which must be equal on both sides.
 
 The JSON is rewritten after every run, so an interrupted batch keeps what
 it measured.  Progress goes to stderr.
@@ -79,7 +80,7 @@ print(json.dumps({
     "children_cpu_s": kids.ru_utime + kids.ru_stime,
     "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()}))
 """
-DISTANCE_N = 2**14
+DISTANCE_NS = (2**14, 2**16)
 # The distance probe's graph, written once: argv = checkout, graph path, n.
 _GRAPH_WRITER = """\
 import sys
@@ -171,6 +172,36 @@ def distance_probe(checkout: Path, graph: Path) -> dict:
     if proc.returncode:
         return {"exit": proc.returncode, "error": proc.stderr.strip()[-500:]}
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def distance_probes(checkouts: dict, record: dict, save) -> None:
+    """The distance probe at each size of DISTANCE_NS, into record."""
+    sizes = {}
+    record["distance_probe"] = {
+        "what": ("`pplab distance` (prod:1, 0 -> 1) on one Girg file per "
+                 "size with the query workload's spec, in a fresh "
+                 "interpreter, twice per checkout in alternating order; "
+                 "rss_rise_mb is the peak RSS above that after "
+                 "`import pplab.cli`"),
+        "sizes": sizes}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in DISTANCE_NS:
+            graph = Path(tmp) / f"distance_{n}.graph"
+            subprocess.run([sys.executable, "-c", _GRAPH_WRITER,
+                            str(checkouts["parent"]), str(graph), str(n)],
+                           check=True, capture_output=True)
+            queries = []
+            sizes[str(n)] = {"graph_bytes": graph.stat().st_size,
+                             "runs": queries}
+            for side in SIDES + SIDES[::-1]:
+                queries.append(dict(distance_probe(checkouts[side], graph),
+                                    side=side))
+                save()
+            graph.unlink()
+            printed = {json.dumps(q.get("lines")) for q in queries}
+            sizes[str(n)]["lines_identical"] = (
+                len(printed) == 1 and all(q.get("exit") == 0 for q in queries))
+            save()
 
 
 def verdict(cell: dict, bound: float) -> str:
@@ -281,28 +312,7 @@ def main(argv=None) -> int:
     record["sweep_probe"]["csv_identical"] = len(shas) == 1 and None not in shas
     save()
 
-    queries = []
-    record["distance_probe"] = {
-        "what": (f"`pplab distance` (prod:1, 0 -> 1) on one {DISTANCE_N}-"
-                 "vertex Girg file with the query workload's spec, in a fresh "
-                 "interpreter, twice per checkout in alternating order; "
-                 "rss_rise_mb is the peak RSS above that after "
-                 "`import pplab.cli`"),
-        "runs": queries}
-    with tempfile.TemporaryDirectory() as tmp:
-        graph = Path(tmp) / "distance.graph"
-        subprocess.run([sys.executable, "-c", _GRAPH_WRITER,
-                        str(checkouts["parent"]), str(graph), str(DISTANCE_N)],
-                       check=True, capture_output=True)
-        record["distance_probe"]["graph_bytes"] = graph.stat().st_size
-        for side in SIDES + SIDES[::-1]:
-            queries.append(dict(distance_probe(checkouts[side], graph),
-                                side=side))
-            save()
-    printed = {json.dumps(q.get("lines")) for q in queries}
-    record["distance_probe"]["lines_identical"] = (
-        len(printed) == 1 and all(q.get("exit") == 0 for q in queries))
-    save()
+    distance_probes(checkouts, record, save)
     return 0
 
 
