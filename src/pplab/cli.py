@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -331,9 +332,11 @@ def write_graph_text(g: Graph) -> str:
 _EDGE_DTYPE = np.dtype([("tag", "U2"), ("u", np.int64), ("v", np.int64),
                         ("len", np.float64)])
 # The vertex and edge blocks are parsed a piece of text at a time, each cut
-# after the first newline from this many characters on, so that no list of
-# every line is ever built.
+# after the first line break from this many characters on, so that no list
+# of every line is ever built.
 _CHUNK = 1 << 16
+# The line breaks that str.splitlines honours, "\r\n" as one.
+_BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _vertex_dtype(d: int) -> np.dtype:
@@ -341,13 +344,19 @@ def _vertex_dtype(d: int) -> np.dtype:
                      ("x", np.float64, (d,)), ("w", np.float64)])
 
 
+def _line_end(text: str, at: int) -> int:
+    """Where the line holding text[at] ends, past its line break."""
+    found = _BREAK.search(text, at)
+    return found.end() if found else len(text)
+
+
 def _numbered_lines(text: str, start: int, first: int):
     """(number, lines) of each piece of text[start:]: its lines, and the
     0-based line number of the first, text[start:] starting at `first`.
-    Each piece is cut after a newline, which always ends a line, so the
-    pieces split into text's own lines."""
+    Each piece is cut after a line break, "\r\n" whole, so the pieces
+    split into text's own lines."""
     while start < len(text):
-        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        end = _line_end(text, start + _CHUNK - 1)
         lines = text[start:end].splitlines()
         yield first, lines
         first += len(lines)
@@ -390,8 +399,7 @@ def _read_block(lines: list, first: int, what: str, dtype: np.dtype):
 def read_graph_text(text: str) -> Graph:
     end = 0                        # where the leading '#' lines end
     while text.startswith("#", end):
-        piece = text[end:text.find("\n", end) + 1 or len(text)]
-        end += len(piece.splitlines(keepends=True)[0])
+        end = _line_end(text, end)
     lines = text[:end].splitlines()
     if not lines or lines[0] != "#format pplab-graph 1":
         raise ValueError("not a pplab-graph file (bad or missing #format line)")

@@ -326,38 +326,32 @@ def hrg_radius_from_uniform(u, spec: Hrg):
 # connection kernels
 
 
-def _dist_pow(dist, d, out=None):
-    """dist**d (dist itself at d = 1); squares use np.square, as ``**`` does."""
-    if d == 1:
-        return dist
-    if d == 2:
-        return np.square(dist, out=out)
-    return np.power(dist, d, out=out)
-
-
-def _power_kernel(spec, wprod, dist_pow_d, out):
-    """The Girg / IgirgWindow kernel, written into ``out``.
+def _power_kernel(spec, wprod, dist, out):
+    """The Girg / IgirgWindow kernel at window distance ``dist``, written
+    into ``out`` (the inputs' broadcast shape; it may be dist itself).
 
     With the spec's alpha and c, and scale = n on the Girg torus, 1 in an
     IgirgWindow: min(1, c (wprod / (scale dist^d))^alpha) at finite alpha,
     the threshold 1{c wprod >= scale dist^d} at alpha = inf (after
-    Bringmann, Keusch and Lengler, ESA 2017), and 1{dist = 0} at c = 0
-    for every alpha.  ``out`` has the broadcast shape of the inputs and
-    may be dist_pow_d itself.  dist = 0 needs no special care: the
-    argument overflows to +inf and the kernel saturates at 1 (weights are
-    >= 1, so 0/0 cannot occur).
+    Bringmann, Keusch and Lengler, ESA 2017), and 1{dist^d = 0} at c = 0
+    for every alpha (dist^d can underflow).  dist^d squares by np.square,
+    as ``**`` does.  dist = 0 needs no special care: the argument
+    overflows to +inf and the kernel saturates at 1 (weights are >= 1, so
+    0/0 cannot occur).
     """
-    alpha, c = spec.alpha, spec.c
+    d, alpha, c = spec.d, spec.alpha, spec.c
     scale = float(spec.n) if isinstance(spec, Girg) else 1.0
     with np.errstate(divide="ignore", over="ignore"):
+        dist_d = (dist if d == 1 else np.square(dist, out=out) if d == 2
+                  else np.power(dist, d, out=out))
         if c == 0.0:
-            np.copyto(out, dist_pow_d == 0.0)
+            np.copyto(out, dist_d == 0.0)
         elif math.isinf(alpha):
-            np.copyto(out, c * wprod >= scale * dist_pow_d)
+            np.copyto(out, c * wprod >= scale * dist_d)
         else:
-            den = dist_pow_d
+            den = dist_d
             if scale != 1.0:
-                den = np.multiply(dist_pow_d, scale, out=out)
+                den = np.multiply(dist_d, scale, out=out)
             np.divide(wprod, den, out=out)
             if alpha == 2.0:
                 np.multiply(out, out, out=out)
@@ -382,7 +376,7 @@ def connect_prob(spec, w_u, w_v, dist):
     wprod = w_u * w_v
     with np.errstate(divide="ignore", over="ignore"):
         if isinstance(spec, (Girg, IgirgWindow)):
-            p = _power_kernel(spec, wprod, _dist_pow(dist, spec.d), np.empty(
+            p = _power_kernel(spec, wprod, dist, np.empty(
                 np.broadcast_shapes(wprod.shape, dist.shape)))
         elif isinstance(spec, SfpWindow):
             arg = wprod / dist**spec.d
@@ -411,30 +405,21 @@ def connect_prob(spec, w_u, w_v, dist):
 # generation
 
 
-def _pair_keys(u, v, n):
-    return u.astype(np.int64) * np.int64(n) + v.astype(np.int64)
-
-
-def _block_distances(axes, i0, i1, j0, j1, side, torus, out, tmp, tmp2):
-    """Window distances of rows i0:i1 to columns j0:j1, written into ``out``.
-
-    ``axes`` holds one contiguous coordinate array per axis; distances are
-    accumulated one axis at a time, with ``tmp`` and ``tmp2`` as scratch of
-    out's shape.
-    """
-    d = len(axes)
-    for k, x in enumerate(axes):
-        dx = out if k == 0 else tmp
-        np.subtract(x[i0:i1, None], x[None, j0:j1], out=dx)
+def _window_distance(diffs, d, side, torus, tmp):
+    """Window distances from per-axis coordinate differences, taken in
+    axis order and overwritten: |dx|, wrapped to the nearer image on a
+    torus of the given side, squares summed into the first difference's
+    array, then the square root (|dx| itself at d = 1); ``tmp`` is
+    scratch of their shape.  Both samplers measure every pair here."""
+    for k, dx in enumerate(diffs):
         np.abs(dx, out=dx)
         if torus:
-            np.minimum(dx, np.subtract(side, dx, out=tmp2), out=dx)
+            np.minimum(dx, np.subtract(side, dx, out=tmp), out=dx)
         if d == 1:
-            return out
+            return dx
         np.multiply(dx, dx, out=dx)
-        if k:
-            out += dx
-    return np.sqrt(out, out=out)
+        dist = dx if k == 0 else np.add(dist, dx, out=dist)
+    return np.sqrt(dist, out=dist)
 
 
 def _pairwise_pairs(spec, master_seed, vs: VertexSet):
@@ -470,11 +455,13 @@ def _pairwise_pairs(spec, master_seed, vs: VertexSet):
             bi, bw = i1 - i0, j1 - j0
             dist, a, b, words, tmp, accept = (
                 x[:bi * bw].reshape(bi, bw) for x in bufs)
-            _block_distances(axes, i0, i1, j0, j1, side, torus, dist, a, b)
+            _window_distance((np.subtract(x[i0:i1, None], x[None, j0:j1],
+                                          out=a if k else dist)
+                              for k, x in enumerate(axes)),
+                             vs.window.d, side, torus, b)
             w_i, w_j = weights[i0:i1, None], weights[None, j0:j1]
             if power:
-                p = _power_kernel(spec, np.multiply(w_i, w_j, out=b),
-                                  _dist_pow(dist, spec.d, out=a), a)
+                p = _power_kernel(spec, np.multiply(w_i, w_j, out=b), dist, a)
             else:
                 p = connect_prob(spec, w_i, w_j, dist)
             base = np.uint64((key + (i0 * n + j0) * _GOLDEN) & _MASK64)
@@ -539,9 +526,10 @@ class _CellPlan:
 
 
 def _type_two_bound(spec: Girg, s, level: int) -> np.ndarray:
-    """pbar = kernel(2^(s+2), 2^-level) for an array of layer sums s."""
+    """pbar = kernel(2^(s+2), 2^-level) for an array of layer sums s;
+    (2^-level)^d is an exact power of two at every d."""
     wprod = np.ldexp(1.0, np.asarray(s, dtype=np.int64) + 2)
-    return _power_kernel(spec, wprod, np.ldexp(1.0, -level * spec.d),
+    return _power_kernel(spec, wprod, np.ldexp(1.0, -level),
                          np.empty(wprod.shape))
 
 
@@ -674,35 +662,22 @@ def _cell_blocks(index, m: int, ci, cj, offsets):
             cls[combo], (same_layer & (partner == own[:, None]))[keep])
 
 
-def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar=None):
-    """Keys u * n + v of the pairs u < v that are edges: coin <= p, or
-    coin * pbar <= p for candidates drawn under the bound pbar.  p is
-    computed as in the all-pairs sweep, bit for bit, and the coin is its
-    uniform_array(master_seed, "edges", u * n + v)."""
+def _edge_keys(spec: Girg, master_seed, axes, w, u, v, pbar):
+    """Keys u * n + v of the pairs u < v that are edges: coin * pbar <= p,
+    for candidates drawn under the bound pbar (1.0 for pairs that are all
+    examined, which is exact).  p is computed as in the all-pairs sweep,
+    bit for bit, and the coin is its uniform_array(master_seed, "edges",
+    u * n + v)."""
     n = w.shape[0]
-    dist = tmp = None
-    for k, x in enumerate(axes):
-        dx = x[u]
-        dx -= x[v]
-        np.abs(dx, out=dx)
-        if tmp is None:
-            tmp = np.empty_like(dx)
-        np.minimum(dx, np.subtract(1.0, dx, out=tmp), out=dx)
-        if spec.d == 1:
-            dist = dx
-            break
-        np.multiply(dx, dx, out=dx)
-        dist = dx if k == 0 else np.add(dist, dx, out=dist)
-    if spec.d > 1:
-        np.sqrt(dist, out=dist)
+    dist = _window_distance((x[u] - x[v] for x in axes), spec.d, 1.0, True,
+                            np.empty(u.shape))
     wprod = w[u]
     wprod *= w[v]
-    p = _power_kernel(spec, wprod, _dist_pow(dist, spec.d, out=dist), dist)
+    p = _power_kernel(spec, wprod, dist, dist)
     keys = u * n
     keys += v
     coins = uniform_array(master_seed, "edges", keys)
-    if pbar is not None:
-        coins *= pbar
+    coins *= pbar
     return keys[coins <= p]
 
 
@@ -721,7 +696,7 @@ def _coin_edges(spec, master_seed, axes, w, order, a0, na, b0, nb, same):
         a = np.repeat(order[pa[lo:hi]], c)
         b = order[np.repeat(first[lo:hi], c) + _ragged_arange(c)]
         yield _edge_keys(spec, master_seed, axes, w, np.minimum(a, b),
-                         np.maximum(a, b))
+                         np.maximum(a, b), 1.0)
 
 
 def _skip_candidates(master_seed, labels, begin, end, pbar):
@@ -844,8 +819,7 @@ def _edge_lengths(master_seed, u, v, n, length_law):
         return np.zeros(0, dtype=np.float64)
     if length_law is None:
         return np.ones(u.shape[0], dtype=np.float64)
-    keys = _pair_keys(u, v, n)
-    draws = uniform_array(master_seed, "lengths", keys)
+    draws = uniform_array(master_seed, "lengths", u * n + v)
     return np.asarray(length_law.sample_from_uniform(draws), dtype=np.float64)
 
 

@@ -29,7 +29,8 @@ models.Graph.csr | reference_csr | test_models::test_csr_matches_argsort_referen
 models._pairwise_pairs | pair_sweep | test_models::test_pairwise_sweep_matches_pair_by_pair_reference
 models._cell_pairs (each pair's class) | cell_classes | test_models::test_cell_sampler_decides_each_pair_by_its_class
  | | test_models::test_cell_sampler_coins_every_class_at_bound_one
-the sweeps' window metric | window_distance | test_models::test_cell_sampler_decides_each_pair_by_its_class
+models._window_distance (both samplers) | window_distance | test_models::test_cell_sampler_decides_each_pair_by_its_class
+ | | test_models::test_pairwise_sweep_matches_pair_by_pair_reference
 rng.weight_from_uniform, the Hrg weight map | weight_cdf | test_rng::test_weight_ks_statistic
  | | test_models::test_hrg_mapped_weight_tail
 EdgeLengthLaw.quantile, sample_from_uniform | length_cdf | test_rng::test_quantile_inequality_exact
@@ -234,7 +235,7 @@ def power_kernel(w_u, w_v, dist, d, alpha, c, scale) -> float:
     """The GIRG/IGIRG kernel in plain floats: 1{dist = 0} at c = 0,
     1{c w_u w_v >= scale dist^d} at alpha = inf, else min(1, c (w_u w_v /
     (scale dist^d))^alpha); scale is n on the Girg torus and 1 in a window."""
-    dist_d = dist * dist if d == 2 else dist
+    dist_d = dist * dist if d == 2 else dist ** d
     if c == 0:
         return 1.0 if dist == 0 else 0.0
     if math.isinf(alpha):

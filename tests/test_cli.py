@@ -378,16 +378,18 @@ def test_graph_file_names_a_bad_line_at_a_chunk_edge(monkeypatch, chars):
 def test_graph_file_reads_in_bounded_memory():
     # the query workload's graph, read a piece at a time: the new arrays
     # and the Graph's checks stay below 2.5 times the text, which a list of
-    # every line would pass on its own
+    # every line would pass on its own, whichever line break the file uses
     text = write_graph_text(generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0,
                                           c=0.5), 1, PolyAtZero(1.0)))
-    tracemalloc.start()
-    try:
-        read_graph_text(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * len(text), peak / len(text)
+    for brk in ("\n", "\r\n", "\r", "\f"):
+        other = text.replace("\n", brk)
+        tracemalloc.start()
+        try:
+            read_graph_text(other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(other), (repr(brk), peak / len(other))
 
 
 # ---------------------------------------------------------------------------

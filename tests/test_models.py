@@ -79,7 +79,7 @@ def test_connect_prob_symmetric():
 def test_connect_prob_matches_the_closed_form(model):
     rng = np.random.default_rng(17)
     seen = set()
-    for d, alpha, c in itertools.product((1, 2), (2.0, 3.0, math.inf),
+    for d, alpha, c in itertools.product((1, 2, 3), (2.0, 3.0, math.inf),
                                          (0.0, 0.5, 1.0, 2.0)):
         spec = (Girg(n=300, d=d, tau=2.5, alpha=alpha, c=c) if model == "girg"
                 else IgirgWindow(lam=1.0, d=d, side=50.0, tau=2.5,
@@ -562,6 +562,7 @@ SWEEP_SPECS = {
     "girg-d2-alpha3-c0.5": Girg(n=1, d=2, tau=2.5, alpha=3.0, c=0.5),
     "girg-d1-threshold": Girg(n=1, d=1, tau=2.8, alpha=math.inf, c=1.0),
     "girg-d2-threshold": Girg(n=1, d=2, tau=2.5, alpha=math.inf, c=2.0),
+    "girg-d3-alpha2-c0.5": Girg(n=1, d=3, tau=2.5, alpha=2.0, c=0.5),
     "igirg-d1-c1-pinned": IgirgWindow(lam=1.0, d=1, side=2100.0, tau=2.3,
                                       alpha=3.0, c=1.0, pin_origin=True),
     "sfp": SfpWindow(d=2, radius=23, tau=2.5, lambda_perc=1.0,
@@ -789,6 +790,7 @@ def test_cell_sampler_threshold_kernel_equals_pairwise():
     Girg(n=700, d=2, tau=2.5, alpha=2.0, c=1e6),    # every base level is 0
     Girg(n=15, d=2, tau=2.5, alpha=2.0, c=0.5),     # no level beyond 1
     Girg(n=900, d=1, tau=2.2, alpha=3.0, c=1e12),
+    Girg(n=700, d=3, tau=2.5, alpha=2.0, c=10.0),   # base 1, p fractional
 ])
 def test_cell_sampler_all_type_one_is_the_pairwise_graph(spec):
     for seed in range(3):
