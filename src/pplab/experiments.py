@@ -203,6 +203,8 @@ def _pool_map(spec: SweepSpec, jobs: list, workers: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # loaded before the fork, so the workers share one copy of csgraph
+    import scipy.sparse.csgraph  # noqa: F401
     pool = ProcessPoolExecutor(workers,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(spec,))

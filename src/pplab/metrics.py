@@ -25,13 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .cost import MaxPenalty
 from .domain import check_domains
 from .geometry import BoxingSystem, locate_subbox
 from .models import Graph
+
+
+def _csgraph_dijkstra(*args, **kw):
+    """scipy's dijkstra, imported at the first search: the boxing layer
+    never searches, and scipy.sparse.csgraph loads scipy.sparse.linalg and
+    scipy.linalg with it."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(*args, **kw)
 
 
 def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
@@ -130,17 +136,22 @@ def _symmetric(f) -> bool:
     """Whether f(x, y) == f(y, x) bit for bit, read from f's form.
 
     max(x, y)^mu qualifies: max commutes exactly.  So does a polynomial
-    whose terms all have a = 1 when swapping x and y maps its terms onto
-    themselves, in order or with the first two exchanged (sum:mu's two).
-    Each term is the float product x^mu * y^nu, which commutes exactly, and
-    so does the one addition that joins the first two.  (A factor a != 1
-    would round (a x^mu) y^nu and (a y^nu) x^mu differently.)
+    whose factors a are exact powers of two, at least 2^-1022, when
+    swapping x and y maps its terms onto themselves, in order or with the
+    first two exchanged (sum:mu's two).  Weights are >= 1, so x^mu is >= 1
+    or +inf, and a x^mu only rescales it: exact, or +inf on overflow.  So
+    (a x^mu) y^nu and (a y^nu) x^mu round the same real a x^mu y^nu once,
+    overflow to +inf included, and the one addition that joins the first
+    two terms commutes exactly.  (Another a, such as 3, rounds a x^mu and
+    a y^nu first, and the two orders can differ.)
     """
     if isinstance(f, MaxPenalty):
         return True
     terms = list(getattr(f, "terms", ()))
     swapped = [(a, nu, mu) for a, mu, nu in terms]
-    return (bool(terms) and all(a == 1.0 for a, _, _ in terms)
+    return (bool(terms)
+            and all(a >= 2.0**-1022 and math.frexp(a)[0] == 0.5
+                    for a, _, _ in terms)
             and terms in (swapped, swapped[1::-1] + swapped[2:]))
 
 
@@ -218,6 +229,7 @@ def components(g: Graph) -> list:
 
     They are scipy's strong components of the CSR, exact because the CSR
     holds each edge both ways, and scipy makes no symmetrized copy."""
+    from scipy.sparse.csgraph import connected_components
     if g.n == 0:
         return []
     indptr, nbr, _ = g.csr

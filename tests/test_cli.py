@@ -6,8 +6,12 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -918,6 +922,60 @@ def test_exit_codes(tmp_path, capsys):
     rc, _, err = _run(capsys, "generate", "--config", str(sfp_cfg),
                       "--out", str(tmp_path / "nodir" / "x.graph"))
     assert rc == 3 and "runtime failure" in err
+
+
+# Search-free work in a fresh interpreter: the boxing workload's windows
+# (IGIRG side 1000, PolyAtZero(0.1) lengths, mono:1,1), then classify,
+# params, hrgmap and boxes.  It prints whether scipy's csgraph is loaded,
+# then again after one cost_search.
+SEARCH_FREE_RUN = """
+import contextlib, io, math, sys
+from pplab import cli, cost, geometry, metrics, models, rng
+
+p = cost.solve_boxing_params(2.5, 1.0, 1.0, 0.1)
+M = math.log(1000.0) / (p.D * p.C) * (1.0 - 1e-9)
+spec = models.IgirgWindow(lam=1.0, d=1, side=1000.0, tau=2.5, alpha=2.0, c=1.0)
+law = rng.PolyAtZero(0.1)
+f = cli.parse_penalty("mono:1,1")
+starts = 0
+for seed in range(6):
+    g = models.generate(spec, seed, length_law=law)
+    b = geometry.build_boxing(g.vertices.window, [0.0], M, p.C, p.D, p.delta)
+    scan = metrics.delta_good_scan(g, b, 2.5)
+    metrics.check_F2(g, b, 2.5, scan=scan)
+    for leader in scan.scan_for(0).good_leaders:
+        starts += 1
+        path = metrics.build_greedy_path(g, b, 2.5, f, leader, scan=scan)
+        if isinstance(path, metrics.GreedyPath):
+            metrics.greedy_bound_report(b, 2.5, f, law, path)
+assert starts > 0
+with open(sys.argv[1], "w") as fh:
+    fh.write(cli.write_graph_text(g))
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(argv) for argv in (
+        ["classify", "--tau", "2.5", "--alpha", "2", "--penalty", "prod:1",
+         "--law", "poly:0.1"],
+        ["params", "--tau", "2.5", "--mu", "1", "--nu", "1", "--beta", "0.1"],
+        ["hrgmap", "--phi", "1.0", "--r", "5.0", "--n", "1000"],
+        ["boxes", "--graph", sys.argv[1], "--tau", "2.5", "--penalty",
+         "mono:1,1", "--law", "poly:0.1", "--M", "1.0", "--C", "1.3",
+         "--D", "2.0", "--delta", "0.2"])]
+assert rcs == [0, 0, 0, 0], rcs
+print("scipy.sparse.csgraph" in sys.modules)
+metrics.cost_search(g, f, 0)
+print("scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+def test_only_searches_and_components_load_csgraph(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", SEARCH_FREE_RUN, str(tmp_path / "w.graph")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\nTrue\n"
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,9 @@ def test_pair_distances_equal_full_searches_on_generated_graphs(monkeypatch):
         for f, symmetric in ((product_penalty(1.0), True),
                              (power_sum_penalty(1.0), True),
                              (MaxPenalty(2.0), True),
-                             (monomial_penalty(0.2, 1.5), False)):
+                             (parse_penalty("poly:2,1,1"), True),
+                             (monomial_penalty(0.2, 1.5), False),
+                             (parse_penalty("poly:3,1,1"), False)):
             pairs = _repeating_pairs(rng, g.n, 24)
             for direction in ("outward", "inward"):
                 calls.clear()
@@ -376,10 +378,11 @@ def test_pair_distances_price_the_slots_once(monkeypatch):
     # a penalty the symmetry rule admits runs one hub search: its cost
     # matrix must be its own transpose, bit for bit, either way
     specs = ["prod:1", "prod:0.5", "mono:1,1", "mono:0.2,1.5", "sum:1",
-             "max:2", "poly:3,0.5,0.5",
+             "max:2", "poly:3,0.5,0.5", "poly:2,1,1", "poly:0.5,1,0;0.5,0,1",
              "poly:1,2,0.5;1,0.5,2;1,1,1", "poly:1,1,1;1,2,0.5;1,0.5,2"]
     admitted = [s for s in specs if metrics._symmetric(parse_penalty(s))]
     assert admitted == ["prod:1", "prod:0.5", "mono:1,1", "sum:1", "max:2",
+                        "poly:2,1,1", "poly:0.5,1,0;0.5,0,1",
                         "poly:1,2,0.5;1,0.5,2;1,1,1"]
     for spec in admitted:
         for direction in ("outward", "inward"):

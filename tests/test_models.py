@@ -787,9 +787,9 @@ def test_cell_sampler_threshold_kernel_equals_pairwise():
 
 
 @pytest.mark.parametrize("spec", [
-    Girg(n=700, d=2, tau=2.5, alpha=2.0, c=1e6),    # every base level is 0
+    Girg(n=700, d=2, tau=2.5, alpha=2.0, c=200.0),  # base 1, p fractional
     Girg(n=15, d=2, tau=2.5, alpha=2.0, c=0.5),     # no level beyond 1
-    Girg(n=900, d=1, tau=2.2, alpha=3.0, c=1e12),
+    Girg(n=900, d=1, tau=2.2, alpha=3.0, c=1e6),    # base 1, p fractional
     Girg(n=700, d=3, tau=2.5, alpha=2.0, c=10.0),   # base 1, p fractional
 ])
 def test_cell_sampler_all_type_one_is_the_pairwise_graph(spec):

@@ -30,9 +30,11 @@ of its largest sweep worker (``RUSAGE_CHILDREN``) and the sha256 of the
 CSV, so the two sides' CSVs can be compared.  Then, at each size of
 DISTANCE_NS (2^14 and 2^16), each checkout runs ``pplab distance`` twice,
 each time in a fresh interpreter, on one Girg file with the query
-workload's spec, written once by the parent.  It reports the rise of its
-peak RSS over ``import pplab.cli``, its wall time and the lines it
-printed, which must be equal on both sides.
+workload's spec, written once by the parent.  It reports its peak RSS,
+the rise of that peak over ``import pplab.cli`` and
+``import scipy.sparse.csgraph`` (which the search loads, wherever pplab
+imports it), its wall time and the lines it printed, which must be equal
+on both sides.
 
 The JSON is rewritten after every run, so an interrupted batch keeps what
 it measured.  Progress goes to stderr.
@@ -103,6 +105,7 @@ import contextlib, io, json, resource, sys, time
 root, graph = sys.argv[1], sys.argv[2]
 sys.path[:0] = [root + "/src"]
 from pplab import cli
+import scipy.sparse.csgraph  # loaded by the search wherever pplab imports it
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 out = io.StringIO()
 t0 = time.perf_counter()
@@ -113,6 +116,7 @@ wall = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"exit": code, "wall_s": wall,
                   "rss_rise_mb": (peak - base) / 1024.0,
+                  "peak_rss_mb": peak / 1024.0,
                   "lines": out.getvalue().splitlines()}))
 """
 
@@ -182,7 +186,8 @@ def distance_probes(checkouts: dict, record: dict, save) -> None:
                  "size with the query workload's spec, in a fresh "
                  "interpreter, twice per checkout in alternating order; "
                  "rss_rise_mb is the peak RSS above that after "
-                 "`import pplab.cli`"),
+                 "`import pplab.cli` and `import scipy.sparse.csgraph`, "
+                 "peak_rss_mb the peak itself"),
         "sizes": sizes}
     with tempfile.TemporaryDirectory() as tmp:
         for n in DISTANCE_NS:
