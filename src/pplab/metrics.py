@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .cost import MaxPenalty
 from .domain import check_domains
@@ -38,6 +37,13 @@ def _csgraph_dijkstra(*args, **kw):
     scipy.linalg with it."""
     from scipy.sparse.csgraph import dijkstra
     return dijkstra(*args, **kw)
+
+
+def _csr_matrix(*args, **kw):
+    """scipy's csr_matrix, imported at the first use: Graph.csr is built
+    without scipy, so search-free runs never load scipy.sparse."""
+    from scipy.sparse import csr_matrix
+    return csr_matrix(*args, **kw)
 
 
 def _vertex_ids(n: int, ids, what: str) -> np.ndarray:
@@ -71,19 +77,26 @@ def _slot_costs(g: Graph, f, direction: str) -> np.ndarray:
     return cost
 
 
-def _cost_matrix(g: Graph, f, direction: str) -> csr_matrix:
+def _cost_matrix(g: Graph, f, direction: str):
     """The graph's CSR with each slot's directed cost, explicit zeros kept."""
     indptr, nbr, _ = g.csr
-    return csr_matrix((_slot_costs(g, f, direction), nbr, indptr),
-                      shape=(g.n, g.n))
+    return _csr_matrix((_slot_costs(g, f, direction), nbr, indptr),
+                       shape=(g.n, g.n))
 
 
 @dataclass
 class CostSearchResult:
     source: int
-    settled: list                  # [(vertex, distance)] by (distance, id)
     dist: np.ndarray               # per-vertex distance, inf = unreached
     parent: np.ndarray             # search-tree parent, -1 at source/unreached
+
+    @property
+    def settled(self) -> list:
+        """[(vertex, distance)] of every reached vertex by (distance, id),
+        computed on read: pplab distance never reads it."""
+        reached = np.flatnonzero(np.isfinite(self.dist))
+        reached = reached[np.argsort(self.dist[reached], kind="stable")]
+        return list(zip(reached.tolist(), self.dist[reached].tolist()))
 
 
 def cost_search(g: Graph, f, source: int,
@@ -91,21 +104,17 @@ def cost_search(g: Graph, f, source: int,
     """One full scipy Dijkstra from source over the directed costs.
 
     The search runs on the same cost matrix as distance_matrix, so its
-    distances are those numbers.  settled lists every reached vertex in
-    (distance, id) order.  Under exactly tied path costs the parent is
-    scipy's choice, so realized_path gives a shortest path, not a
+    distances are those numbers.  The result's settled lists every reached
+    vertex in (distance, id) order.  Under exactly tied path costs the
+    parent is scipy's choice, so realized_path gives a shortest path, not a
     particular one.
     """
     _vertex_ids(g.n, source, "source")
     dist, pred = _csgraph_dijkstra(_cost_matrix(g, f, direction),
                                    indices=source, return_predecessors=True)
-    reached = np.flatnonzero(np.isfinite(dist))
-    reached = reached[np.argsort(dist[reached], kind="stable")]
     # scipy marks the source and unreached vertices with -9999
-    return CostSearchResult(
-        source=source, settled=list(zip(reached.tolist(),
-                                        dist[reached].tolist())),
-        dist=dist, parent=np.maximum(pred, -1).astype(np.int64))
+    return CostSearchResult(source=source, dist=dist,
+                            parent=np.maximum(pred, -1).astype(np.int64))
 
 
 def realized_path(res: CostSearchResult, target: int):
@@ -194,8 +203,8 @@ def pair_distances(g: Graph, f, pairs, direction: str) -> np.ndarray:
     bound = (to_hub[a] + from_hub[b]) * margin
     keep = mat.data <= bound.max()
     kept_before = np.concatenate([[0], np.cumsum(keep)])
-    pruned = csr_matrix((mat.data[keep], mat.indices[keep],
-                         kept_before[mat.indptr]), shape=mat.shape)
+    pruned = _csr_matrix((mat.data[keep], mat.indices[keep],
+                          kept_before[mat.indptr]), shape=mat.shape)
     sources, at = np.unique(a, return_inverse=True)
     out = np.empty(a.size)
     for i, s in enumerate(sources.tolist()):
@@ -233,7 +242,7 @@ def components(g: Graph) -> list:
     if g.n == 0:
         return []
     indptr, nbr, _ = g.csr
-    unit = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
+    unit = _csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
     _, labels = connected_components(unit, connection="strong")
     order = np.argsort(labels, kind="stable")   # ascending ids within a label
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -460,7 +469,7 @@ def saw_path_count(g: Graph, v: int, k: int) -> int:
     check_domains(locals(), k="[0, 8]")    # 8: combinatorial explosion guard
     _vertex_ids(g.n, v, "vertex")
     indptr, nbr, _ = g.csr
-    adj = csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
+    adj = _csr_matrix((np.ones(nbr.size), nbr, indptr), shape=(g.n, g.n))
     walks, steps = np.where(np.arange(g.n) == v, 1.0, 0.0), 1.0
     for _ in range(k):
         walks = adj @ walks

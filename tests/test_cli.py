@@ -887,13 +887,67 @@ def test_cmd_boxes_report(tmp_path, capsys):
         assert line.startswith(f"k={k} ")
         assert "F1=" in line and "F2=" in line
     assert lines[k_star + 1].endswith("F2=-")
-    assert lines[-1].startswith(("greedy ", "greedy"))
+    assert lines[-1] == "greedy no-start (annulus 0 has no delta-good leader)"
     # identical invocation is byte-identical
     rc2, out2, _ = _run(capsys, "boxes", "--graph", str(gp), "--tau", "2.5",
                         "--penalty", "mono:1,1", "--law", "poly:0.1",
                         "--M", "1.0", "--C", "1.3", "--D", "2.0",
                         "--delta", "0.2")
     assert out2 == out
+
+
+# One delta-good leader per annulus of BOX_ARGS's boxing at D = 3 on a
+# side-1000 line (D = 2 leaves annulus 1 no room for a sub-box), each inside
+# a sub-box (build_boxing's anchors) with a weight in its annulus's
+# leader_weight_interval, joined leader to leader.  Vertex 4 is a second
+# good leader of annulus 1 that leads nowhere, one edge dearer in L than
+# vertex 1, so the greedy hop must pick vertex 1 to complete.
+LEADER_CHAIN = """#format pplab-graph 1
+#model igirg
+#d 1
+#n 5
+#side 1000
+v 0 2 2
+v 1 13 2.5
+v 2 30 3
+v 3 90 4
+v 4 -20 2.5
+e 0 1 1e-12
+e 0 4 2e-12
+e 1 2 1e-12
+e 2 3 1e-12
+"""
+
+
+def test_cmd_boxes_greedy_branches(tmp_path, capsys):
+    # test_cmd_boxes_report's config at seed 8: annulus 1 of D = 2 holds no
+    # sub-box, so the greedy path fails at its first hop
+    cfg = tmp_path / "ig.cfg"
+    cfg.write_text("model = igirg\nd = 1\nside = 1000.0\nlam = 1.0\n"
+                   "tau = 2.5\nalpha = 2.0\nc = 1.0\nlaw = poly:0.1\n"
+                   "seed = 8\n")
+    gp = tmp_path / "ig.graph"
+    _run(capsys, "generate", "--config", str(cfg), "--out", str(gp))
+    assert _run(capsys, "boxes", "--graph", str(gp), *BOX_ARGS, "--law",
+                "poly:0.1") == (0, "k_star 4\n"
+                                   "k=0 boxes=2 good=1 F1=yes F2=no\n"
+                                   "k=1 boxes=0 good=0 F1=yes F2=yes\n"
+                                   "k=2 boxes=2 good=1 F1=yes F2=no\n"
+                                   "k=3 boxes=3 good=1 F1=no F2=no\n"
+                                   "k=4 boxes=11 good=4 F1=no F2=-\n"
+                                   "greedy failed annulus=1 reached=1\n", "")
+    # the completed path costs 1e-12 (2 * 2.5 + 2.5 * 3 + 3 * 4) = 2.45e-11
+    gp.write_text(LEADER_CHAIN)
+    assert _run(capsys, "boxes", "--graph", str(gp),
+                *_with(BOX_ARGS, "--D", "3.0"), "--law",
+                "poly:0.1") == (0, "k_star 3\n"
+                                   "k=0 boxes=7 good=1 F1=no F2=no\n"
+                                   "k=1 boxes=6 good=2 F1=no F2=no\n"
+                                   "k=2 boxes=19 good=1 F1=no F2=no\n"
+                                   "k=3 boxes=61 good=1 F1=no F2=-\n"
+                                   "greedy cost=2.45e-11 hops=3 "
+                                   "bound=2.676953602615085e-08 "
+                                   "applicable=yes within_bound=yes\n", "")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -926,8 +980,8 @@ def test_exit_codes(tmp_path, capsys):
 
 # Search-free work in a fresh interpreter: the boxing workload's windows
 # (IGIRG side 1000, PolyAtZero(0.1) lengths, mono:1,1), then classify,
-# params, hrgmap and boxes.  It prints whether scipy's csgraph is loaded,
-# then again after one cost_search.
+# params, hrgmap and boxes.  It prints whether scipy's csgraph and
+# scipy.sparse are loaded, then again after one cost_search.
 SEARCH_FREE_RUN = """
 import contextlib, io, math, sys
 from pplab import cli, cost, geometry, metrics, models, rng
@@ -961,13 +1015,15 @@ with contextlib.redirect_stdout(io.StringIO()):
          "mono:1,1", "--law", "poly:0.1", "--M", "1.0", "--C", "1.3",
          "--D", "2.0", "--delta", "0.2"])]
 assert rcs == [0, 0, 0, 0], rcs
-print("scipy.sparse.csgraph" in sys.modules)
+def loaded():
+    print("scipy.sparse.csgraph" in sys.modules, "scipy.sparse" in sys.modules)
+loaded()
 metrics.cost_search(g, f, 0)
-print("scipy.sparse.csgraph" in sys.modules)
+loaded()
 """
 
 
-def test_only_searches_and_components_load_csgraph(tmp_path):
+def test_only_searches_and_components_load_scipy_sparse(tmp_path):
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -975,7 +1031,7 @@ def test_only_searches_and_components_load_csgraph(tmp_path):
         [sys.executable, "-c", SEARCH_FREE_RUN, str(tmp_path / "w.graph")],
         env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\nTrue\n"
+    assert run.stdout == "False False\nTrue True\n"
 
 
 # ---------------------------------------------------------------------------

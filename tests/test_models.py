@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -486,7 +487,11 @@ def _csr_graphs():
     graphs = [generate(spec, 1, law) for spec, law in GOLDEN_CASES.values()]
     graphs += [generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=1.0), 7),
                _line_graph(1, []), _line_graph(5, []),
-               _line_graph(6, [(1, 4), (2, 4)])]      # 0, 3 and 5 isolated
+               _line_graph(6, [(1, 4), (2, 4)]),      # 0, 3 and 5 isolated
+               # stars: a centre with only upper, then only lower neighbours
+               _line_graph(9, [(0, x) for x in range(1, 9)]),
+               _line_graph(9, [(x, 8) for x in range(8)]),
+               _line_graph(12, list(itertools.combinations(range(12), 2)))]
     for _ in range(40):
         n = int(rng.integers(2, 30))
         iu, iv = np.triu_indices(n, 1)
@@ -516,6 +521,21 @@ def test_csr_matches_argsort_reference():
                 g.n, g.edges_u, g.edges_v), strict=True):
             assert got.dtype == np.int32     # n and 2m fit int32
             assert np.array_equal(got, want)
+
+
+def test_csr_builds_in_bounded_memory():
+    # on the 2^12 Girg of _csr_graphs: the two int32 outputs (16 B per
+    # edge), the int64 sort keys (8), the slot mask (2) and one int32 value
+    # array at a time (4) peak near 35 B per edge; 8 KiB covers the call's
+    # small objects
+    g = generate(Girg(n=2**12, d=2, tau=2.5, alpha=2.0, c=1.0), 7)
+    tracemalloc.start()
+    try:
+        models._build_csr(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * g.m + 8192, peak / g.m
 
 
 def test_graph_sorts_unsorted_edges_and_rejects_duplicates():

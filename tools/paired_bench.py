@@ -3,6 +3,14 @@
     python3 tools/paired_bench.py --parent DIR --change DIR --out BENCH.json \
         --first-seed S0
 
+First, each checkout runs two commands in a fresh interpreter, 5 times
+each, the sides alternating: ``python -c "import pplab.cli"`` and
+``pplab classify --tau 2.5 --alpha 2 --penalty prod:1 --law poly:0.1``
+(IMPORT_PROBES, as ``python -m pplab.cli``).  For each run it records the
+wall time and the interpreter's ``ru_maxrss``, from ``os.wait4``.  A
+workload's ``setup_s`` mixes this fresh import with its in-process
+set-up; the probe shows the import alone.
+
 The protocol is fixed: each of the benchmark's three workloads runs in 10
 pairs of 30 s runs (WORKLOADS, PAIRS, SECONDS).  Pair i runs
 ``python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0``
@@ -57,6 +65,13 @@ WORKLOADS = ("sweep", "query", "boxing")
 PAIRS = 10
 SECONDS = 30
 SIDES = ("parent", "change")
+
+IMPORT_REPEATS = 5
+IMPORT_PROBES = {
+    "import": ["-c", "import pplab.cli"],
+    "classify": ["-m", "pplab.cli", "classify", "--tau", "2.5", "--alpha",
+                 "2", "--penalty", "prod:1", "--law", "poly:0.1"],
+}
 
 # One sweep in a fresh interpreter: argv = checkout, seed, scratch dir.
 _SWEEP_PROBE = """\
@@ -158,6 +173,45 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     if "error" in result:
         row["error"] = result["error"]
     return row
+
+
+def import_probe(checkout: Path, args: list) -> dict:
+    """One fresh interpreter on the checkout's src: wall time, exit code
+    and peak RSS of that process alone."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *args], cwd=checkout, env=env,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    # reaped here, so Popen must not wait for it again
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"exit": proc.returncode, "wall_s": wall,
+            "maxrss_mb": usage.ru_maxrss / 1024.0}
+
+
+def import_probes(checkouts: dict, record: dict, save) -> None:
+    """IMPORT_PROBES, IMPORT_REPEATS times per checkout, into record."""
+    runs, medians = [], {}
+    record["import_probe"] = {
+        "what": ("`python -c \"import pplab.cli\"` and `pplab classify "
+                 "--tau 2.5 --alpha 2 --penalty prod:1 --law poly:0.1`, each "
+                 f"{IMPORT_REPEATS} times per checkout in a fresh "
+                 "interpreter, the sides alternating; maxrss_mb is that "
+                 "interpreter's ru_maxrss"),
+        "runs": runs, "medians": medians}
+    for i in range(IMPORT_REPEATS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for name, args in IMPORT_PROBES.items():
+                runs.append(dict(import_probe(checkouts[side], args),
+                                 side=side, probe=name))
+                save()
+    for name in IMPORT_PROBES:
+        medians[name] = {side: {key: statistics.median(
+            r[key] for r in runs if (r["side"], r["probe"]) == (side, name))
+            for key in ("wall_s", "maxrss_mb")} for side in SIDES}
+    save()
 
 
 def sweep_probe(checkout: Path, seed: int, tmp: Path) -> dict:
@@ -281,6 +335,7 @@ def main(argv=None) -> int:
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
 
+    import_probes(checkouts, record, save)
     for workload in WORKLOADS:
         runs = []
         record["workloads"][workload] = {"runs": runs}
