@@ -9,6 +9,9 @@ Formats
 * Graph file: ``#format pplab-graph 1`` header block followed by ``v`` and
   ``e`` lines; reals are written as their shortest round-trippable decimal,
   so write -> read -> write is byte-identical.
+* Graph sidecar: ``<graph file>.pplab-cache`` beside a regular graph file,
+  the arrays of its last successful parse as one npz, keyed by the sha256
+  of the file's bytes and the sidecar version; safe to delete.
 * Penalty specs: ``prod:<mu>``, ``mono:<mu>,<nu>``, ``sum:<mu>``,
   ``max:<mu>``, ``poly:a,mu,nu[;a,mu,nu]...``.
 * Length-law specs: ``poly:<beta>``, ``exp:<rate>``, ``dexp:<eta>,<c1>,<c2>``,
@@ -19,8 +22,13 @@ Exit codes: 0 success, 2 config error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import math
+import os
 import re
+import stat
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -339,6 +347,11 @@ _CHUNK = 1 << 16
 _BREAK = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
+def _window(model: str, d: int, side: float) -> Window:
+    return Window(d, side,
+                  boundary="torus" if model in _TORUS_MODELS else "hard")
+
+
 def _vertex_dtype(d: int) -> np.dtype:
     return np.dtype([("tag", "U2"), ("id", np.int64),
                      ("x", np.float64, (d,)), ("w", np.float64)])
@@ -419,8 +432,7 @@ def read_graph_text(text: str) -> Graph:
             for key in ("d", "n"))
     side = _parse_named("header #side", _parse_float, headers["side"])
     check_domains(locals(), n="[0, inf)")
-    window = Window(d, side,
-                    boundary="torus" if model in _TORUS_MODELS else "hard")
+    window = _window(model, d, side)
 
     # the next n lines are the vertex block, the rest the edge block
     x, w, vertex_dtype = np.empty((n, d)), np.empty(n), _vertex_dtype(d)
@@ -454,11 +466,77 @@ def _load_text(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path: str) -> Graph:
+# A regular graph file's parse is kept beside it in "<file>.pplab-cache",
+# one uncompressed npz of the header values and the five arrays, under a
+# key of the sidecar format's version and the sha256 of the file's bytes.
+# A sidecar is used only when its key matches: one that does not, or that
+# fails to load, is a miss, parsed over and replaced.
+_SIDECAR = ".pplab-cache"
+_SIDECAR_VERSION = "pplab-graph-sidecar 1"
+
+
+def _sidecar_graph(cache: str, key: str):
+    """The Graph kept in `cache` under `key`, or None on a miss."""
     try:
-        return read_graph_text(_load_text(path))
+        with np.load(cache, allow_pickle=False) as z:
+            if str(z["key"]) != key:
+                return None
+            model = str(z["model"])
+            window = _window(model, int(z["d"]), float(z["side"]))
+            return Graph(VertexSet(window, z["x"], z["w"]), z["u"], z["v"],
+                         z["len"], spec=model)
+    except Exception:  # noqa: BLE001 - any unreadable sidecar is a miss
+        # corrupt bytes raise from zipfile (BadZipFile, NotImplementedError
+        # for a flipped compression method), np.load's header parser
+        # (ValueError, tokenize's TokenError) or the Graph's checks
+        return None
+
+
+def _write_sidecar(cache: str, key: str, g: Graph) -> None:
+    """g kept in `cache` under `key`: written whole to a temporary file
+    beside it and renamed into place, so no reader sees a partial one.
+    A sidecar that cannot be written is not written."""
+    vs = g.vertices
+    tmp = f"{cache}.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, key=np.array(key), model=np.array(g.spec),
+                     d=np.array(vs.window.d), side=np.array(vs.window.side),
+                     x=vs.positions, w=vs.weights, u=g.edges_u,
+                     v=g.edges_v, len=g.lengths)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _load_graph(path: str) -> Graph:
+    """The graph in file `path`, parsed once per content: a regular file's
+    parse is kept in its sidecar and read back while the bytes match."""
+    try:
+        with Path(path).open("rb") as fh:
+            data = fh.read()
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    cache = f"{path}{_SIDECAR}"
+    if regular:                    # never beside a pipe or a device
+        key = f"{_SIDECAR_VERSION} {hashlib.sha256(data).hexdigest()}"
+        g = _sidecar_graph(cache, key)
+        if g is not None:
+            return g
+    try:
+        # decoded as Path.read_text decodes: locale encoding, universal
+        # newlines; the bytes go before the parse, the text before the write
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="locale").read()
+        del data
+        g = read_graph_text(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    del text
+    if regular:
+        _write_sidecar(cache, key, g)
+    return g
 
 
 def _yn(flag: bool) -> str:

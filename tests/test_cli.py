@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -978,10 +979,209 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 3 and "runtime failure" in err
 
 
+# ---------------------------------------------------------------------------
+# graph-file sidecar: each file content is parsed once
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}.pplab-cache")
+
+
+def _count_parses(monkeypatch) -> list:
+    """A list that gains one entry per call of cli.read_graph_text."""
+    calls = []
+
+    def counted(text):
+        calls.append(len(text))
+        return read_graph_text(text)
+
+    monkeypatch.setattr(cli, "read_graph_text", counted)
+    return calls
+
+
+def _distance_argv(path, target=2):
+    return ["distance", "--graph", str(path), "--penalty", "prod:1",
+            "--source", "0", "--target", str(target)]
+
+
+NO_EDGES = "".join(line + "\n" for line in FIXTURE.splitlines()
+                   if not line.startswith("e "))
+NO_VERTICES = "#format pplab-graph 1\n#model girg\n#d 2\n#n 0\n#side 1.0\n"
+SIDECAR_GRAPHS = {
+    "fixture": lambda: FIXTURE,
+    "tied-routes": lambda: TIED_ROUTES,
+    "leader-chain": lambda: LEADER_CHAIN,
+    "no-edges": lambda: NO_EDGES,
+    "no-vertices": lambda: NO_VERTICES,
+    "girg": lambda: write_graph_text(generate(
+        Girg(n=300, d=2, tau=2.5, alpha=2.0, c=0.5), 3, PolyAtZero(1.0))),
+    "igirg": lambda: write_graph_text(generate(
+        IgirgWindow(lam=0.1, d=1, side=1000.0, tau=2.5, alpha=2.0, c=1.0),
+        3, PolyAtZero(1.0))),
+    "sfp": lambda: write_graph_text(generate(
+        SfpWindow(d=1, radius=2, tau=2.5, lambda_perc=1.0, alpha_norm=1.5),
+        11, PolyAtZero(1.0))),
+    "hrg": lambda: write_graph_text(generate(
+        Hrg(n=100, alpha_H=0.75, C_H=1.0), 3)),
+}
+
+
+def _graph_arrays(g: Graph) -> list:
+    vs = g.vertices
+    return [vs.positions, vs.weights, g.edges_u, g.edges_v, g.lengths]
+
+
+@pytest.mark.parametrize("name", SIDECAR_GRAPHS)
+def test_a_sidecar_hit_gives_the_parsed_graph(tmp_path, capsys,
+                                              monkeypatch, name):
+    path = tmp_path / "g.graph"
+    path.write_text(SIDECAR_GRAPHS[name]())
+    parsed = read_graph_text(path.read_text())
+    parses = _count_parses(monkeypatch)
+    miss = cli._load_graph(str(path))
+    assert len(parses) == 1 and _sidecar(path).is_file()
+    hit = cli._load_graph(str(path))
+    assert len(parses) == 1
+    for g in (miss, hit):
+        assert (g.spec, g.vertices.window) == (parsed.spec,
+                                               parsed.vertices.window)
+        for got, want in zip(_graph_arrays(g), _graph_arrays(parsed)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+    # each command prints the same bytes on a miss and on the hit after it
+    for argv in (_distance_argv(path, target=min(3, parsed.n - 1)),
+                 ["boxes", "--graph", str(path), *BOX_ARGS]):
+        _sidecar(path).unlink()
+        assert _run(capsys, *argv) == _run(capsys, *argv)
+    assert len(parses) == 3
+
+
+def test_a_second_distance_reads_the_sidecar(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    parses = _count_parses(monkeypatch)
+    written = []
+    for _ in range(2):
+        assert _run(capsys, *_distance_argv(path)) == (
+            0, "distance 33.0\npath 0 1 2\n", "")
+        written.append(_sidecar(path).stat().st_ino)
+    # one parse, and the hit left the sidecar as it was, not rewritten
+    assert parses == [len(FIXTURE)] and written[0] == written[1]
+
+
+def test_a_sidecar_is_keyed_by_content_not_size_or_mtime(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    assert _run(capsys, *_distance_argv(path))[1] == (
+        "distance 33.0\npath 0 1 2\n")
+    before = path.stat()
+    path.write_text(FIXTURE.replace("e 1 2 2.0", "e 1 2 3.0"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                  before.st_mtime_ns)
+    # 0->1 costs 0.5*2*3 = 3, 1->2 now costs 3*3*5 = 45
+    assert _run(capsys, *_distance_argv(path)) == (
+        0, "distance 48.0\npath 0 1 2\n", "")
+
+
+def _rekeyed(cache: Path, version: str) -> None:
+    """The sidecar at `cache` with its lengths doubled and its key's
+    version replaced."""
+    with np.load(cache) as z:
+        arrays = dict(z)
+    arrays["key"] = np.array(str(arrays["key"]).replace(cli._SIDECAR_VERSION,
+                                                        version))
+    arrays["len"] = 2.0 * arrays["len"]
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_a_sidecar_is_trusted_only_under_its_key(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    want = _run(capsys, *_distance_argv(path))
+    assert want == (0, "distance 33.0\npath 0 1 2\n", "")
+    # a hit is read as stored, so doubled lengths under the same key show
+    _rekeyed(_sidecar(path), cli._SIDECAR_VERSION)
+    assert _run(capsys, *_distance_argv(path))[1] == (
+        "distance 66.0\npath 0 1 2\n")
+    # under another version the same sidecar is a miss, and is replaced
+    _rekeyed(_sidecar(path), "pplab-graph-sidecar 0")
+    assert _run(capsys, *_distance_argv(path)) == want
+    assert _run(capsys, *_distance_argv(path)) == want
+
+
+def test_a_corrupt_sidecar_is_a_miss(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    want = _run(capsys, *_distance_argv(path))
+    cache = _sidecar(path)
+    good = cache.read_bytes()
+    parses = _count_parses(monkeypatch)
+    corrupt = {"empty": b"",
+               **{f"cut-{at}": good[:at] for at in (10, len(good) // 2,
+                                                     len(good) - 1)},
+               "random": np.random.default_rng(5).bytes(len(good))}
+    for name, data in corrupt.items():
+        cache.write_bytes(data)
+        assert _run(capsys, *_distance_argv(path)) == want, name
+        # the miss put a sound sidecar in its place
+        assert cache.read_bytes() == good, name
+    assert len(parses) == 5
+    cache.unlink()
+    cache.mkdir()
+    assert _run(capsys, *_distance_argv(path)) == want
+    # the write that failed left no temporary file behind
+    assert cache.is_dir() and not list(cache.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph",
+                                                          cache.name]
+
+
+def test_a_malformed_file_beside_an_old_sidecar(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    assert _run(capsys, *_distance_argv(path))[0] == 0
+    old = _sidecar(path).read_bytes()
+    path.write_text(FIXTURE.replace("e 1 2 2.0", "e 1 2 x"))
+    assert _run(capsys, *_distance_argv(path)) == (
+        2, "", f"config error: {path}: line 11: malformed edge line\n")
+    assert _sidecar(path).read_bytes() == old
+
+
+def test_graph_bytes_decode_as_read_text(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    want = (0, "distance 33.0\npath 0 1 2\n", "")
+    for newline in ("\r\n", "\r"):
+        path.write_bytes(FIXTURE.replace("\n", newline).encode())
+        assert _run(capsys, *_distance_argv(path)) == want
+    path.write_bytes(FIXTURE.encode() + b"e 2 3 \xff\n")
+    with pytest.raises(UnicodeDecodeError) as exc:
+        path.read_text()
+    assert _run(capsys, *_distance_argv(path)) == (
+        2, "", f"config error: {path}: {exc.value}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_graph_writes_no_sidecar(tmp_path, capsys):
+    fifo = tmp_path / "g.fifo"
+    os.mkfifo(fifo)
+    for _ in range(2):
+        writer = threading.Thread(target=fifo.write_text, args=(FIXTURE,),
+                                  daemon=True)
+        writer.start()
+        assert _run(capsys, *_distance_argv(fifo)) == (
+            0, "distance 33.0\npath 0 1 2\n", "")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert [p.name for p in tmp_path.iterdir()] == ["g.fifo"]
+
+
 # Search-free work in a fresh interpreter: the boxing workload's windows
 # (IGIRG side 1000, PolyAtZero(0.1) lengths, mono:1,1), then classify,
-# params, hrgmap and boxes.  It prints whether scipy's csgraph and
-# scipy.sparse are loaded, then again after one cost_search.
+# params, hrgmap and boxes twice, the second reading the graph file's
+# sidecar.  It prints whether scipy's csgraph and scipy.sparse are loaded,
+# then again after one cost_search.
 SEARCH_FREE_RUN = """
 import contextlib, io, math, sys
 from pplab import cli, cost, geometry, metrics, models, rng
@@ -1005,16 +1205,21 @@ for seed in range(6):
 assert starts > 0
 with open(sys.argv[1], "w") as fh:
     fh.write(cli.write_graph_text(g))
+parses = []
+parse = cli.read_graph_text
+cli.read_graph_text = lambda text: parses.append(len(text)) or parse(text)
+boxes = ["boxes", "--graph", sys.argv[1], "--tau", "2.5", "--penalty",
+         "mono:1,1", "--law", "poly:0.1", "--M", "1.0", "--C", "1.3",
+         "--D", "2.0", "--delta", "0.2"]
 with contextlib.redirect_stdout(io.StringIO()):
     rcs = [cli.main(argv) for argv in (
         ["classify", "--tau", "2.5", "--alpha", "2", "--penalty", "prod:1",
          "--law", "poly:0.1"],
         ["params", "--tau", "2.5", "--mu", "1", "--nu", "1", "--beta", "0.1"],
         ["hrgmap", "--phi", "1.0", "--r", "5.0", "--n", "1000"],
-        ["boxes", "--graph", sys.argv[1], "--tau", "2.5", "--penalty",
-         "mono:1,1", "--law", "poly:0.1", "--M", "1.0", "--C", "1.3",
-         "--D", "2.0", "--delta", "0.2"])]
-assert rcs == [0, 0, 0, 0], rcs
+        boxes, boxes)]
+assert rcs == [0, 0, 0, 0, 0], rcs
+assert len(parses) == 1, parses    # the second boxes read the sidecar
 def loaded():
     print("scipy.sparse.csgraph" in sys.modules, "scipy.sparse" in sys.modules)
 loaded()

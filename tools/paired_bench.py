@@ -36,13 +36,20 @@ workload's config, each time in a fresh interpreter.  It reports its own
 peak RSS (``RUSAGE_SELF``, all the benchmark's ``peak_rss_mb`` sees), that
 of its largest sweep worker (``RUSAGE_CHILDREN``) and the sha256 of the
 CSV, so the two sides' CSVs can be compared.  Then, at each size of
-DISTANCE_NS (2^14 and 2^16), each checkout runs ``pplab distance`` twice,
-each time in a fresh interpreter, on one Girg file with the query
-workload's spec, written once by the parent.  It reports its peak RSS,
-the rise of that peak over ``import pplab.cli`` and
+DISTANCE_NS (2^12, 2^14 and 2^16), the parent writes one Girg file with
+the query workload's spec, and each checkout gets its own copy of it in
+a directory of its own, so that nothing one side keeps beside its copy
+(a parse sidecar, say) is seen by the other.  Twice per checkout, the
+sides alternating, the checkout's directory is emptied of all but the
+graph file and ``pplab distance`` runs on it cold, then once more warm,
+each time in a fresh interpreter.  Each run reports its peak RSS, the
+rise of that peak over ``import pplab.cli`` and
 ``import scipy.sparse.csgraph`` (which the search loads, wherever pplab
 imports it), its wall time and the lines it printed, which must be equal
-on both sides.
+on both sides, cold and warm.  Each size also records the bytes each
+side left beside its copy (``kept_bytes``) and, per phase and side, the
+median wall time and peak RSS.  The cold runs time the first read of a
+file, which no benchmark workload times.
 
 The JSON is rewritten after every run, so an interrupted batch keeps what
 it measured.  Progress goes to stderr.
@@ -53,6 +60,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -97,7 +105,8 @@ print(json.dumps({
     "children_cpu_s": kids.ru_utime + kids.ru_stime,
     "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest()}))
 """
-DISTANCE_NS = (2**14, 2**16)
+DISTANCE_NS = (2**12, 2**14, 2**16)
+DISTANCE_PHASES = ("cold", "warm")
 # The distance probe's graph, written once: argv = checkout, graph path, n.
 _GRAPH_WRITER = """\
 import sys
@@ -238,29 +247,56 @@ def distance_probes(checkouts: dict, record: dict, save) -> None:
     record["distance_probe"] = {
         "what": ("`pplab distance` (prod:1, 0 -> 1) on one Girg file per "
                  "size with the query workload's spec, in a fresh "
-                 "interpreter, twice per checkout in alternating order; "
+                 "interpreter; each checkout reads its own copy, cold (its "
+                 "directory emptied of all but the graph file) and then "
+                 "warm, twice per checkout in alternating order; "
                  "rss_rise_mb is the peak RSS above that after "
                  "`import pplab.cli` and `import scipy.sparse.csgraph`, "
                  "peak_rss_mb the peak itself"),
         "sizes": sizes}
     with tempfile.TemporaryDirectory() as tmp:
         for n in DISTANCE_NS:
-            graph = Path(tmp) / f"distance_{n}.graph"
+            source = Path(tmp) / f"distance_{n}.graph"
             subprocess.run([sys.executable, "-c", _GRAPH_WRITER,
-                            str(checkouts["parent"]), str(graph), str(n)],
+                            str(checkouts["parent"]), str(source), str(n)],
                            check=True, capture_output=True)
+            graphs = {}
+            for side in SIDES:
+                (Path(tmp) / side).mkdir()
+                graphs[side] = Path(tmp) / side / source.name
+                shutil.copyfile(source, graphs[side])
             queries = []
-            sizes[str(n)] = {"graph_bytes": graph.stat().st_size,
+            sizes[str(n)] = {"graph_bytes": source.stat().st_size,
                              "runs": queries}
             for side in SIDES + SIDES[::-1]:
-                queries.append(dict(distance_probe(checkouts[side], graph),
-                                    side=side))
-                save()
-            graph.unlink()
+                for kept in graphs[side].parent.iterdir():
+                    if kept != graphs[side]:
+                        kept.unlink()
+                for phase in DISTANCE_PHASES:
+                    queries.append(dict(distance_probe(checkouts[side],
+                                                       graphs[side]),
+                                        side=side, phase=phase))
+                    save()
+            sizes[str(n)]["kept_bytes"] = {
+                side: sum(p.stat().st_size for p in graph.parent.iterdir()
+                          if p != graph) for side, graph in graphs.items()}
+            for side in SIDES:
+                shutil.rmtree(graphs[side].parent)
+            source.unlink()
             printed = {json.dumps(q.get("lines")) for q in queries}
             sizes[str(n)]["lines_identical"] = (
                 len(printed) == 1 and all(q.get("exit") == 0 for q in queries))
+            if sizes[str(n)]["lines_identical"]:
+                sizes[str(n)]["medians"] = probe_medians(queries)
             save()
+
+
+def probe_medians(queries: list) -> dict:
+    """Per phase and side, the median wall time and peak RSS."""
+    return {phase: {side: {key: statistics.median(
+        q[key] for q in queries if (q["side"], q["phase"]) == (side, phase))
+        for key in ("wall_s", "peak_rss_mb")} for side in SIDES}
+        for phase in DISTANCE_PHASES}
 
 
 def verdict(cell: dict, bound: float) -> str:
