@@ -11,7 +11,8 @@ Formats
   so write -> read -> write is byte-identical.
 * Graph sidecar: ``<graph file>.pplab-cache`` beside a regular graph file,
   the arrays of its last successful parse as one npz, keyed by the sha256
-  of the file's bytes and the sidecar version; safe to delete.
+  of the file's bytes and the sidecar version, and read only when it is
+  the user's own regular file that no one else may write; safe to delete.
 * Penalty specs: ``prod:<mu>``, ``mono:<mu>,<nu>``, ``sum:<mu>``,
   ``max:<mu>``, ``poly:a,mu,nu[;a,mu,nu]...``.
 * Length-law specs: ``poly:<beta>``, ``exp:<rate>``, ``dexp:<eta>,<c1>,<c2>``,
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import math
 import os
 import re
 import stat
 import sys
+import tempfile
+import threading
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -409,6 +411,9 @@ def _read_block(lines: list, first: int, what: str, dtype: np.dtype):
     raise ValueError(f"line {first + bad}: malformed {what} line")
 
 
+# Graph-file sidecars keep what this returns: a change to the Graph it
+# builds from some text (dtypes, values, what it accepts) must bump
+# _SIDECAR_VERSION, or sidecars written before keep serving the old parse.
 def read_graph_text(text: str) -> Graph:
     end = 0                        # where the leading '#' lines end
     while text.startswith("#", end):
@@ -469,22 +474,52 @@ def _load_text(path: str) -> str:
 # A regular graph file's parse is kept beside it in "<file>.pplab-cache",
 # one uncompressed npz of the header values and the five arrays, under a
 # key of the sidecar format's version and the sha256 of the file's bytes.
-# A sidecar is used only when its key matches: one that does not, or that
-# fails to load, is a miss, parsed over and replaced.
+# A sidecar is used only when its key matches and it is a regular file of
+# the user's that no one else may write: any other, or one that fails to
+# load, is a miss, parsed over and replaced.  Bump _SIDECAR_VERSION with
+# any change to what read_graph_text returns for some text, or sidecars
+# already on disk keep serving the old parse.
 _SIDECAR = ".pplab-cache"
 _SIDECAR_VERSION = "pplab-graph-sidecar 1"
 
 
-def _sidecar_graph(cache: str, key: str):
-    """The Graph kept in `cache` under `key`, or None on a miss."""
+def _sidecar_key(data: bytes):
+    """A function that gives the sidecar key of `data`.  The hash runs in
+    a thread meanwhile: sha256 lets go of the GIL, so it overlaps the
+    sidecar's load on a hit and the parse on a miss."""
+    import hashlib                 # only the sidecar uses it
+    digest = []
+    hashing = threading.Thread(
+        target=lambda: digest.append(hashlib.sha256(data).hexdigest()))
+    hashing.start()
+
+    def key() -> str:
+        hashing.join()
+        return f"{_SIDECAR_VERSION} {digest[0]}"
+    return key
+
+
+def _sidecar_graph(cache: str):
+    """(key, Graph) kept in `cache`, or None when there is none to trust.
+
+    Only a regular file, not a link, owned by the user and writable by no
+    one else is read, so no other user can plant a sidecar's answer.
+    """
+    try:                           # a FIFO opens without waiting for a writer
+        fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return None
+    st = os.fstat(fd)
+    if (not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid()
+            or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+        os.close(fd)
+        return None
     try:
-        with np.load(cache, allow_pickle=False) as z:
-            if str(z["key"]) != key:
-                return None
+        with open(fd, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             model = str(z["model"])
             window = _window(model, int(z["d"]), float(z["side"]))
-            return Graph(VertexSet(window, z["x"], z["w"]), z["u"], z["v"],
-                         z["len"], spec=model)
+            return str(z["key"]), Graph(VertexSet(window, z["x"], z["w"]),
+                                        z["u"], z["v"], z["len"], spec=model)
     except Exception:  # noqa: BLE001 - any unreadable sidecar is a miss
         # corrupt bytes raise from zipfile (BadZipFile, NotImplementedError
         # for a flipped compression method), np.load's header parser
@@ -493,13 +528,18 @@ def _sidecar_graph(cache: str, key: str):
 
 
 def _write_sidecar(cache: str, key: str, g: Graph) -> None:
-    """g kept in `cache` under `key`: written whole to a temporary file
-    beside it and renamed into place, so no reader sees a partial one.
-    A sidecar that cannot be written is not written."""
+    """g kept in `cache` under `key`: written whole to a new temporary file
+    beside it (mkstemp: a fresh name, mode 0600, never through a link) and
+    renamed into place, so no reader sees a partial one.  A sidecar that
+    cannot be written is not written."""
     vs = g.vertices
-    tmp = f"{cache}.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
+        fd, tmp = tempfile.mkstemp(prefix=f"{os.path.basename(cache)}.",
+                                   dir=os.path.dirname(cache) or os.curdir)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
             np.savez(fh, key=np.array(key), model=np.array(g.spec),
                      d=np.array(vs.window.d), side=np.array(vs.window.side),
                      x=vs.positions, w=vs.weights, u=g.edges_u,
@@ -516,18 +556,23 @@ def _load_graph(path: str) -> Graph:
     try:
         with Path(path).open("rb") as fh:
             data = fh.read()
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            # never beside a pipe or a device, and only where the sidecar's
+            # owner can be checked (POSIX)
+            regular = (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                       and hasattr(os, "geteuid"))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     cache = f"{path}{_SIDECAR}"
-    if regular:                    # never beside a pipe or a device
-        key = f"{_SIDECAR_VERSION} {hashlib.sha256(data).hexdigest()}"
-        g = _sidecar_graph(cache, key)
-        if g is not None:
-            return g
+    if regular:
+        key = _sidecar_key(data)
+        kept = _sidecar_graph(cache)
+        if kept is not None and kept[0] == key():
+            return kept[1]
+        del kept
     try:
         # decoded as Path.read_text decodes: locale encoding, universal
-        # newlines; the bytes go before the parse, the text before the write
+        # newlines; the bytes go before the parse (once hashed, if a thread
+        # still hashes them), the text before the write
         text = io.TextIOWrapper(io.BytesIO(data), encoding="locale").read()
         del data
         g = read_graph_text(text)
@@ -535,7 +580,7 @@ def _load_graph(path: str) -> Graph:
         raise ConfigError(f"{path}: {exc}") from None
     del text
     if regular:
-        _write_sidecar(cache, key, g)
+        _write_sidecar(cache, key(), g)
     return g
 
 

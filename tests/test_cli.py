@@ -7,6 +7,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -1136,6 +1137,104 @@ def test_a_corrupt_sidecar_is_a_miss(tmp_path, capsys, monkeypatch):
     assert cache.is_dir() and not list(cache.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph",
                                                           cache.name]
+
+
+def test_a_sidecar_others_may_write_is_a_miss(tmp_path, capsys,
+                                              monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    want = _run(capsys, *_distance_argv(path))
+    cache = _sidecar(path)
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o600
+    # doubled lengths under the right key, as test_a_sidecar_is_trusted_
+    # only_under_its_key plants them, are a hit only in the user's own file
+    for mode in (0o620, 0o602):
+        _rekeyed(cache, cli._SIDECAR_VERSION)
+        cache.chmod(mode)
+        assert _run(capsys, *_distance_argv(path)) == want, oct(mode)
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o600
+    _rekeyed(cache, cli._SIDECAR_VERSION)
+    monkeypatch.setattr(os, "geteuid", lambda: cache.stat().st_uid + 1)
+    assert _run(capsys, *_distance_argv(path)) == want
+    monkeypatch.undo()
+    assert _run(capsys, *_distance_argv(path)) == want
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+def test_a_planted_link_is_neither_read_nor_written_through(tmp_path,
+                                                            capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    want = _run(capsys, *_distance_argv(path))
+    cache = _sidecar(path)
+    # a sidecar of the user's with doubled lengths, reached through a link
+    _rekeyed(cache, cli._SIDECAR_VERSION)
+    planted = tmp_path / "planted"
+    cache.rename(planted)
+    cache.symlink_to(planted)
+    # and a link at the temporary name an earlier sidecar writer used
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"the user's own file\n")
+    Path(f"{cache}.{os.getpid()}").symlink_to(victim)
+    kept = {p: p.read_bytes() for p in (planted, victim)}
+    for _ in range(2):
+        assert _run(capsys, *_distance_argv(path)) == want
+        assert {p: p.read_bytes() for p in kept} == kept
+    # the miss replaced the link itself with a sidecar of its own
+    assert not cache.is_symlink() and cache.is_file()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_at_the_sidecar_path_is_a_miss(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    os.mkfifo(_sidecar(path))
+    # opened without waiting for a writer, and replaced by a sidecar
+    ran = []
+    runner = threading.Thread(daemon=True, target=lambda: ran.append(
+        _run(capsys, *_distance_argv(path))))
+    runner.start()
+    runner.join(timeout=30)
+    assert ran == [(0, "distance 33.0\npath 0 1 2\n", "")]
+    assert _sidecar(path).is_file()
+
+
+def test_no_sidecar_where_its_owner_cannot_be_checked(tmp_path, capsys,
+                                                      monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(FIXTURE)
+    monkeypatch.delattr(os, "geteuid")
+    assert _run(capsys, *_distance_argv(path)) == (
+        0, "distance 33.0\npath 0 1 2\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["g.graph"]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_a_checked_in_sidecar_reads_as_a_fresh_parse(tmp_path, monkeypatch):
+    """tests/data holds a graph file and the sidecar that its parse wrote.
+
+    This fails when read_graph_text comes to build another graph from that
+    text, and when cli._SIDECAR_VERSION changes.  A change to the parse
+    must bump the version, or sidecars on users' disks keep serving the
+    old parse; then write the sidecar again: delete it and run
+    ``pplab distance --graph tests/data/sidecar.graph --source 0
+    --target 1 --penalty prod:1``.
+    """
+    for name in ("sidecar.graph", "sidecar.graph.pplab-cache"):
+        (tmp_path / name).write_bytes((DATA / name).read_bytes())
+        (tmp_path / name).chmod(0o600)
+    path = tmp_path / "sidecar.graph"
+    parses = _count_parses(monkeypatch)
+    kept = cli._load_graph(str(path))
+    assert parses == []            # a hit: its key is this version's
+    parsed = read_graph_text(path.read_text())
+    assert (kept.spec, kept.vertices.window) == (parsed.spec,
+                                                 parsed.vertices.window)
+    for got, want in zip(_graph_arrays(kept), _graph_arrays(parsed)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_a_malformed_file_beside_an_old_sidecar(tmp_path, capsys):

@@ -39,17 +39,17 @@ CSV, so the two sides' CSVs can be compared.  Then, at each size of
 DISTANCE_NS (2^12, 2^14 and 2^16), the parent writes one Girg file with
 the query workload's spec, and each checkout gets its own copy of it in
 a directory of its own, so that nothing one side keeps beside its copy
-(a parse sidecar, say) is seen by the other.  Twice per checkout, the
-sides alternating, the checkout's directory is emptied of all but the
-graph file and ``pplab distance`` runs on it cold, then once more warm,
-each time in a fresh interpreter.  Each run reports its peak RSS, the
+(a parse sidecar, say) is seen by the other.  In each of DISTANCE_ROUNDS
+rounds, the sides alternating which goes first, the checkout's directory
+is emptied of all but the graph file and ``pplab distance`` runs on it
+cold, then once more warm, each time in a fresh interpreter.  Each run reports its peak RSS, the
 rise of that peak over ``import pplab.cli`` and
 ``import scipy.sparse.csgraph`` (which the search loads, wherever pplab
 imports it), its wall time and the lines it printed, which must be equal
 on both sides, cold and warm.  Each size also records the bytes each
 side left beside its copy (``kept_bytes``) and, per phase and side, the
-median wall time and peak RSS.  The cold runs time the first read of a
-file, which no benchmark workload times.
+median wall time and peak RSS, with change / parent of each.  The cold
+runs time a single read of a file, which no benchmark workload times.
 
 The JSON is rewritten after every run, so an interrupted batch keeps what
 it measured.  Progress goes to stderr.
@@ -107,6 +107,7 @@ print(json.dumps({
 """
 DISTANCE_NS = (2**12, 2**14, 2**16)
 DISTANCE_PHASES = ("cold", "warm")
+DISTANCE_ROUNDS = 5
 # The distance probe's graph, written once: argv = checkout, graph path, n.
 _GRAPH_WRITER = """\
 import sys
@@ -249,7 +250,8 @@ def distance_probes(checkouts: dict, record: dict, save) -> None:
                  "size with the query workload's spec, in a fresh "
                  "interpreter; each checkout reads its own copy, cold (its "
                  "directory emptied of all but the graph file) and then "
-                 "warm, twice per checkout in alternating order; "
+                 f"warm, {DISTANCE_ROUNDS} rounds, the sides "
+                 "alternating which goes first; "
                  "rss_rise_mb is the peak RSS above that after "
                  "`import pplab.cli` and `import scipy.sparse.csgraph`, "
                  "peak_rss_mb the peak itself"),
@@ -268,7 +270,8 @@ def distance_probes(checkouts: dict, record: dict, save) -> None:
             queries = []
             sizes[str(n)] = {"graph_bytes": source.stat().st_size,
                              "runs": queries}
-            for side in SIDES + SIDES[::-1]:
+            for side in (side for r in range(DISTANCE_ROUNDS)
+                         for side in (SIDES if r % 2 == 0 else SIDES[::-1])):
                 for kept in graphs[side].parent.iterdir():
                     if kept != graphs[side]:
                         kept.unlink()
@@ -292,11 +295,18 @@ def distance_probes(checkouts: dict, record: dict, save) -> None:
 
 
 def probe_medians(queries: list) -> dict:
-    """Per phase and side, the median wall time and peak RSS."""
-    return {phase: {side: {key: statistics.median(
-        q[key] for q in queries if (q["side"], q["phase"]) == (side, phase))
-        for key in ("wall_s", "peak_rss_mb")} for side in SIDES}
-        for phase in DISTANCE_PHASES}
+    """Per phase and side, the median wall time and peak RSS, and per
+    phase their change / parent."""
+    medians = {}
+    for phase in DISTANCE_PHASES:
+        cell = medians[phase] = {side: {key: statistics.median(
+            q[key] for q in queries
+            if (q["side"], q["phase"]) == (side, phase))
+            for key in ("wall_s", "peak_rss_mb")} for side in SIDES}
+        cell["change_over_parent"] = {
+            key: cell["change"][key] / cell["parent"][key]
+            for key in ("wall_s", "peak_rss_mb")}
+    return medians
 
 
 def verdict(cell: dict, bound: float) -> str:
